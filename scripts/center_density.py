@@ -15,10 +15,9 @@ import sys
 
 from dynbif import arith
 from dynbif.cli import write_pgm
-from dynbif.equidist import AtomicMeasure, GridDensity, center_measure
+from dynbif.equidist import QUAD_WINDOW, AtomicMeasure, GridDensity, \
+    center_measure
 from dynbif.families import QUAD
-
-QUAD_WINDOW = ((-2.1, 0.6), (-1.3, 1.3))
 
 
 def main() -> int:

@@ -68,9 +68,7 @@ class RunConfig:
     terms: int = 60
     k_moments: int = 4
     ref: int | None = None
-    seed: int = 0
     tolerance: float = 1e-12
-    threads: int = 0
     out: str | None = None
     no_cache: bool = False
     window: tuple[float, float, float, float] | None = None
@@ -181,11 +179,7 @@ def _enumerate_centers(spec, periods: tuple[int, ...], tol: float
     if len(periods) == 1:
         return families.centers_1d(spec, periods[0], tol)
     n0, n1 = periods
-    markings = [(n0, n1)] if n0 == n1 else [(n0, n1), (n1, n0)]
-    out = []
-    for m0, m1 in markings:
-        out.extend(families.centers_2d(spec, m0, m1, tol))
-    return out
+    return families.marked_centers(spec, n0, n1, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +198,13 @@ def _family_map(cfg: RunConfig):
     return spec, p, families.map_at(spec, p)
 
 
-def _poly_coeffs(spec, p):
-    """Ascending coefficients of the affine polynomial, when the family is
-    polynomial."""
-    if spec.kind in ("QuadraticPoly", "MeromorphicDisk"):
-        c = families.degen_parameter(spec, p[0]) \
-            if spec.kind == "MeromorphicDisk" else p[0]
-        return np.array([c, 0.0, 1.0], dtype=complex)
-    if spec.kind == "PcaPoly":
-        return families.pca_map(spec.degree, p[:-1], p[-1])
-    return None
-
-
 def cmd_lyap(cfg: RunConfig) -> tuple[dict, dict]:
     spec, p, F = _family_map(cfg)
     if cfg.n_lo is None:
         raise PreconditionError("lyap needs --n")
     ns = list(range(cfg.n_lo, (cfg.n_hi or cfg.n_lo) + 1))
     d = F.degree
-    coeffs = _poly_coeffs(spec, p)
+    coeffs = families.poly_coeffs(spec, p)
     reference = lyapunov.lyap_poly_closed_form(coeffs) \
         if coeffs is not None else None
     pm = families.power_map_degree(F)
@@ -365,9 +347,7 @@ def cmd_degenerate(cfg: RunConfig) -> tuple[dict, dict]:
     moduli = np.logspace(-6, -3, 10)
 
     def lyap_of_t(t):
-        c = families.degen_parameter(spec, t)
-        return lyapunov.lyap_poly_closed_form(
-            np.array([c, 0.0, 1.0], dtype=complex))
+        return lyapunov.lyap_poly_closed_form(families.poly_coeffs(spec, t))
 
     fit = lyapunov.degeneration_slope(lyap_of_t, [complex(t) for t in moduli])
     span = float(np.log(1.0 / moduli.min()) - np.log(1.0 / moduli.max()))
@@ -421,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tolerance", type=float, default=1e-12)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--no-cache", action="store_true")
 
@@ -475,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     kw = dict(subcommand=args.subcommand,
               tolerance=getattr(args, "tolerance", 1e-12),
-              seed=getattr(args, "seed", 0),
-              threads=getattr(args, "threads", 0),
               out=getattr(args, "out", None),
               no_cache=getattr(args, "no_cache", False))
     if hasattr(args, "family"):

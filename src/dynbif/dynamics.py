@@ -283,10 +283,6 @@ class RationalMapLift:
                                inv[1, 0] * fn + inv[1, 1] * fd)
 
 
-def lift_resultant(F: RationalMapLift) -> complex:
-    return F.resultant
-
-
 def chordal_derivative(F: RationalMapLift, z: SpherePoint) -> float:
     """Expansion rate in the chordal metric:
     (1/d) |det DF(p)| ||p||^2 / ||F(p)||^2 at a unit representative."""
@@ -299,15 +295,6 @@ def chordal_derivative(F: RationalMapLift, z: SpherePoint) -> float:
     fp = F.apply_vector(p)
     n2 = float(np.abs(fp[0]) ** 2 + np.abs(fp[1]) ** 2)
     return float(abs(det)) / (F.degree * n2)
-
-
-def _sphere_grid(n: int) -> list[SpherePoint]:
-    pts = []
-    for theta in np.linspace(0.0, np.pi, n):
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        for phi in np.linspace(0.0, 2.0 * np.pi, n, endpoint=False):
-            pts.append(SpherePoint(np.array([c, s * np.exp(1j * phi)])))
-    return pts
 
 
 def lipschitz_square_bound(F: RationalMapLift, grid_n: int = 48,

@@ -66,10 +66,7 @@ def center_measure(spec: families.FamilySpec,
         centers = families.centers_1d(spec, n)
     elif spec.kind == "PcaPoly":
         n0, n1 = periods.periods
-        markings = [(n0, n1)] if n0 == n1 else [(n0, n1), (n1, n0)]
-        centers = []
-        for m0, m1 in markings:
-            centers.extend(families.centers_2d(spec, m0, m1))
+        centers = families.marked_centers(spec, n0, n1)
     else:
         raise PreconditionError(f"no center measure for {spec.kind}")
     atoms = [(c.parameter, w * c.multiplicity) for c in centers]

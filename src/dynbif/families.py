@@ -118,31 +118,34 @@ def pca_map(d: int, c, a: complex) -> np.ndarray:
     return coeffs
 
 
-def map_at(spec: FamilySpec, params) -> RationalMapLift:
-    """The rational-map lift of a family member."""
+def poly_coeffs(spec: FamilySpec, params) -> np.ndarray | None:
+    """Ascending coefficients of a polynomial family member; None for the
+    rational normal form."""
     p = np.atleast_1d(np.asarray(params, dtype=complex))
     if spec.kind == "QuadraticPoly":
         (c,) = p
-        return _poly_lift(np.array([c, 0.0, 1.0], dtype=np.complex128))
-    if spec.kind == "PcaPoly":
-        c, a = p[:-1], p[-1]
-        return _poly_lift(pca_map(spec.degree, c, a))
-    if spec.kind == "QuadRatFixed":
-        mu1, mu2 = p
-        lift, _ = quadrat_fixed_normal_form(mu1, mu2)
-        return lift
-    if spec.kind == "MeromorphicDisk":
+    elif spec.kind == "MeromorphicDisk":
         (t,) = p
         c = degen_parameter(spec, t)
-        return _poly_lift(np.array([c, 0.0, 1.0], dtype=np.complex128))
-    raise PreconditionError(f"unknown family kind {spec.kind!r}")
+    elif spec.kind == "PcaPoly":
+        return pca_map(spec.degree, p[:-1], p[-1])
+    else:
+        return None
+    return np.array([c, 0.0, 1.0], dtype=np.complex128)
 
 
-def _poly_lift(coeffs: np.ndarray) -> RationalMapLift:
-    d = len(coeffs) - 1
-    den = np.zeros(d + 1, dtype=np.complex128)
+def map_at(spec: FamilySpec, params) -> RationalMapLift:
+    """The rational-map lift of a family member."""
+    if spec.kind == "QuadRatFixed":
+        mu1, mu2 = np.atleast_1d(np.asarray(params, dtype=complex))
+        lift, _ = quadrat_fixed_normal_form(mu1, mu2)
+        return lift
+    coeffs = poly_coeffs(spec, params)
+    if coeffs is None:
+        raise PreconditionError(f"unknown family kind {spec.kind!r}")
+    den = np.zeros(len(coeffs), dtype=np.complex128)
     den[0] = 1.0
-    return RationalMapLift(np.asarray(coeffs, dtype=np.complex128), den)
+    return RationalMapLift(coeffs, den)
 
 
 def marked_critical_points(spec: FamilySpec, params) -> list[complex]:
@@ -285,15 +288,24 @@ class CenterPoint:
     multiplicity: int = 1
 
 
-def _quad_exact_period(c: complex, n: int, tol: float = 1e-8) -> int:
-    """First return time of the critical point 0 under z^2 + c, scanned up
-    to n."""
-    z = 0.0 + 0.0j
+def _first_return(step, z0: complex, n: int, tol: float = 1e-8) -> int:
+    """First return time of z0 to itself under the scalar map ``step``,
+    scanned up to n; 0 if the orbit does not return."""
+    z = z0
     for m in range(1, n + 1):
-        z = z * z + c
-        if abs(z) <= tol:
+        z = step(z)
+        if abs(z - z0) <= tol:
             return m
     return 0
+
+
+def _orbit(step, z: complex, n: int) -> list[complex]:
+    """The first n points z, step(z), ... of a scalar orbit."""
+    out = []
+    for _ in range(n):
+        out.append(z)
+        z = step(z)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +343,8 @@ def _quad_exact_centers(n: int) -> tuple[complex, ...]:
     roots = _polish_centers(rs.roots, n)
     counts: dict[int, list[complex]] = {}
     for c in roots:
-        m = _quad_exact_period(complex(c), n)
+        c = complex(c)
+        m = _first_return(lambda z: z * z + c, 0.0 + 0.0j, n)
         if m == 0 or n % m != 0:
             raise CountMismatchError(
                 f"root {c} has no divisor period up to {n}")
@@ -383,52 +396,91 @@ def _polish_centers(roots: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pca3_orbit(c, a, z0, n):
-    """Orbit of z0 under z^3/3 - (c/2) z^2 + a^3 with forward-mode
-    derivatives in (c, a); all arrays broadcast."""
-    z = np.asarray(z0, dtype=np.complex128) + np.zeros_like(c)
-    dzc = np.zeros_like(z)
-    dza = np.zeros_like(z)
-    for _ in range(n):
-        z2 = z * z
-        new = z2 * z / 3.0 - 0.5 * c * z2 + a**3
-        dnew_c = (z2 - c * z) * dzc - 0.5 * z2
-        dnew_a = (z2 - c * z) * dza + 3.0 * a**2
-        z, dzc, dza = new, dnew_c, dnew_a
-    return z, dzc, dza
+def _pca3_step(z, c, a):
+    """The marked cubic P(z) = z^3/3 - (c/2) z^2 + a^3 and its first
+    derivatives (P, dP/dz, dP/dc, dP/da), on scalars and arrays alike."""
+    z2 = z * z
+    return (z2 * z / 3.0 - 0.5 * c * z2 + a**3, z2 - c * z, -0.5 * z2,
+            3.0 * a**2)
 
 
-def _pca3_orbit_from_c(c, a, n):
-    """Orbit of the free critical point z0 = c itself (d z0/dc = 1)."""
-    z = c.copy()
-    dzc = np.ones_like(c)
-    dza = np.zeros_like(c)
+def _pca3_map(c, a):
+    """The scalar map z -> P(z) at fixed parameters."""
+    return lambda z: _pca3_step(z, c, a)[0]
+
+
+def _pca3_orbit(c, a, z, z_c, n):
+    """n steps of the orbit of z with forward-mode derivatives in (c, a),
+    starting from dz/dc = z_c and dz/da = 0; all arrays broadcast."""
+    z_a = np.zeros_like(z)
     for _ in range(n):
-        z2 = z * z
-        new = z2 * z / 3.0 - 0.5 * c * z2 + a**3
-        dnew_c = (z2 - c * z) * dzc - 0.5 * z2
-        dnew_a = (z2 - c * z) * dza + 3.0 * a**2
-        z, dzc, dza = new, dnew_c, dnew_a
-    return z, dzc, dza
+        f, f_z, f_c, f_a = _pca3_step(z, c, a)
+        z, z_c, z_a = f, f_z * z_c + f_c, f_z * z_a + f_a
+    return z, z_c, z_a
 
 
 def _pca3_center_system(c, a, n0, n1):
     """Residuals and exact Jacobian of the two-critical-orbit return system
     (P^n0(0), P^n1(c)) at parameters (c, a), vectorized."""
-    g0, g0c, g0a = _pca3_orbit(c, a, 0.0 + 0.0j, n0)
-    z1, z1c, z1a = _pca3_orbit_from_c(c, a, n1)
+    zero = np.zeros_like(c)
+    g0, g0c, g0a = _pca3_orbit(c, a, zero, zero, n0)
     # the free critical point c must return to itself
+    z1, z1c, z1a = _pca3_orbit(c, a, c, np.ones_like(c), n1)
     return (g0, z1 - c), ((g0c, g0a), (z1c - 1.0, z1a))
 
 
-def _pca3_exact_period(c: complex, a: complex, z0: complex, n: int,
-                       tol: float = 1e-8) -> int:
-    z = complex(z0)
-    for m in range(1, n + 1):
-        z = z**3 / 3.0 - 0.5 * c * z * z + a**3
-        if abs(z - z0) <= tol:
-            return m
-    return 0
+def _pca3_newton(c, a, n0, n1, iters, target=(0.0, 0.0), damped=False):
+    """``iters`` vectorized Newton steps from every seed (c, a) on the return
+    system shifted to ``target``; steps that are not finite are skipped, and
+    with ``damped`` steps longer than 1 are cut to length 1.  Returns the
+    end points and their residuals |g0 - target0| + |g1 - target1|."""
+    for _ in range(iters):
+        (g0, g1), ((g0c, g0a), (g1c, g1a)) = \
+            _pca3_center_system(c, a, n0, n1)
+        g0 = g0 - target[0]
+        g1 = g1 - target[1]
+        det = g0c * g1a - g0a * g1c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step_c = (g0 * g1a - g1 * g0a) / det
+            step_a = (g1 * g0c - g0 * g1c) / det
+        bad = ~(np.isfinite(step_c) & np.isfinite(step_a))
+        step_c[bad] = 0.0
+        step_a[bad] = 0.0
+        if damped:
+            # damp long steps to keep seeds from being flung out
+            mag = np.sqrt(np.abs(step_c) ** 2 + np.abs(step_a) ** 2)
+            damp = np.minimum(1.0, 1.0 / np.maximum(mag, 1e-30))
+            step_c = step_c * damp
+            step_a = step_a * damp
+        c = c - step_c
+        a = a - step_a
+    (g0, g1), _ = _pca3_center_system(c, a, n0, n1)
+    return c, a, np.abs(g0 - target[0]) + np.abs(g1 - target[1])
+
+
+def _dedupe(points: np.ndarray, radius: float) -> np.ndarray:
+    """Ascending indices of the rows of ``points`` (K x 2, complex) that a
+    first-come pass keeps: a row is dropped when it lies within ``radius``
+    (Euclidean in C^2) of a row kept before it.  Each kept row removes its
+    whole neighbourhood in one vectorized sweep, so the cost is
+    O(K * kept).  Rows kept by an earlier call stay kept when they lead the
+    input."""
+    left = np.arange(len(points))
+    kept = []
+    while left.size:
+        i = left[0]
+        kept.append(i)
+        left = left[np.linalg.norm(points[left] - points[i], axis=1)
+                    > radius]
+    return np.array(kept, dtype=int)
+
+
+def marked_centers(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12
+                   ) -> list[CenterPoint]:
+    """Centers for the unordered period pair {n0, n1}: both assignments of
+    the periods to the marked critical points 0 and c (one when n0 = n1)."""
+    markings = [(n0, n1)] if n0 == n1 else [(n0, n1), (n1, n0)]
+    return [s for m0, m1 in markings for s in centers_2d(spec, m0, m1, tol)]
 
 
 def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
@@ -455,7 +507,7 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
         arith.affine_cycle_point_count(3, m0)
         * arith.affine_cycle_point_count(3, m1)
         for m0 in arith.divisors(n0) for m1 in arith.divisors(n1))
-    dedup: list[np.ndarray] = []
+    found = np.empty((0, 2), dtype=complex)
     for round_id in range(5):
         rng = np.random.default_rng(seed + 7919 * round_id)
         n_seeds = seeds_per_root * total_target * (1 + round_id)
@@ -466,38 +518,19 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
                       + 1j * rng.standard_normal(n_seeds))
         a = (0.73 * spread) * (rng.standard_normal(n_seeds)
                                + 1j * rng.standard_normal(n_seeds))
-        for _ in range(120):
-            (g0, g1), ((g0c, g0a), (g1c, g1a)) = \
-                _pca3_center_system(c, a, n0, n1)
-            det = g0c * g1a - g0a * g1c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step_c = (g0 * g1a - g1 * g0a) / det
-                step_a = (g1 * g0c - g0 * g1c) / det
-            bad = ~(np.isfinite(step_c) & np.isfinite(step_a))
-            step_c[bad] = 0.0
-            step_a[bad] = 0.0
-            # damp long steps to keep seeds from being flung out
-            mag = np.sqrt(np.abs(step_c) ** 2 + np.abs(step_a) ** 2)
-            damp = np.minimum(1.0, 1.0 / np.maximum(mag, 1e-30))
-            c = c - step_c * damp
-            a = a - step_a * damp
-        (g0, g1), _ = _pca3_center_system(c, a, n0, n1)
-        res = np.abs(g0) + np.abs(g1)
+        c, a, res = _pca3_newton(c, a, n0, n1, 120, damped=True)
         ok = np.isfinite(res) & (res < 1e-8)
-        sols = np.stack([c[ok], a[ok]], axis=1)
-        before = len(dedup)
-        for s in sols:
-            if all(np.linalg.norm(s - t) > 10.0 * max(tol, 1e-10)
-                   for t in dedup):
-                dedup.append(s)
-        if round_id > 0 and len(dedup) == before:
+        before = len(found)
+        found = np.concatenate([found, np.stack([c[ok], a[ok]], axis=1)])
+        found = found[_dedupe(found, 10.0 * max(tol, 1e-10))]
+        if round_id > 0 and len(found) == before:
             break  # a fresh larger seeding found nothing new
     out = []
-    for s in dedup:
+    for s in found:
         cc, aa = complex(s[0]), complex(s[1])
-        m0 = _pca3_exact_period(cc, aa, 0.0, n0)
-        m1 = _pca3_exact_period(cc, aa, cc, n1)
-        if m0 != n0 or m1 != n1:
+        step = _pca3_map(cc, aa)
+        if (_first_return(step, 0.0 + 0.0j, n0) != n0
+                or _first_return(step, cc, n1) != n1):
             continue  # a divisor-period solution of the full return system
         (g0, g1), _ = _pca3_center_system(
             np.array([cc]), np.array([aa]), n0, n1)
@@ -507,17 +540,16 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     # local-degree count, then certify the multiplicity total against the
     # Bezout number of the exact-period divisors
     out = _assign_multiplicities(out, n0, n1, seed)
-    expected = _expected_exact_pairs(n0, n1)
     total = sum(s.multiplicity for s in out)
-    if total < expected:
+    if total < bezout:
         warnings.warn(
-            f"found multiplicity total {total} of {expected} exact-period "
+            f"found multiplicity total {total} of {bezout} exact-period "
             f"solutions; increase seeds_per_root",
             IncompleteEnumerationWarning)
-    if total > expected:
+    if total > bezout:
         raise CountOverflowError(
             f"multiplicity total {total} exceeds the exact-period Bezout "
-            f"count {expected}")
+            f"count {bezout}")
     out.sort(key=lambda p: (p.parameter[0].real, p.parameter[0].imag,
                             p.parameter[1].real, p.parameter[1].imag))
     return out
@@ -530,55 +562,27 @@ def _assign_multiplicities(sols: list[CenterPoint], n0: int, n1: int,
     the return map), counted within a ball kept clear of the neighbors."""
     if not sols:
         return sols
-    params = np.array([[s.parameter[0], s.parameter[1]] for s in sols])
+    params = np.array([s.parameter for s in sols])
     rng = np.random.default_rng(seed + 1)
-    eps0 = 1e-9 * np.exp(0.73j)
-    eps1 = 1e-9 * np.exp(2.11j)
+    eps = (1e-9 * np.exp(0.73j), 1e-9 * np.exp(2.11j))
+    n_seed = 48
     out = []
     for i, s in enumerate(sols):
         p0 = params[i]
-        gaps = [np.linalg.norm(p0 - params[j]) for j in range(len(sols))
-                if j != i]
-        ball = min([3e-2] + [0.45 * g for g in gaps])
-        n_seed = 48
+        gaps = np.linalg.norm(params - p0, axis=1)
+        gaps[i] = np.inf
+        ball = min(3e-2, 0.45 * gaps.min())
         c = p0[0] + 0.5 * ball * (rng.standard_normal(n_seed)
                                   + 1j * rng.standard_normal(n_seed))
         a = p0[1] + 0.5 * ball * (rng.standard_normal(n_seed)
                                   + 1j * rng.standard_normal(n_seed))
-        for _ in range(80):
-            (g0, g1), ((g0c, g0a), (g1c, g1a)) = \
-                _pca3_center_system(c, a, n0, n1)
-            g0 = g0 - eps0
-            g1 = g1 - eps1
-            det = g0c * g1a - g0a * g1c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sc = (g0 * g1a - g1 * g0a) / det
-                sa = (g1 * g0c - g0 * g1c) / det
-            bad = ~(np.isfinite(sc) & np.isfinite(sa))
-            sc[bad] = 0.0
-            sa[bad] = 0.0
-            c = c - sc
-            a = a - sa
-        (g0, g1), _ = _pca3_center_system(c, a, n0, n1)
-        res = np.abs(g0 - eps0) + np.abs(g1 - eps1)
+        c, a, res = _pca3_newton(c, a, n0, n1, 80, target=eps)
         near = (np.isfinite(res) & (res < 1e-10)
                 & (np.abs(c - p0[0]) + np.abs(a - p0[1]) < ball))
-        pts: list[complex] = []
-        for cc, aa in zip(c[near], a[near]):
-            key = (complex(cc), complex(aa))
-            if all(abs(key[0] - u) + abs(key[1] - v) > 1e-5 for u, v in pts):
-                pts.append(key)
+        pts = np.stack([c[near], a[near]], axis=1)
         out.append(CenterPoint(s.parameter, s.periods, s.residuals,
-                               multiplicity=max(1, len(pts))))
+                               multiplicity=max(1, len(_dedupe(pts, 1e-5)))))
     return out
-
-
-def _expected_exact_pairs(n0: int, n1: int) -> int:
-    """Number of (c, a) with exact periods (n0, n1): the product of the
-    exact-period divisor degrees D_n (the curve of parameters where a marked
-    critical point has exact period n has degree D_n)."""
-    return (arith.affine_cycle_point_count(3, n0)
-            * arith.affine_cycle_point_count(3, n1))
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +675,14 @@ def _continue_quad(center: CenterPoint, w: complex, steps: int, tol: float
                 raise PathLossError(
                     f"Newton diverged at s = {s:.6f} with minimal step")
     # exact-period recheck: the cycle must not have collapsed
-    zz = z
-    for m in range(1, p):
-        zz = zz * zz + c
-        if abs(zz - z) <= 1e-8:
-            raise NotInComponentError(
-                f"continued cycle closed early at step {m} < {p}")
+    def f(u):
+        return u * u + c
+
+    if m := _first_return(f, z, p - 1):
+        raise NotInComponentError(
+            f"continued cycle closed early at step {m} < {p}")
     # the critical point must be attracted by the continued cycle
-    cycle = []
-    zz = z
-    for _ in range(p):
-        cycle.append(zz)
-        zz = zz * zz + c
+    cycle = _orbit(f, z, p)
     orbit = 0.0 + 0.0j
     for _ in range(600 * p):
         orbit = orbit * orbit + c
@@ -701,18 +701,13 @@ def _pca3_cycle_block(c, a, z, p, w):
     d_z, d_c, d_a = 1.0 + 0j, 0.0 + 0j, 0.0 + 0j
     lam, l_z, l_c, l_a = 1.0 + 0j, 0.0 + 0j, 0.0 + 0j, 0.0 + 0j
     for _ in range(p):
-        fp = zk * zk - c * zk  # P'(z) = z^2 - c z
-        fpp_z = 2.0 * zk - c
-        l_z = l_z * fp + lam * (fpp_z * d_z)
-        l_c = l_c * fp + lam * (fpp_z * d_c - zk)
-        l_a = l_a * fp + lam * (fpp_z * d_a)
-        lam = lam * fp
-        z2 = zk * zk
-        new = z2 * zk / 3.0 - 0.5 * c * z2 + a**3
-        nd_z = fp * d_z
-        nd_c = fp * d_c - 0.5 * z2
-        nd_a = fp * d_a + 3.0 * a**2
-        zk, d_z, d_c, d_a = new, nd_z, nd_c, nd_a
+        f, f_z, f_c, f_a = _pca3_step(zk, c, a)
+        f_zz = 2.0 * zk - c  # and d(f_z)/dc = -z
+        l_z = l_z * f_z + lam * (f_zz * d_z)
+        l_c = l_c * f_z + lam * (f_zz * d_c - zk)
+        l_a = l_a * f_z + lam * (f_zz * d_a)
+        lam = lam * f_z
+        zk, d_z, d_c, d_a = f, f_z * d_z, f_z * d_c + f_c, f_z * d_a + f_a
     return ((zk - z, (d_c, d_a, d_z - 1.0)),
             (lam - w, (l_c, l_a, l_z)))
 
@@ -722,14 +717,11 @@ def _pca3_attracted_to(c: complex, a: complex, z_start: complex,
                        ) -> bool:
     """Whether the forward orbit of ``z_start`` converges to the period-p
     cycle through ``cycle_rep``."""
-    cycle = []
-    z = complex(cycle_rep)
-    for _ in range(p):
-        cycle.append(z)
-        z = z**3 / 3.0 - 0.5 * c * z * z + a**3
+    step = _pca3_map(c, a)
+    cycle = _orbit(step, complex(cycle_rep), p)
     z = complex(z_start)
     for _ in range(600 * p):
-        z = z**3 / 3.0 - 0.5 * c * z * z + a**3
+        z = step(z)
         if not (abs(z) < 1e12):
             return False
     return min(abs(z - u) for u in cycle) <= tol
@@ -808,14 +800,11 @@ def _pca3_follow(c, a, z0, z1, n0, n1, w0, w1, steps, tol):
                     continue
                 raise PathLossError(
                     f"Newton diverged at s = {s:.6f} with minimal step")
-    cc, aa = complex(x[0]), complex(x[1])
+    step = _pca3_map(complex(x[0]), complex(x[1]))
     for z, p in ((complex(x[2]), n0), (complex(x[3]), n1)):
-        zz = z
-        for m in range(1, p):
-            zz = zz**3 / 3.0 - 0.5 * cc * zz * zz + aa**3
-            if abs(zz - z) <= 1e-8:
-                raise NotInComponentError(
-                    f"continued cycle closed early at step {m} < {p}")
+        if m := _first_return(step, z, p - 1):
+            raise NotInComponentError(
+                f"continued cycle closed early at step {m} < {p}")
     return x
 
 
@@ -836,15 +825,15 @@ def quad_cycle_multiplier(c: complex, p: int) -> complex:
 
 def pca3_cycle_multiplier(c: complex, a: complex, z0: complex, p: int
                           ) -> complex:
+    """Multiplier of the attracting period-p cycle that the orbit of z0
+    converges to under the marked cubic."""
     z = complex(z0)
-    for _ in range(400 * p):
-        for _ in range(p):
-            z = z**3 / 3.0 - 0.5 * c * z * z + a**3
+    for _ in range(400 * p * p):
+        z = _pca3_step(z, c, a)[0]
     lam = 1.0 + 0.0j
-    zz = z
     for _ in range(p):
-        lam *= zz * zz - c * zz
-        zz = zz**3 / 3.0 - 0.5 * c * zz * zz + a**3
+        z, f_z = _pca3_step(z, c, a)[:2]
+        lam *= f_z
     return complex(lam)
 
 
@@ -891,29 +880,19 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
         raise PreconditionError("counting supports quad and the marked "
                                 "cubic family")
     n0, n1 = periods.periods
-    markings = [(n0, n1)] if n0 == n1 else [(n0, n1), (n1, n0)]
-    all_sols: list[tuple[CenterPoint, tuple[int, int]]] = []
-    for m0, m1 in markings:
-        for s in centers_2d(spec, m0, m1, tol):
-            all_sols.append((s, (m0, m1)))
+    sols = marked_centers(spec, n0, n1, tol)
     both = 2 if n0 == n1 else 1  # one run of the system covers both markings
-    marked_total = sum(s.multiplicity for s, _ in all_sols) * both
+    marked_total = sum(s.multiplicity for s in sols) * both
     merged = 0
-    good_params: list[tuple[complex, complex]] = []
-    for s, _ in all_sols:
-        c, a = s.parameter
-        if _pca3_cycles_merged(c, a, s.periods.periods):
+    good: list[tuple[complex, complex]] = []
+    for s in sols:
+        if _pca3_cycles_merged(*s.parameter, s.periods.periods):
             merged += s.multiplicity
         else:
-            good_params.append((c, a))
+            good.append(s.parameter)
     merged_marked = merged * both
     # distinct components: good centers deduped across markings
-    N = 0
-    seen: list[tuple[complex, complex]] = []
-    for c, a in good_params:
-        if all(abs(c - c2) + abs(a - a2) > 1e-8 for c2, a2 in seen):
-            seen.append((c, a))
-            N += 1
+    N = len(_dedupe(np.array(good, dtype=complex).reshape(-1, 2), 1e-8))
     d_tuple = (arith.exact_cycle_point_count(3, n0)
                * arith.exact_cycle_point_count(3, n1))
     denom = 2 * d_tuple  # (d-1)! = 2
@@ -923,21 +902,15 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
         merged_solutions=merged_marked,
         merged_fraction=merged_marked / denom,
         bezout=(arith.affine_cycle_point_count(3, n0)
-                * arith.affine_cycle_point_count(3, n1)) * len(markings))
+                * arith.affine_cycle_point_count(3, n1))
+        * (1 if n0 == n1 else 2))
 
 
 def _pca3_cycles_merged(c: complex, a: complex, periods: tuple[int, ...],
                         tol: float = 1e-8) -> bool:
     """Whether the two marked critical orbits lie on one periodic orbit."""
     n0, n1 = periods
-    orbit0 = []
-    z = 0.0 + 0.0j
-    for _ in range(n0):
-        orbit0.append(z)
-        z = z**3 / 3.0 - 0.5 * c * z * z + a**3
-    z = complex(c)
-    for _ in range(n1):
-        if any(abs(z - u) <= tol for u in orbit0):
-            return True
-        z = z**3 / 3.0 - 0.5 * c * z * z + a**3
-    return False
+    step = _pca3_map(c, a)
+    orbit0 = _orbit(step, 0.0 + 0.0j, n0)
+    return any(abs(z - u) <= tol
+               for z in _orbit(step, complex(c), n1) for u in orbit0)

@@ -21,6 +21,7 @@ from .dynamics import (
     RationalMapLift,
     SpherePoint,
     chordal_derivative,
+    chordal_distance,
     exact_cycles,
 )
 from .errors import (
@@ -308,7 +309,7 @@ def lyap_oracle_backward(F: RationalMapLift, samples: int = 400,
         collapse = 0
         for _ in range(depth):
             w = _pullback_one(F, z, rng)
-            if chordal_distance_safe(w, z) < 1e-13:
+            if chordal_distance(w, z) < 1e-13:
                 collapse += 1
                 if collapse >= 5:
                     raise ExceptionalStartError(
@@ -322,10 +323,6 @@ def lyap_oracle_backward(F: RationalMapLift, samples: int = 400,
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     return MonteCarloEstimate(value=value, stderr=stderr, samples=len(vals))
-
-
-def chordal_distance_safe(z: SpherePoint, w: SpherePoint) -> float:
-    return float(abs(z.vec[0] * w.vec[1] - z.vec[1] * w.vec[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -218,3 +218,12 @@ def test_tolerance_range_enforced(capsys):
 def test_degenerate_family_required(capsys):
     code, _, err = run(["degenerate", "--family", "quad"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("option", ["--seed", "--threads"])
+def test_removed_options_rejected(option, capsys):
+    # nothing read these options, so they are no longer accepted
+    with pytest.raises(SystemExit) as exc:
+        main(["mass-m2", option, "1", "--out", "m.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

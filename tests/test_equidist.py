@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynbif import arith
 from dynbif.equidist import (
+    QUAD_WINDOW,
     AtomicMeasure,
     GridDensity,
     binned_distance,
@@ -17,8 +18,6 @@ from dynbif.equidist import (
 )
 from dynbif.errors import PreconditionError
 from dynbif.families import PCA3, QUAD
-
-QUAD_WINDOW = ((-2.1, 0.6), (-1.3, 1.3))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from dynbif.families import (
     DEGEN_CATALOG,
     PCA3,
     QUAD,
+    _dedupe,
+    _pca3_step,
     centers_1d,
     centers_2d,
     component_count,
@@ -210,6 +212,82 @@ def test_pca3_centers_2_2_distinct():
     assert sum(s.multiplicity for s in sols) == 36
     for s in sols:
         assert max(s.residuals) < 1e-8
+
+
+def test_pca3_step_matches_horner_and_finite_differences():
+    rng = np.random.default_rng(7)
+    z, c, a = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
+               for _ in range(3))
+    f, f_z, f_c, f_a = _pca3_step(z, c, a)
+    for i in range(6):
+        coeffs = pca_map(3, [c[i]], a[i])
+        horner = 0.0j
+        for k in coeffs[::-1]:
+            horner = horner * z[i] + k
+        assert f[i] == pytest.approx(horner, rel=1e-12, abs=1e-12)
+    # central differences along a real step (P is holomorphic in each
+    # argument)
+    h = 1e-6
+    for got, dz, dc, da in ((f_z, h, 0, 0), (f_c, 0, h, 0), (f_a, 0, 0, h)):
+        fd = (_pca3_step(z + dz, c + dc, a + da)[0]
+              - _pca3_step(z - dz, c - dc, a - da)[0]) / (2 * h)
+        assert np.allclose(got, fd, rtol=1e-6, atol=1e-6)
+    # Python complex scalars give the same values as the arrays
+    for i in range(6):
+        scalar = _pca3_step(complex(z[i]), complex(c[i]), complex(a[i]))
+        assert all(isinstance(v, complex) for v in scalar)
+        assert scalar == pytest.approx(
+            [f[i], f_z[i], f_c[i], f_a[i]], rel=1e-14, abs=1e-14)
+
+
+def _dedupe_loop(points, radius):
+    """The pairwise first-come dedupe loop, as a reference."""
+    kept = []
+    for i, p in enumerate(points):
+        if all(np.linalg.norm(p - points[j]) > radius for j in kept):
+            kept.append(i)
+    return kept
+
+
+def _pts(*rows):
+    return np.array(rows, dtype=complex).reshape(-1, 2)
+
+
+def test_dedupe_keeps_first_occurrence_in_input_order():
+    pts = _pts([1, 0], [0, 0], [1 + 1e-12, 0], [0, 1e-12j], [5, 5])
+    assert list(_dedupe(pts, 1e-10)) == [0, 1, 4]
+    # a point near a dropped one but clear of every kept one stays
+    r = 1.0
+    chain = _pts([0, 0], [0.8, 0], [1.6, 0])
+    assert list(_dedupe(chain, r)) == [0, 2]
+
+
+def test_dedupe_radius_boundary():
+    r = 1e-5
+    pts = _pts([0, 0], [0.6 * r, 0.6j * r], [0.75 * r, 0.75j * r])
+    # Euclidean in C^2: 0.85 r lies within, 1.06 r lies just outside
+    assert list(_dedupe(pts, r)) == [0, 2]
+
+
+def test_dedupe_empty():
+    assert _dedupe(_pts(), 1e-8).size == 0
+
+
+def test_dedupe_keeps_rows_of_earlier_rounds():
+    prior = _pts([0, 0], [1, 1j], [2, 2])  # kept by an earlier round
+    new = _pts([1 + 1e-13, 1j], [3, 3], [3, 3 + 1e-13j], [0, 1e-13])
+    kept = _dedupe(np.concatenate([prior, new]), 1e-10)
+    assert list(kept) == [0, 1, 2, 4]
+
+
+def test_dedupe_matches_pairwise_loop():
+    rng = np.random.default_rng(2)
+    centers = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+    pts = centers[rng.integers(0, 30, 400)]
+    pts = pts + 1e-3 * (rng.standard_normal(pts.shape)
+                        + 1j * rng.standard_normal(pts.shape))
+    for radius in (1e-4, 3e-3, 0.5):
+        assert list(_dedupe(pts, radius)) == _dedupe_loop(pts, radius)
 
 
 # ---------------------------------------------------------------------------
