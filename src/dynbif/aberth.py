@@ -3,8 +3,8 @@
 The evaluator contract is vectorized: eval_fn(z) -> (p, dp) over numpy
 arrays; p and dp may share an arbitrary per-point scaling since only the
 Newton ratio enters.  The O(n^2) pairwise repulsion sum is the hot loop; it
-runs through a numba kernel when numba imports, with a chunked numpy
-fallback.
+runs in real float64 arithmetic over row blocks small enough to stay in
+cache.
 """
 
 from __future__ import annotations
@@ -13,50 +13,53 @@ import numpy as np
 
 from .errors import NoConvergenceError, PreconditionError
 
-try:  # pragma: no cover - exercised implicitly
-    import numba
-
-    @numba.njit(parallel=True, fastmath=False, cache=True)
-    def _pairwise_sums_numba(z, active):  # pragma: no cover
-        n = z.shape[0]
-        out = np.zeros(n, dtype=np.complex128)
-        for i in numba.prange(n):
-            if not active[i]:
-                continue
-            s = 0.0 + 0.0j
-            zi = z[i]
-            for j in range(n):
-                if j != i:
-                    d = zi - z[j]
-                    if d != 0:
-                        s += 1.0 / d
-            out[i] = s
-        return out
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    HAVE_NUMBA = False
-
-
-def _pairwise_sums_numpy(z: np.ndarray, active: np.ndarray) -> np.ndarray:
-    n = len(z)
-    out = np.zeros(n, dtype=np.complex128)
-    chunk = max(1, int(4e6) // max(n, 1))
-    idx = np.nonzero(active)[0]
-    for start in range(0, len(idx), chunk):
-        ii = idx[start : start + chunk]
-        diff = z[ii, None] - z[None, :]
-        np.place(diff, diff == 0, 1.0)  # self terms; masked below
-        inv = 1.0 / diff
-        inv[np.arange(len(ii)), ii] = 0.0
-        out[ii] = inv.sum(axis=1)
-    return out
+# elements per temporary of the repulsion kernel (~0.5 MB of float64)
+REPULSION_BLOCK = 1 << 16
 
 
 def pairwise_sums(z: np.ndarray, active: np.ndarray) -> np.ndarray:
-    if HAVE_NUMBA and len(z) > 64:
-        return _pairwise_sums_numba(z, active)
-    return _pairwise_sums_numpy(z, active)
+    """sum_j 1/(z_i - z_j) for every active i (0 for inactive i).
+
+    The self term and points exactly coincident with z_i contribute 0.  Each
+    term is computed as conj(d)/|d|^2 on the real and imaginary parts of
+    d = z_i - z_j, over blocks of rows that hold about REPULSION_BLOCK
+    elements, with every temporary preallocated once per call.
+    """
+    n = len(z)
+    out = np.zeros(n, dtype=np.complex128)
+    idx = np.flatnonzero(active)
+    if idx.size == 0:
+        return out
+    x = np.ascontiguousarray(z.real)
+    y = np.ascontiguousarray(z.imag)
+    rows = max(1, REPULSION_BLOCK // n)
+    shape = (min(rows, idx.size), n)
+    dx, dy, q, t = (np.empty(shape) for _ in range(4))
+    diag = np.arange(shape[0])
+    re = np.empty(idx.size)
+    im = np.empty(idx.size)
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, idx.size, rows):
+            ii = idx[start:start + rows]
+            m = ii.size
+            a, b, r, s = dx[:m], dy[:m], q[:m], t[:m]
+            np.subtract(x[ii, None], x, out=a)
+            np.subtract(y[ii, None], y, out=b)
+            np.square(a, out=r)
+            np.square(b, out=s)
+            r += s
+            r[diag[:m], ii] = 1.0  # self term: d = 0, any finite weight
+            np.reciprocal(r, out=r)
+            sr = np.einsum("ij,ij->i", a, r, out=re[start:start + m])
+            si = np.einsum("ij,ij->i", b, r, out=im[start:start + m])
+            if not (np.isfinite(sr).all() and np.isfinite(si).all()):
+                # a coincident pair, |d|^2 = 0: its term is 0
+                r[np.isinf(r)] = 0.0
+                np.einsum("ij,ij->i", a, r, out=sr)
+                np.einsum("ij,ij->i", b, r, out=si)
+    out.real[idx] = re
+    out.imag[idx] = -im
+    return out
 
 
 def initial_points_from_coeffs(coeffs: np.ndarray) -> np.ndarray:

@@ -451,19 +451,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run configuration; a malformed option raises PreconditionError
+    before any work is done."""
+    try:
+        return _config_from_args(args)
+    except ValueError as exc:
+        raise PreconditionError(f"malformed option value: {exc}") from None
+
+
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
     kw = dict(subcommand=args.subcommand,
               tolerance=getattr(args, "tolerance", 1e-12),
               out=getattr(args, "out", None),
               no_cache=getattr(args, "no_cache", False))
+    if kw["out"] is not None and not os.path.isdir(
+            os.path.dirname(os.path.abspath(kw["out"]))):
+        raise PreconditionError(
+            f"--out {kw['out']}: the directory does not exist")
     if hasattr(args, "family"):
         kw["family"] = args.family
     pstr = getattr(args, "params", None) or getattr(args, "c", None)
     if pstr:
         kw["params"] = _parse_complex_list(pstr)
-    if getattr(args, "periods", None):
-        kw["periods"] = tuple(int(x) for x in args.periods.split(","))
+    if getattr(args, "periods", None) is not None:
+        periods = tuple(int(x) for x in args.periods.split(","))
+        if len(periods) > 2:
+            raise PreconditionError("--periods takes one period or a pair")
+        kw["periods"] = periods
     if getattr(args, "n", None):
         kw["n_lo"], kw["n_hi"] = _parse_range(args.n)
+        if kw["n_lo"] > kw["n_hi"]:
+            raise PreconditionError("--n lo..hi needs lo <= hi")
     for name in ("r", "rho", "thetas", "terms", "ref"):
         if getattr(args, name, None) is not None:
             kw[name] = getattr(args, name)
@@ -494,6 +512,9 @@ def main(argv=None) -> int:
         print(json.dumps(report, sort_keys=True, indent=2, default=str))
         return 0
     except DynbifError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_CODES.get(exc.code, 1)
+        code, message = exc.code, str(exc)
+    except OSError as exc:  # e.g. an output file that cannot be written
+        code, message = "ERROR", str(exc)
+    print(json.dumps({"error": code, "message": message}, sort_keys=True),
+          file=sys.stderr)
+    return EXIT_CODES.get(code, 1)

@@ -288,8 +288,14 @@ def roots_simultaneous(
         r2 = float(np.max(np.abs(p(roots2)))) / scale
         if r2 < residual:
             roots, residual = roots2, r2
+    # |p| below Horner's rounding bound is noise: a cluster member whose
+    # p(z) rounds to ~0 would get a ratio far below the cluster radius and
+    # drop out of its cluster
+    eps = np.finfo(float).eps
+    noise = (4.0 * (p.degree + 1) * eps
+             * ComplexPolynomial(np.abs(coeffs))(np.abs(roots)).real)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(p(roots) / dp(roots))
+        ratio = np.maximum(np.abs(p(roots)), noise) / np.abs(dp(roots))
     centers, mults, radius = _cluster(roots, tol, ratio)
     return RootSet(centers, mults, residual, radius)
 

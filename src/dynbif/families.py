@@ -559,27 +559,31 @@ def _assign_multiplicities(sols: list[CenterPoint], n0: int, n1: int,
                            seed: int) -> list[CenterPoint]:
     """Local intersection multiplicity at each solution: the number of
     nearby solutions of a generically perturbed system (the local degree of
-    the return map), counted within a ball kept clear of the neighbors."""
+    the return map), counted within a ball kept clear of the neighbors.
+    One Newton run covers the seeds of all solutions at once."""
     if not sols:
         return sols
     params = np.array([s.parameter for s in sols])
     rng = np.random.default_rng(seed + 1)
     eps = (1e-9 * np.exp(0.73j), 1e-9 * np.exp(2.11j))
-    n_seed = 48
-    out = []
-    for i, s in enumerate(sols):
-        p0 = params[i]
+    k, n_seed = len(sols), 48
+    # per solution, in turn: n_seed draws each for re c, im c, re a, im a
+    draws = rng.standard_normal((k, 4, n_seed))
+    ball = np.empty(k)
+    for i, p0 in enumerate(params):
         gaps = np.linalg.norm(params - p0, axis=1)
         gaps[i] = np.inf
-        ball = min(3e-2, 0.45 * gaps.min())
-        c = p0[0] + 0.5 * ball * (rng.standard_normal(n_seed)
-                                  + 1j * rng.standard_normal(n_seed))
-        a = p0[1] + 0.5 * ball * (rng.standard_normal(n_seed)
-                                  + 1j * rng.standard_normal(n_seed))
-        c, a, res = _pca3_newton(c, a, n0, n1, 80, target=eps)
-        near = (np.isfinite(res) & (res < 1e-10)
-                & (np.abs(c - p0[0]) + np.abs(a - p0[1]) < ball))
-        pts = np.stack([c[near], a[near]], axis=1)
+        ball[i] = min(3e-2, 0.45 * gaps.min())
+    c0, a0, half = params[:, :1], params[:, 1:], 0.5 * ball[:, None]
+    c = c0 + half * (draws[:, 0] + 1j * draws[:, 1])
+    a = a0 + half * (draws[:, 2] + 1j * draws[:, 3])
+    c, a, res = (v.reshape(k, n_seed) for v in _pca3_newton(
+        c.ravel(), a.ravel(), n0, n1, 80, target=eps))
+    near = (np.isfinite(res) & (res < 1e-10)
+            & (np.abs(c - c0) + np.abs(a - a0) < ball[:, None]))
+    out = []
+    for i, s in enumerate(sols):
+        pts = np.stack([c[i, near[i]], a[i, near[i]]], axis=1)
         out.append(CenterPoint(s.parameter, s.periods, s.residuals,
                                multiplicity=max(1, len(_dedupe(pts, 1e-5)))))
     return out

@@ -227,3 +227,29 @@ def test_removed_options_rejected(option, capsys):
         main(["mass-m2", option, "1", "--out", "m.json"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["centers", "count"])
+@pytest.mark.parametrize("periods", ["3,4,5", ""])
+def test_bad_periods_exit_code(sub, periods, capsys):
+    code, out, err = run([sub, "--family", "pca3", "--periods", periods],
+                         capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "PRECONDITION"
+    assert out == ""
+
+
+def test_reversed_n_range_exit_code(workdir, capsys):
+    code, out, err = run(["lyap", "--family", "quad", "--c", "1.0",
+                          "--n", "12..6", "--out", "lyap.csv"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "PRECONDITION"
+    assert not (workdir / "lyap.csv").exists()
+
+
+def test_out_in_missing_directory(workdir, capsys):
+    code, out, err = run(["mass-m2", "--out", "missing/m.json"], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "PRECONDITION"
+    assert not (workdir / "missing").exists()

@@ -11,7 +11,11 @@ from dynbif.cpoly import (
     sylvester_resultant,
     sylvester_resultant_univariate,
 )
-from dynbif.errors import NonDivisibleError, PreconditionError
+from dynbif.errors import (
+    NoConvergenceError,
+    NonDivisibleError,
+    PreconditionError,
+)
 
 finite_complex = st.complex_numbers(
     min_magnitude=0, max_magnitude=10, allow_nan=False, allow_infinity=False)
@@ -93,6 +97,27 @@ def test_roots_multiplicities():
     assert sorted(rs.multiplicities.tolist()) == [1, 3]
     triple = rs.roots[np.argmax(rs.multiplicities)]
     assert abs(triple - 1.0) < 1e-4  # triple roots lose 2/3 of the digits
+
+
+MULTIPLE_AT = [1.0, -1.0, 0.5, 2.0, 1j, -0.7, 1.5, 3.0, -2.0, 0.25]
+SIMPLE_AT = [-1.0, 2.0, 0.3j, -3.0]
+
+
+@pytest.mark.parametrize("multiple,m,simple", [
+    (r, m, s) for r in MULTIPLE_AT for m in (2, 3) for s in SIMPLE_AT
+    if s != r])
+def test_roots_multiplicity_sweep(multiple, m, simple):
+    p = ComplexPolynomial.from_roots([multiple] * m + [simple])
+    try:
+        rs = roots_simultaneous(p, tol=1e-12)
+    except NoConvergenceError:
+        # a triple cluster bottoms out near eps**(1/3), above the stop
+        # rule's sqrt(tol): a known limit of the solver, never a wrong count
+        assert m == 3
+        return
+    assert sorted(rs.multiplicities.tolist()) == [1, m]
+    big = rs.roots[np.argmax(rs.multiplicities)]
+    assert abs(big - multiple) < 1e-4
 
 
 @settings(deadline=None, max_examples=40)

@@ -10,7 +10,9 @@ from dynbif.families import (
     DEGEN_CATALOG,
     PCA3,
     QUAD,
+    _assign_multiplicities,
     _dedupe,
+    _pca3_newton,
     _pca3_step,
     centers_1d,
     centers_2d,
@@ -288,6 +290,38 @@ def test_dedupe_matches_pairwise_loop():
                         + 1j * rng.standard_normal(pts.shape))
     for radius in (1e-4, 3e-3, 0.5):
         assert list(_dedupe(pts, radius)) == _dedupe_loop(pts, radius)
+
+
+def _multiplicities_loop(sols, n0, n1, seed):
+    """One Newton run per solution, as a reference for the batched run."""
+    params = np.array([s.parameter for s in sols])
+    rng = np.random.default_rng(seed + 1)
+    eps = (1e-9 * np.exp(0.73j), 1e-9 * np.exp(2.11j))
+    out = []
+    for i, p0 in enumerate(params):
+        gaps = np.linalg.norm(params - p0, axis=1)
+        gaps[i] = np.inf
+        ball = min(3e-2, 0.45 * gaps.min())
+        c = p0[0] + 0.5 * ball * (rng.standard_normal(48)
+                                  + 1j * rng.standard_normal(48))
+        a = p0[1] + 0.5 * ball * (rng.standard_normal(48)
+                                  + 1j * rng.standard_normal(48))
+        c, a, res = _pca3_newton(c, a, n0, n1, 80, target=eps)
+        near = (np.isfinite(res) & (res < 1e-10)
+                & (np.abs(c - p0[0]) + np.abs(a - p0[1]) < ball))
+        pts = np.stack([c[near], a[near]], axis=1)
+        out.append(max(1, len(_dedupe(pts, 1e-5))))
+    return out
+
+
+@pytest.mark.parametrize("n0,n1,mult", [(1, 2, 3), (2, 1, 1)])
+def test_batched_multiplicities_match_per_solution_loop(n0, n1, mult):
+    sols = centers_2d(PCA3, n0, n1)
+    for seed in (0, 5):
+        got = [s.multiplicity
+               for s in _assign_multiplicities(sols, n0, n1, seed)]
+        assert got == _multiplicities_loop(sols, n0, n1, seed)
+        assert set(got) == {mult}
 
 
 # ---------------------------------------------------------------------------
