@@ -214,7 +214,7 @@ def cmd_lyap(cfg: RunConfig) -> tuple[dict, dict]:
             est = lyapunov.lyap_from_spectrum(
                 families.power_map_spectrum(pm, n), pm, n, r=cfg.r)
         else:
-            est = lyapunov.lyap_periodic(F, n, r=cfg.r, tol=cfg.tolerance)
+            est = lyapunov.lyap_periodic(F, n, r=cfg.r)
         if reference is not None:
             err = abs(est.value - reference)
             norm = err * d**n / arith.sigma(2, n)
@@ -400,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--tolerance", type=float, default=1e-12)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--no-cache", action="store_true")
 
@@ -416,11 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centers", help="enumerate component centers")
     p.add_argument("--family", required=True)
     p.add_argument("--periods", type=str, required=True)
+    p.add_argument("--tolerance", type=float, default=1e-12)
     common(p)
 
     p = sub.add_parser("count", help="count hyperbolic components")
     p.add_argument("--family", required=True)
     p.add_argument("--periods", type=str, required=True)
+    p.add_argument("--tolerance", type=float, default=1e-12)
     common(p)
 
     p = sub.add_parser("mass-m2", help="quadratic bifurcation mass series")

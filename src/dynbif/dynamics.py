@@ -26,13 +26,13 @@ DESK_DEGREE_CAP = 20_000
 NEUTRAL_TOL = 1e-8
 SUPERATTRACTING_TOL = 1e-10
 PARABOLIC_ROOT_OF_UNITY_TOL = 1e-6
-
-# fixed unitary used when the default chart puts periodic points near infinity
-_ROTATION = np.array(
-    [[0.8071066 + 0.11j, -0.57 + 0.1j], [0.57 + 0.1j, 0.8071066 - 0.11j]],
-    dtype=np.complex128,
-)
-_ROTATION /= np.sqrt(np.abs(np.linalg.det(_ROTATION)))
+# the period-n solve runs at the double-precision floor of the Aberth
+# correction: a looser one leaves roots whose images miss the root set
+PERIOD_SOLVER_TOL = 1e-14
+# an image may sit this many times its propagated root error from its root
+MATCH_FACTOR = 100.0
+# elements per temporary in the nearest-root match
+MATCH_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,7 @@ class RationalMapLift:
 
     # -- evaluation -------------------------------------------------------
     def apply_vector(self, v: np.ndarray) -> np.ndarray:
+        """F(v) for a pair v, or column-wise for a (2, N) array."""
         return np.array(
             [form_eval(self.num, v[0], v[1]), form_eval(self.den, v[0], v[1])],
             dtype=np.complex128,
@@ -253,20 +254,6 @@ class RationalMapLift:
         for _ in range(steps):
             out.append(self.apply(out[-1]))
         return out
-
-    # -- affine chart -----------------------------------------------------
-    def affine_num(self) -> ComplexPolynomial:
-        return ComplexPolynomial(self.num)
-
-    def affine_den(self) -> ComplexPolynomial:
-        return ComplexPolynomial(self.den)
-
-    def affine_derivative(self, z: complex) -> complex:
-        """(p'q - pq')/q^2 in the z1 = 1 chart."""
-        p, q = self.affine_num(), self.affine_den()
-        dp, dq = p.derivative(), q.derivative()
-        qz = q(z)
-        return (dp(z) * qz - p(z) * dq(z)) / qz**2
 
     # -- derived lifts ----------------------------------------------------
     def scaled(self, alpha: complex) -> "RationalMapLift":
@@ -283,15 +270,20 @@ class RationalMapLift:
                                inv[1, 0] * fn + inv[1, 1] * fd)
 
 
+def _jacobian_det(F: RationalMapLift, v0, v1):
+    """det DF at (v0, v1), on scalars or arrays."""
+    j00 = form_eval(form_partial(F.num, 0), v0, v1)
+    j01 = form_eval(form_partial(F.num, 1), v0, v1)
+    j10 = form_eval(form_partial(F.den, 0), v0, v1)
+    j11 = form_eval(form_partial(F.den, 1), v0, v1)
+    return j00 * j11 - j01 * j10
+
+
 def chordal_derivative(F: RationalMapLift, z: SpherePoint) -> float:
     """Expansion rate in the chordal metric:
     (1/d) |det DF(p)| ||p||^2 / ||F(p)||^2 at a unit representative."""
     p = z.vec
-    j00 = form_eval(form_partial(F.num, 0), p[0], p[1])
-    j01 = form_eval(form_partial(F.num, 1), p[0], p[1])
-    j10 = form_eval(form_partial(F.den, 0), p[0], p[1])
-    j11 = form_eval(form_partial(F.den, 1), p[0], p[1])
-    det = j00 * j11 - j01 * j10
+    det = _jacobian_det(F, p[0], p[1])
     fp = F.apply_vector(p)
     n2 = float(np.abs(fp[0]) ** 2 + np.abs(fp[1]) ** 2)
     return float(abs(det)) / (F.degree * n2)
@@ -531,35 +523,52 @@ class CycleExtraction:
         return sorted(spec.items(), key=lambda kv: (kv[0].real, kv[0].imag))
 
 
+def _step_factors(d: int, det, w, target):
+    """One-step multiplier factors det DF(v_i) / (d s_i^2) on unit vectors
+    v_i, where the image w_i = F(v_i) = s_i * target_i.  In the orthonormal
+    frames (v, v^perp) the derivative of F on the sphere is det DF / (d s^2),
+    so the frame choices cancel and the product around a cycle is its
+    multiplier, in any chart."""
+    s = np.conj(target[0]) * w[0] + np.conj(target[1]) * w[1]
+    return det / (d * s * s)
+
+
 def cycle_multiplier(F: RationalMapLift, points: list[SpherePoint]) -> complex:
-    """Chain-rule product of one-step derivatives along an orbit, rotating
-    the chart when the orbit passes near infinity."""
-    if any(abs(p.vec[1]) < 1e-3 for p in points):
-        G = F.conjugate(_ROTATION)
-        inv = np.linalg.inv(_ROTATION)
-        pts = [SpherePoint(inv @ p.vec) for p in points]
-        return cycle_multiplier(G, pts)
-    mult = 1.0 + 0.0j
-    for p in points:
-        mult *= F.affine_derivative(p.affine())
-    return complex(mult)
+    """Multiplier of the cycle points[0] -> points[1] -> ... -> points[0]."""
+    v = np.array([p.vec for p in points]).T
+    factors = _step_factors(F.degree, _jacobian_det(F, v[0], v[1]),
+                            F.apply_vector(v), np.roll(v, -1, axis=1))
+    return complex(np.prod(factors))
 
 
-def exact_cycles(F: RationalMapLift, n: int, tol: float = 1e-10
-                 ) -> CycleExtraction:
+def _nearest_root(x: np.ndarray, v: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the chordally nearest column of v for every unit column of
+    x, and that distance."""
+    rows = max(1, MATCH_BLOCK // v.shape[1])
+    idx = np.empty(x.shape[1], dtype=np.intp)
+    for a in range(0, x.shape[1], rows):
+        wedge = np.multiply.outer(x[0, a:a + rows], v[1])
+        wedge -= np.multiply.outer(x[1, a:a + rows], v[0])
+        idx[a:a + rows] = np.argmin(wedge.real**2 + wedge.imag**2, axis=1)
+    return idx, np.abs(x[0] * v[1, idx] - x[1] * v[0, idx])
+
+
+def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
     """All exact-period-n cycles of F.
 
     Solves the full period-n fixed-point locus (every point of period
-    dividing n) through the orbit-based black-box evaluator, groups roots
-    into orbits and keeps the orbits of exact period n.  Lower-period orbits
-    whose multiplier is an (n/m)-th root of unity sit inside the period-n
-    dynatomic divisor (parabolic contamination); they are returned separately
-    and excluded from the exact-period list.
+    dividing n) through the orbit-based black-box evaluator, then pushes
+    every root forward once: each image is matched to its chordally nearest
+    root, the matches must form a permutation, and its cycles are the
+    orbits.  A match may lie no farther than the image error the root error
+    can explain (the cluster radius, expanded by the local chordal |f'|), so
+    a root the solver left out raises a mismatch.  Lower-period orbits whose
+    multiplier is an (n/m)-th root of unity sit inside the period-n dynatomic
+    divisor (parabolic contamination); they are returned separately and
+    excluded from the exact-period list.
     """
     _check_dynatomic_caps(F, n)
-    if F.degree**n + 1 > DESK_DEGREE_CAP + 1:
-        raise PreconditionError(
-            f"d^n + 1 = {F.degree**n + 1} exceeds the desk cap")
     m_inf = infinity_exact_period(F, n)
     has_inf = m_inf is not None and n % m_inf == 0
     target_deg = F.degree**n + 1 - (1 if has_inf else 0)
@@ -567,89 +576,47 @@ def exact_cycles(F: RationalMapLift, n: int, tol: float = 1e-10
     # points, so the simultaneous iteration starts essentially converged;
     # coefficient-based seeding is hopeless at these degrees
     init = backward_cloud(F, target_deg)
-    solver_tol = max(tol * 1e-2, 1e-14)
-    evaluator = period_wedge_evaluator(F, n)
-    rs = roots_blackbox(evaluator, target_deg, solver_tol, max_iter=3000,
-                        init=init)
+    rs = roots_blackbox(period_wedge_evaluator(F, n), target_deg,
+                        PERIOD_SOLVER_TOL, max_iter=3000, init=init)
     points = [SpherePoint.from_affine(z) for z in rs.roots]
-    mults = list(rs.multiplicities)
-    # a multiple-root cluster keeps Newton ratio ~ cluster radius, while two
-    # solver points stacked on one simple root evaluate to ratio ~ machine
-    # epsilon: demote those to multiplicity 1 (the orbit walk below recovers
-    # any root left uncovered)
-    for i, p in enumerate(points):
-        if mults[i] > 1 and not p.is_infinity:
-            z = np.atleast_1d(p.affine())
-            v, dv = evaluator(z)
-            ratio = abs(complex(v[0] / dv[0])) if dv[0] != 0 else np.inf
-            if ratio <= 100.0 * solver_tol * (1.0 + abs(z[0])):
-                mults[i] = 1
+    mults = rs.multiplicities
     if has_inf:
         points.append(SpherePoint.infinity())
-        mults.append(1)
-    match_tol = max(10.0 * tol, 5.0 * rs.cluster_radius)
-
-    def polish(z0: complex) -> complex | None:
-        z = np.atleast_1d(complex(z0))
-        for _ in range(50):
-            v, dv = evaluator(z)
-            if dv[0] == 0 or not np.isfinite(dv[0]):
-                return None
-            step = v[0] / dv[0]
-            z = z - step
-            if abs(step) <= 1e-14 * (1.0 + abs(z[0])):
-                return complex(z[0])
-        return None
-    vecs = np.array([p.vec for p in points])  # (N, 2)
-    assigned = np.zeros(len(points), dtype=bool)
+        mults = np.append(mults, 1)
+    v = np.array([p.vec for p in points]).T  # (2, N) unit columns
+    w = F.apply_vector(v)
+    det = _jacobian_det(F, v[0], v[1])
+    w_norm2 = np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2
+    sigma, dist = _nearest_root(w / np.sqrt(w_norm2), v)
+    expansion = np.abs(det) / (F.degree * w_norm2)
+    bound = (MATCH_FACTOR * (1.0 + expansion)
+             * (rs.cluster_radius + PERIOD_SOLVER_TOL))
+    miss = dist > bound
+    if np.any(miss):
+        raise OrbitMismatchError(
+            f"orbit left the root set (distance {dist[miss].max():.3e})")
+    if np.any(np.bincount(sigma, minlength=len(points)) != 1):
+        raise OrbitMismatchError("orbit collision between root groups")
+    factors = _step_factors(F.degree, det, w, v[:, sigma])
+    seen = np.zeros(len(points), dtype=bool)
     cycles: list[PeriodicCycle] = []
     contaminated: list[PeriodicCycle] = []
     for start in range(len(points)):
-        if start >= len(assigned) or assigned[start]:
+        if seen[start]:
             continue
-        orbit_idx = [start]
-        assigned[start] = True
-        current = points[start]
-        period = None
-        for step in range(1, n + 1):
-            current = F.apply(current)
-            # nearest known periodic point in chordal distance
-            cd = np.abs(current.vec[0] * vecs[:, 1] - current.vec[1] * vecs[:, 0])
-            j = int(np.argmin(cd))
-            if cd[j] > match_tol:
-                # the image of a root is a root: a miss means the solver left
-                # this one uncovered (a duplicate landed elsewhere); polish it
-                # in and carry on
-                healed = None
-                if not current.is_infinity:
-                    healed = polish(current.affine())
-                if healed is None:
-                    raise OrbitMismatchError(
-                        f"orbit left the root set (distance {cd[j]:.3e})")
-                points.append(SpherePoint.from_affine(healed))
-                mults.append(1)
-                vecs = np.vstack([vecs, points[-1].vec[None, :]])
-                assigned = np.append(assigned, False)
-                cd = np.append(cd, 0.0)
-                j = len(points) - 1
-            if j == start:
-                period = step
-                break
-            if assigned[j] and j not in orbit_idx:
-                raise OrbitMismatchError("orbit collision between root groups")
-            if not assigned[j]:
-                orbit_idx.append(j)
-                assigned[j] = True
-        if period is None or n % period != 0:
+        orbit = [start]
+        while sigma[orbit[-1]] != start:
+            orbit.append(int(sigma[orbit[-1]]))
+        seen[orbit] = True
+        period = len(orbit)
+        if n % period != 0:
             raise OrbitMismatchError("orbit period does not divide n")
-        orbit_points = [points[i] for i in orbit_idx]
-        mult_p = cycle_multiplier(F, orbit_points)
-        cyc = PeriodicCycle(period, tuple(orbit_points), mult_p)
+        mult_p = complex(np.prod(factors[orbit]))
+        cyc = PeriodicCycle(period, tuple(points[i] for i in orbit), mult_p)
         if period == n:
             # root multiplicity > 1 only at parabolic exact-n cycles, where
             # the dynatomic divisor counts them with that multiplicity
-            for _ in range(int(min(mults[i] for i in orbit_idx))):
-                cycles.append(cyc)
+            cycles.extend([cyc] * int(mults[orbit].min()))
         elif abs(mult_p ** (n // period) - 1.0) <= PARABOLIC_ROOT_OF_UNITY_TOL:
             contaminated.append(cyc)
         # other lower-period orbits belong to smaller dynatomic divisors only
@@ -662,12 +629,11 @@ def exact_cycles(F: RationalMapLift, n: int, tol: float = 1e-10
     return CycleExtraction(tuple(cycles), tuple(contaminated))
 
 
-def multiplier_polynomial(F: RationalMapLift, n: int, tol: float = 1e-10
-                          ) -> ComplexPolynomial:
+def multiplier_polynomial(F: RationalMapLift, n: int) -> ComplexPolynomial:
     """Polynomial in w with one factor (multiplier - w) per exact-period-n
     cycle; degree d_n / n.  The n-th-root ambiguity of per-point multiplier
     roots is avoided by the one-factor-per-cycle convention."""
-    ext = exact_cycles(F, n, tol)
+    ext = exact_cycles(F, n)
     if ext.contaminated:
         raise ParabolicContaminationError(
             f"{len(ext.contaminated)} lower-period parabolic orbits in the "

@@ -355,7 +355,9 @@ def _quad_exact_centers(n: int) -> tuple[complex, ...]:
         if got != expected:
             raise CountMismatchError(
                 f"period {m}: found {got} centers, expected {expected}")
-    return tuple(sorted(counts[n], key=lambda z: (z.real, z.imag)))
+    # a conjugate pair's real parts differ only by rounding: round them so
+    # each pair keeps the order (-im, +im) under last-bit changes
+    return tuple(sorted(counts[n], key=lambda z: (round(z.real, 10), z.imag)))
 
 
 def centers_1d(spec: FamilySpec, n: int, tol: float = 1e-12

@@ -209,13 +209,13 @@ def lyap_from_spectrum(spectrum, degree: int, period: int, r: float = 1.0
         cycle_count=n_cycles, degree=degree, floored_cycles=floored)
 
 
-def lyap_periodic(F: RationalMapLift, n: int, r: float = 1.0,
-                  tol: float = 1e-10) -> LyapunovEstimate:
+def lyap_periodic(F: RationalMapLift, n: int, r: float = 1.0
+                  ) -> LyapunovEstimate:
     """Truncated periodic estimator of the Lyapunov exponent,
     L_n^r = (1/(n d_n)) sum over exact-period-n points of
     log max(|(f^n)'|, r)."""
     _check_radius(r)
-    ext = exact_cycles(F, n, tol)
+    ext = exact_cycles(F, n)
     if ext.contaminated:
         raise ParabolicContaminationError(
             f"{len(ext.contaminated)} lower-period parabolic orbits make the "
@@ -239,8 +239,7 @@ class ConvergenceReport:
 
 
 def convergence_report(F: RationalMapLift, n_range, r: float = 1.0,
-                       reference: float | None = None,
-                       tol: float = 1e-10) -> ConvergenceReport:
+                       reference: float | None = None) -> ConvergenceReport:
     """Estimator errors against an oracle reference over a period range, with
     the rate normalization error * d^n / sigma_2(n) of the known error bound;
     flags blow-up when a normalized error exceeds 100x the median."""
@@ -249,7 +248,7 @@ def convergence_report(F: RationalMapLift, n_range, r: float = 1.0,
         raise PreconditionError("convergence report needs an oracle reference")
     rows = []
     for n in periods:
-        est = lyap_periodic(F, n, r, tol)
+        est = lyap_periodic(F, n, r)
         err = abs(est.value - reference)
         rows.append(ConvergenceRow(
             period=n, value=est.value, error=err,

@@ -47,6 +47,18 @@ def test_lyap_power_map(capsys):
         assert abs(float(row[1]) - math.log(2.0)) < 1e-12
 
 
+def test_lyap_period_12_at_default_tolerance(capsys):
+    # every period up to 12 certifies at the default tolerance, also where
+    # forward images of repelling points carry the largest errors
+    code, out, err = run(["lyap", "--family", "quad", "--c", "0.92",
+                          "--n", "11..12", "--out", "lyap.csv"], capsys)
+    assert code == 0, err
+    rows = read_csv("lyap.csv")
+    assert [r[0] for r in rows[1:]] == ["11", "12"]
+    n12 = rows[2]
+    assert abs(float(n12[1]) - float(n12[2])) < 1e-4
+
+
 def test_centers_csv_schema(capsys):
     code, out, _ = run(["centers", "--family", "quad", "--periods", "3",
                         "--out", "centers.csv"], capsys)
@@ -220,11 +232,21 @@ def test_degenerate_family_required(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("option", ["--seed", "--threads"])
+@pytest.mark.parametrize("option", ["--seed", "--threads", "--tolerance"])
 def test_removed_options_rejected(option, capsys):
     # nothing read these options, so they are no longer accepted
     with pytest.raises(SystemExit) as exc:
         main(["mass-m2", option, "1", "--out", "m.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_lyap_rejects_tolerance(capsys):
+    # the period-n solve runs at a fixed floor: only centers and count
+    # read --tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["lyap", "--family", "quad", "--c", "1.0", "--n", "6",
+              "--tolerance", "1e-10"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -275,11 +275,29 @@ def test_parabolic_contamination_detected():
 
 
 def test_cycle_multiplier_through_infinity():
-    # the fixed point of z^2 at infinity is superattracting; evaluating its
-    # multiplier forces the chart rotation path
+    # the fixed point of z^2 at infinity is superattracting; its multiplier
+    # needs no affine chart
     F = power_lift(2)
     m = cycle_multiplier(F, [SpherePoint.infinity()])
     assert m == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cycle_multiplier_matches_affine_quotient(rng):
+    # reference: the chain rule in the z1 = 1 chart, prod (p'q - pq')/q^2
+    for _ in range(6):
+        F = random_quadratic_rational(rng)
+        p = np.polynomial.Polynomial(F.num)
+        q = np.polynomial.Polynomial(F.den)
+        dp, dq = p.deriv(), q.deriv()
+        for n in (1, 2, 3):
+            for cyc in exact_cycles(F, n).cycles:
+                want = 1.0 + 0.0j
+                for pt in cyc.points:
+                    z = pt.affine()
+                    want *= (dp(z) * q(z) - p(z) * dq(z)) / q(z) ** 2
+                got = cycle_multiplier(F, list(cyc.points))
+                assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+                assert abs(cyc.multiplier - want) <= 1e-9 * (1.0 + abs(want))
 
 
 def test_conjugation_invariance_of_spectrum(rng):

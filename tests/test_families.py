@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dynbif import arith
+from dynbif.dynamics import SpherePoint, cycle_multiplier
 from dynbif.errors import DegenerateMapError, PreconditionError
 from dynbif.families import (
     DEGEN_CATALOG,
@@ -104,7 +105,8 @@ def test_quadrat_normal_form_index_relation():
     mu1, mu2 = 0.3 + 0.1j, -0.7j
     lift, mu3 = quadrat_fixed_normal_form(mu1, mu2)
     # fixed points 0 and infinity carry the prescribed multipliers
-    assert lift.affine_derivative(0.0) == pytest.approx(mu1, rel=1e-12)
+    assert cycle_multiplier(lift, [SpherePoint.from_affine(0.0)]) \
+        == pytest.approx(mu1, rel=1e-12)
     s = (1.0 / (1.0 - mu1) + 1.0 / (1.0 - mu2) + 1.0 / (1.0 - mu3))
     assert s == pytest.approx(1.0, rel=1e-10)
     with pytest.raises(DegenerateMapError):
@@ -168,6 +170,19 @@ def test_quad_centers_have_exact_period_and_small_residual():
                 z = z * z + c.parameter[0]
                 assert abs(z) > 1e-6
             assert abs(z * z + c.parameter[0]) < 1e-8
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_quad_center_rows_in_stable_order(n):
+    # a conjugate pair's real parts agree only up to rounding: the rows are
+    # ordered by the rounded real part, then the imaginary part, so each
+    # pair comes out as (-im, +im) whatever the last bits
+    cs = [c.parameter[0] for c in centers_1d(QUAD, n)]
+    keys = [(round(c.real, 10), c.imag) for c in cs]
+    assert keys == sorted(keys)
+    for a, b in zip(cs, cs[1:]):
+        if abs(a - b.conjugate()) < 1e-9 and abs(a.imag) > 1e-9:
+            assert a.imag < 0 < b.imag
 
 
 def test_quad_center_counts_mid_range():
