@@ -177,7 +177,7 @@ def _cached_centers(cfg: RunConfig, spec, periods: tuple[int, ...]
 def _enumerate_centers(spec, periods: tuple[int, ...], tol: float
                        ) -> list[families.CenterPoint]:
     if len(periods) == 1:
-        return families.centers_1d(spec, periods[0], tol)
+        return families.centers_1d(spec, periods[0])
     n0, n1 = periods
     return families.marked_centers(spec, n0, n1, tol)
 
@@ -336,7 +336,8 @@ def cmd_percurve(cfg: RunConfig) -> tuple[dict, dict]:
     write_csv(out, ["re", "im", "weight"], rows)
     diag = {"atoms": len(cm.measure.atoms),
             "total_mass": cm.measure.total_mass,
-            "path_loss_deficit": cm.path_loss_deficit}
+            "path_loss_deficit": cm.path_loss_deficit,
+            "recheck_deficit": cm.recheck_deficit}
     return diag, {out: _sha256(out)}
 
 
@@ -415,13 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centers", help="enumerate component centers")
     p.add_argument("--family", required=True)
     p.add_argument("--periods", type=str, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=None)
     common(p)
 
     p = sub.add_parser("count", help="count hyperbolic components")
     p.add_argument("--family", required=True)
     p.add_argument("--periods", type=str, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=None)
     common(p)
 
     p = sub.add_parser("mass-m2", help="quadratic bifurcation mass series")
@@ -462,7 +463,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     kw = dict(subcommand=args.subcommand,
-              tolerance=getattr(args, "tolerance", 1e-12),
               out=getattr(args, "out", None),
               no_cache=getattr(args, "no_cache", False))
     if kw["out"] is not None and not os.path.isdir(
@@ -471,6 +471,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             f"--out {kw['out']}: the directory does not exist")
     if hasattr(args, "family"):
         kw["family"] = args.family
+    if getattr(args, "tolerance", None) is not None:
+        # only the pca3 center solve reads it; quad centers are solved and
+        # certified at a fixed tolerance
+        if families.family_from_id(args.family).kind != "PcaPoly":
+            raise PreconditionError(
+                f"--tolerance applies to the pca3 family, not {args.family}")
+        kw["tolerance"] = args.tolerance
     pstr = getattr(args, "params", None) or getattr(args, "c", None)
     if pstr:
         kw["params"] = _parse_complex_list(pstr)

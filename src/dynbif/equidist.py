@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith, families
-from .errors import EmptyMeasureError, PathLossError, PreconditionError
+from .errors import EmptyMeasureError, PreconditionError
 
 #: window containing the quadratic connectedness locus
 QUAD_WINDOW = ((-2.1, 0.6), (-1.3, 1.3))
@@ -75,22 +75,27 @@ def center_measure(spec: families.FamilySpec,
 
 @dataclass(frozen=True)
 class CircleMeasure:
-    """Circle-averaged multiplier-level-curve measure with the count of
-    atoms dropped to continuation path loss."""
+    """Circle-averaged multiplier-level-curve measure with the counts of
+    atoms dropped to continuation path loss and to the multiplier
+    re-check."""
 
     measure: AtomicMeasure
     path_loss_deficit: int
+    recheck_deficit: int
 
 
 def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
                         thetas: int) -> CircleMeasure:
     """Atoms at the parameters where the period-n cycle has multiplier
     rho * e^(i theta_k), theta_k uniform, one per component center and
-    angle, each of weight 1/(d_n * thetas).
+    angle (center-major), each of weight 1/(d_n * thetas).
 
-    Every atom re-verifies its multiplier via an independent critical-orbit
-    computation to 1e-10; atoms whose continuation path is lost are dropped
-    and tallied in the deficit.
+    All center x angle paths are continued in one batched call.  Every atom
+    re-verifies its multiplier via an independent critical-orbit
+    computation, to 1e-10 plus the rounding floor 8 eps |c| |d lambda/dc|
+    (c is a double, so lambda(c) cannot come closer to its target than
+    that); atoms whose continuation path is lost or whose re-check misses
+    are dropped and tallied in their own deficit.
     """
     if spec.kind != "QuadraticPoly":
         raise PreconditionError("level-curve measures support one-parameter "
@@ -102,26 +107,21 @@ def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
     centers = families.centers_1d(spec, n)
     d_n = arith.exact_cycle_point_count(spec.degree, n)
     w = 1.0 / (d_n * thetas)
-    atoms = []
-    deficit = 0
-    for center in centers:
-        for k in range(thetas):
-            target = rho * np.exp(2j * np.pi * k / thetas)
-            try:
-                c = families.multiplier_continuation(spec, center,
-                                                     (target,))
-            except PathLossError:
-                deficit += 1
-                continue
-            if rho > 0:
-                lam = families.quad_cycle_multiplier(c, n)
-                if abs(lam - target) > 1e-10:
-                    deficit += 1
-                    continue
-            atoms.append(((c,), w))
-    if not atoms:
+    targets = rho * np.exp(2j * np.pi * np.arange(thetas) / thetas)
+    c, lost, slope = families.quad_continuation(centers, targets)
+    kept = np.flatnonzero(~lost)
+    recheck_deficit = 0
+    if rho > 0:
+        lam = families.quad_cycle_multiplier(c[kept], n)
+        floor = 8.0 * np.finfo(float).eps * np.abs(c[kept]) * slope[kept]
+        hit = (np.abs(lam - np.tile(targets, len(centers))[kept])
+               <= 1e-10 + floor)
+        recheck_deficit = len(kept) - int(np.count_nonzero(hit))
+        kept = kept[hit]
+    if not kept.size:
         raise EmptyMeasureError("all continuation paths were lost")
-    return CircleMeasure(AtomicMeasure.from_atoms(atoms), deficit)
+    atoms = AtomicMeasure.from_atoms(((ci,), w) for ci in c[kept])
+    return CircleMeasure(atoms, int(np.count_nonzero(lost)), recheck_deficit)
 
 
 def moment(m: AtomicMeasure, k: int, coordinate: int = 0) -> complex:

@@ -360,8 +360,7 @@ def _quad_exact_centers(n: int) -> tuple[complex, ...]:
     return tuple(sorted(counts[n], key=lambda z: (round(z.real, 10), z.imag)))
 
 
-def centers_1d(spec: FamilySpec, n: int, tol: float = 1e-12
-               ) -> list[CenterPoint]:
+def centers_1d(spec: FamilySpec, n: int) -> list[CenterPoint]:
     """All parameters of a one-parameter family where the marked critical
     point has exact period n, certified complete against the Moebius divisor
     count."""
@@ -596,26 +595,21 @@ def _assign_multiplicities(sols: list[CenterPoint], n0: int, n1: int,
 # ---------------------------------------------------------------------------
 
 
-def _quad_cycle_system(c, z, p, w):
-    """Residual and Jacobian of (f_c^p(z) - z, multiplier - w) for z^2 + c,
-    with exact forward-mode derivatives."""
-    zk = z
-    dz_z = 1.0 + 0.0j
-    dz_c = 0.0 + 0.0j
-    lam = 1.0 + 0.0j
-    dlam_z = 0.0 + 0.0j
-    dlam_c = 0.0 + 0.0j
-    for _ in range(p):
-        dlam_z = dlam_z * 2.0 * zk + lam * 2.0 * dz_z
-        dlam_c = dlam_c * 2.0 * zk + lam * 2.0 * dz_c
-        lam = lam * 2.0 * zk
-        new = zk * zk + c
-        dz_z = 2.0 * zk * dz_z
-        dz_c = 2.0 * zk * dz_c + 1.0
-        zk = new
-    g = np.array([zk - z, lam - w])
-    J = np.array([[dz_c, dz_z - 1.0], [dlam_c, dlam_z]])
-    return g, J
+#: corrector iterations per continuation step; below a step of _MIN_DS in
+#: the path variable a path counts as lost
+_CORRECTOR_ITERS = 60
+_MIN_DS = 1e-4
+_S_END = 1.0 - 1e-15
+#: paths continued together: bounds the kernel's temporaries, whatever the
+#: number of paths
+PATH_CHUNK = 2**14
+
+
+def _check_continuation(centers, w: np.ndarray) -> None:
+    if np.any(np.abs(w) > 0.95):
+        raise PreconditionError("multiplier targets must satisfy |w| <= 0.95")
+    if any(max(center.residuals) > 1e-8 for center in centers):
+        raise PreconditionError("center residuals too large")
 
 
 def multiplier_continuation(spec: FamilySpec, center: CenterPoint,
@@ -630,74 +624,137 @@ def multiplier_continuation(spec: FamilySpec, center: CenterPoint,
     NOT_IN_COMPONENT when the continued cycle changes exact period.
     """
     w = np.atleast_1d(np.asarray(target_w, dtype=complex))
-    if np.any(np.abs(w) > 0.95):
-        raise PreconditionError("multiplier targets must satisfy |w| <= 0.95")
-    if max(center.residuals) > 1e-8:
-        raise PreconditionError("center residuals too large")
     if spec.kind == "QuadraticPoly":
         if len(w) != 1:
             raise PreconditionError("quadratic family carries one cycle")
-        return _continue_quad(center, complex(w[0]), steps, tol)
+        c, lost, _ = quad_continuation([center], w, steps, tol)
+        if lost[0]:
+            raise PathLossError("Newton diverged with minimal step")
+        return complex(c[0])
     if spec.kind == "PcaPoly" and spec.degree == 3:
         if len(w) != 2:
             raise PreconditionError("marked cubic family carries two cycles")
+        _check_continuation([center], w)
         return _continue_pca3(center, complex(w[0]), complex(w[1]), steps, tol)
     raise PreconditionError(f"continuation not supported for {spec.kind}")
 
 
-def _newton_2x2(g, J):
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-    if det == 0 or not np.isfinite(det):
-        return None
-    return np.array([(g[0] * J[1, 1] - g[1] * J[0, 1]) / det,
-                     (g[1] * J[0, 0] - g[0] * J[1, 0]) / det])
+def quad_continuation(centers: list[CenterPoint], targets, steps: int = 20,
+                      tol: float = 1e-12
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multiplier continuation of z^2 + c along every (center, target) path
+    at once, center-major and target-minor: from each period-p center, the
+    parameter where the cycle through the critical point has multiplier w.
+
+    Returns the end parameters, the mask of lost paths (PATH_LOSS) and, per
+    path, |d lambda/dc| = |det J| / |J_01| from its last corrector Jacobian
+    J: the factor by which rounding in c moves the multiplier.  Raises
+    NotInComponentError when a continued cycle closes early or does not
+    attract the critical point.  Paths run in chunks of PATH_CHUNK.
+    """
+    w = np.asarray(targets, dtype=complex).ravel()
+    _check_continuation(centers, w)
+    periods = {center.periods.periods[0] for center in centers}
+    if len(periods) != 1:
+        raise PreconditionError("continued centers must share one period")
+    (p,) = periods
+    c0 = np.repeat([complex(center.parameter[0]) for center in centers],
+                   len(w))
+    w = np.tile(w, len(centers))
+    c, lost, slope = np.empty_like(c0), np.empty(len(c0), bool), \
+        np.empty(len(c0))
+    for lo in range(0, len(c0), PATH_CHUNK):
+        part = slice(lo, lo + PATH_CHUNK)
+        c[part], lost[part], slope[part] = _quad_paths(c0[part], w[part], p,
+                                                       steps, tol)
+    return c, lost, slope
 
 
-def _continue_quad(center: CenterPoint, w: complex, steps: int, tol: float
-                   ) -> complex:
-    p = center.periods.periods[0]
-    c = complex(center.parameter[0])
-    z = 0.0 + 0.0j  # the critical point lies on the superattracting cycle
-    s = 0.0
-    ds = 1.0 / steps
-    while s < 1.0 - 1e-15:
-        s_next = min(1.0, s + ds)
-        c_try, z_try = c, z
-        ok = False
-        for _ in range(60):
-            g, J = _quad_cycle_system(c_try, z_try, p, s_next * w)
-            step = _newton_2x2(g, J)
-            if step is None or not np.all(np.isfinite(step)):
-                break
-            c_try, z_try = c_try - step[0], z_try - step[1]
-            if np.max(np.abs(step)) < tol * (1.0 + abs(c_try) + abs(z_try)):
-                ok = True
-                break
-        if ok:
-            c, z, s = c_try, z_try, s_next
-        else:
-            ds *= 0.5
-            if ds < 1e-4:
-                raise PathLossError(
-                    f"Newton diverged at s = {s:.6f} with minimal step")
-    # exact-period recheck: the cycle must not have collapsed
-    def f(u):
-        return u * u + c
+def _quad_paths(c0: np.ndarray, w: np.ndarray, p: int, steps: int,
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predictor-corrector on (f_c^p(z) - z, multiplier - s w) for every
+    path in lockstep.  Each path keeps its own s, step ds and Newton state,
+    and only the paths still trying take another Newton step: a corrector
+    that converges advances s, one that fails or runs out of iterations
+    halves ds, and a path is lost once ds drops below _MIN_DS."""
+    n = len(c0)
+    c = c0.copy()
+    z = np.zeros(n, dtype=complex)  # the critical point is on the cycle
+    s = np.zeros(n)
+    ds = np.full(n, 1.0 / steps)
+    s_next = np.minimum(1.0, s + ds)
+    c_try, z_try = c.copy(), z.copy()
+    iters = np.zeros(n, dtype=int)
+    slope = np.full(n, np.nan)
+    lost = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    while live.size:
+        ct, zt = c_try[live], z_try[live]
+        # the residual and its Jacobian in (c, z), in forward mode
+        zk, dz_z, dz_c = zt, np.ones_like(zt), np.zeros_like(zt)
+        lam, dlam_z, dlam_c = np.ones_like(zt), np.zeros_like(zt), \
+            np.zeros_like(zt)
+        for _ in range(p):
+            dlam_z = dlam_z * 2.0 * zk + lam * 2.0 * dz_z
+            dlam_c = dlam_c * 2.0 * zk + lam * 2.0 * dz_c
+            lam = lam * 2.0 * zk
+            dz_z = 2.0 * zk * dz_z
+            dz_c = 2.0 * zk * dz_c + 1.0
+            zk = zk * zk + ct
+        g0, g1 = zk - zt, lam - s_next[live] * w[live]
+        j00, j01, j10, j11 = dz_c, dz_z - 1.0, dlam_c, dlam_z
+        det = j00 * j11 - j01 * j10
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step_c = (g0 * j11 - g1 * j01) / det
+            step_z = (g1 * j00 - g0 * j10) / det
+            ok = ((det != 0) & np.isfinite(det) & np.isfinite(step_c)
+                  & np.isfinite(step_z))
+            slope[live[ok]] = np.abs(det[ok]) / np.abs(j01[ok])
+        moved, step_c, step_z = live[ok], step_c[ok], step_z[ok]
+        c_try[moved] -= step_c
+        z_try[moved] -= step_z
+        iters[moved] += 1
+        conv = (np.maximum(np.abs(step_c), np.abs(step_z))
+                < tol * (1.0 + np.abs(c_try[moved]) + np.abs(z_try[moved])))
+        done = moved[conv]
+        failed = np.concatenate(
+            [live[~ok], moved[~conv & (iters[moved] >= _CORRECTOR_ITERS)]])
+        c[done], z[done], s[done] = c_try[done], z_try[done], s_next[done]
+        ds[failed] *= 0.5
+        lost[failed] = ds[failed] < _MIN_DS
+        restart = np.concatenate([done, failed])
+        c_try[restart], z_try[restart] = c[restart], z[restart]
+        s_next[restart] = np.minimum(1.0, s[restart] + ds[restart])
+        iters[restart] = 0
+        live = live[(s[live] < _S_END) & ~lost[live]]
+    _check_in_component(c[~lost], z[~lost], p)
+    return c, lost, slope
 
-    if m := _first_return(f, z, p - 1):
-        raise NotInComponentError(
-            f"continued cycle closed early at step {m} < {p}")
-    # the critical point must be attracted by the continued cycle
-    cycle = _orbit(f, z, p)
-    orbit = 0.0 + 0.0j
-    for _ in range(600 * p):
-        orbit = orbit * orbit + c
-        if not (abs(orbit) < 1e12):
-            raise NotInComponentError("critical orbit escaped")
-    if min(abs(orbit - u) for u in cycle) > 1e-6:
+
+def _check_in_component(c: np.ndarray, z: np.ndarray, p: int) -> None:
+    """NOT_IN_COMPONENT unless every continued cycle (through z, at c) has
+    exact period p and attracts the critical point."""
+    u = z
+    for m in range(1, p):
+        u = u * u + c
+        if np.any(np.abs(u - z) <= 1e-8):
+            raise NotInComponentError(
+                f"continued cycle closed early at step {m} < {p}")
+    orbit = np.zeros_like(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(600 * p):
+            orbit = orbit * orbit + c
+    # past 1e12 an orbit of a bounded c only grows, so one test at the end
+    # sees every escape
+    if not np.all(np.abs(orbit) < 1e12):
+        raise NotInComponentError("critical orbit escaped")
+    gap, u = np.abs(orbit - z), z
+    for _ in range(p - 1):
+        u = u * u + c
+        gap = np.minimum(gap, np.abs(orbit - u))
+    if np.any(gap > 1e-6):
         raise NotInComponentError("critical point not attracted by the "
                                   "continued cycle")
-    return c
 
 
 def _pca3_cycle_block(c, a, z, p, w):
@@ -814,19 +871,21 @@ def _pca3_follow(c, a, z0, z1, n0, n1, w0, w1, steps, tol):
     return x
 
 
-def quad_cycle_multiplier(c: complex, p: int) -> complex:
+def quad_cycle_multiplier(c, p: int):
     """Multiplier of the attracting period-p cycle of z^2 + c found from the
-    critical orbit (the critical point converges to it)."""
-    z = 0.0 + 0.0j
-    for _ in range(400 * p):
-        for _ in range(p):
+    critical orbit (the critical point converges to it); elementwise on an
+    array of parameters, a Python complex for a scalar one."""
+    scalar = np.ndim(c) == 0
+    c = complex(c) if scalar else np.asarray(c, dtype=complex)
+    z = 0.0 + 0.0j if scalar else np.zeros_like(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(400 * p * p):
             z = z * z + c
-    lam = 1.0 + 0.0j
-    zz = z
-    for _ in range(p):
-        lam *= 2.0 * zz
-        zz = zz * zz + c
-    return complex(lam)
+        lam = 1.0 + 0.0j
+        for _ in range(p):
+            lam = lam * (2.0 * z)
+            z = z * z + c
+    return complex(lam) if scalar else lam
 
 
 def pca3_cycle_multiplier(c: complex, a: complex, z0: complex, p: int
@@ -872,7 +931,7 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
     stab = arith.stab_count(periods)
     if spec.kind == "QuadraticPoly":
         (n,) = periods.periods
-        centers = centers_1d(spec, n, tol)
+        centers = centers_1d(spec, n)
         N = len(centers)
         # critically marked normalization of the degree-2 polynomial family:
         # each z^2 + c parameter corresponds to two marked parameters

@@ -3,8 +3,11 @@ codes."""
 
 import csv
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dynbif.cli import EXIT_CODES, main
 
@@ -136,6 +139,7 @@ def test_percurve_csv(capsys):
     assert len(rows) == 9
     diag = json.loads(out)["diagnostics"]
     assert diag["path_loss_deficit"] == 0
+    assert diag["recheck_deficit"] == 0
 
 
 def test_degenerate_slopes(capsys):
@@ -225,6 +229,27 @@ def test_tolerance_range_enforced(capsys):
     code, _, err = run(["centers", "--family", "quad", "--periods", "3",
                         "--tolerance", "0"], capsys)
     assert code == 2
+    for tol in ("1e-3", "0"):
+        code, _, err = run(["centers", "--family", "pca3", "--periods",
+                            "1,1", "--tolerance", tol], capsys)
+        assert code == 2
+        assert "(0, 1e-4]" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("sub", ["centers", "count"])
+def test_quad_rejects_tolerance(sub, workdir, capsys):
+    # quad centers are solved at a fixed tolerance: the flag would be ignored
+    code, out, err = run([sub, "--family", "quad", "--periods", "3",
+                          "--tolerance", "1e-10", "--out", "o"], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "PRECONDITION"
+    assert out == "" and not (workdir / "o").exists()
+    # pca3 reads it, at the same default
+    code, out, err = run([sub, "--family", "pca3", "--periods", "1,1",
+                          "--tolerance", "1e-10", "--out", "o"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["config"]["tolerance"] == 1e-10
 
 
 def test_degenerate_family_required(capsys):
@@ -275,3 +300,26 @@ def test_out_in_missing_directory(workdir, capsys):
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "PRECONDITION"
     assert not (workdir / "missing").exists()
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 5),
+       rho=st.sampled_from(["-0.1", "0", "0.3", "0.95", "1.0"]),
+       thetas=st.sampled_from([1, 4, 8, 16]))
+def test_percurve_fuzz_ends_in_csv_or_one_error_line(n, rho, thetas, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "pc.csv")
+        code, stdout, err = run(["percurve", "--family", "quad", "--n",
+                                 str(n), f"--rho={rho}", "--thetas",
+                                 str(thetas), "--out", out], capsys)
+        if code == 0:
+            assert err == ""
+            assert list(json.loads(stdout)["files"]) == [out]
+            assert read_csv(out)[0] == ["re", "im", "weight"]
+        else:
+            assert code in EXIT_CODES.values()
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert EXIT_CODES[json.loads(lines[0])["error"]] == code
+            assert stdout == "" and not os.path.exists(out)

@@ -141,7 +141,7 @@ def test_binned_distance_metric_properties():
 def test_circle_measure_rho_zero_is_center_measure():
     cm = pern_circle_measure(QUAD, 3, 0.0, 1)
     mu = center_measure(QUAD, arith.PeriodTuple((3,)))
-    assert cm.path_loss_deficit == 0
+    assert (cm.path_loss_deficit, cm.recheck_deficit) == (0, 0)
     got = sorted((p[0].real, p[0].imag) for p, _ in cm.measure.atoms)
     want = sorted((p[0].real, p[0].imag) for p, _ in mu.atoms)
     for g, w in zip(got, want):
@@ -158,6 +158,28 @@ def test_circle_measure_masses():
     for p, _ in cm.measure.atoms:
         assert abs(quad_cycle_multiplier(complex(p[0]), 2)) == pytest.approx(
             0.5, abs=1e-8)
+
+
+def test_circle_measure_keeps_ill_conditioned_atoms():
+    # near c = -1.996 the multiplier moves by ~1e6 per unit of c, so rounding
+    # c to a double alone can put lambda(c) 2e-10 from its target; every
+    # center x angle atom must survive the re-check all the same
+    n, rho, thetas = 6, 0.5, 32
+    cm = pern_circle_measure(QUAD, n, rho, thetas)
+    assert (cm.path_loss_deficit, cm.recheck_deficit) == (0, 0)
+    assert len(cm.measure.atoms) == 27 * thetas
+    # independent multipliers from the critical orbit, against the grid
+    # target of each atom (center-major, angle-minor)
+    for i, (p, _) in enumerate(cm.measure.atoms):
+        c, z = complex(p[0]), 0.0 + 0.0j
+        for _ in range(400 * n):
+            z = z * z + c
+        lam = 1.0 + 0.0j
+        for _ in range(n):
+            lam *= 2.0 * z
+            z = z * z + c
+        target = rho * np.exp(2j * np.pi * (i % thetas) / thetas)
+        assert abs(lam - target) <= 1e-8
 
 
 def test_circle_measure_thetas_validation():

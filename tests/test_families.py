@@ -6,7 +6,7 @@ import pytest
 
 from dynbif import arith
 from dynbif.dynamics import SpherePoint, cycle_multiplier
-from dynbif.errors import DegenerateMapError, PreconditionError
+from dynbif.errors import DegenerateMapError, PathLossError, PreconditionError
 from dynbif.families import (
     DEGEN_CATALOG,
     PCA3,
@@ -28,6 +28,7 @@ from dynbif.families import (
     power_map_degree,
     power_map_spectrum,
     quad_center_evaluator,
+    quad_continuation,
     quad_cycle_multiplier,
     quadrat_fixed_normal_form,
 )
@@ -370,6 +371,71 @@ def test_continuation_quad_multiplier_recheck():
         c = multiplier_continuation(QUAD, center, (w,))
         got = quad_cycle_multiplier(complex(c), 3)
         assert got == pytest.approx(w, abs=1e-9)
+
+
+def _scalar_continuation(c, p, w, steps=20, tol=1e-12):
+    """The per-path predictor-corrector loop that the batched kernel
+    replaced, kept as its reference."""
+    z, s, ds = 0.0 + 0.0j, 0.0, 1.0 / steps
+    while s < 1.0 - 1e-15:
+        s_next = min(1.0, s + ds)
+        c_try, z_try, ok = c, z, False
+        for _ in range(60):
+            zk, dz_z, dz_c = z_try, 1.0 + 0.0j, 0.0 + 0.0j
+            lam, dlam_z, dlam_c = 1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j
+            for _ in range(p):
+                dlam_z = dlam_z * 2.0 * zk + lam * 2.0 * dz_z
+                dlam_c = dlam_c * 2.0 * zk + lam * 2.0 * dz_c
+                lam = lam * 2.0 * zk
+                dz_z, dz_c = 2.0 * zk * dz_z, 2.0 * zk * dz_c + 1.0
+                zk = zk * zk + c_try
+            g0, g1 = zk - z_try, lam - s_next * w
+            j00, j01, j10, j11 = dz_c, dz_z - 1.0, dlam_c, dlam_z
+            det = j00 * j11 - j01 * j10
+            if det == 0 or not np.isfinite(det):
+                break
+            step = ((g0 * j11 - g1 * j01) / det, (g1 * j00 - g0 * j10) / det)
+            if not np.all(np.isfinite(step)):
+                break
+            c_try, z_try = c_try - step[0], z_try - step[1]
+            if max(abs(step[0]), abs(step[1])) < tol * (
+                    1.0 + abs(c_try) + abs(z_try)):
+                ok = True
+                break
+        if ok:
+            c, z, s = c_try, z_try, s_next
+        else:
+            ds *= 0.5
+            if ds < 1e-4:
+                raise PathLossError(f"lost at s = {s}")
+    return c
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_batched_continuation_matches_scalar_loop(n):
+    centers = _quad_center(n)
+    targets = 0.7 * np.exp(2j * np.pi * np.arange(8) / 8)
+    c, lost, slope = quad_continuation(centers, targets)
+    assert not lost.any()
+    assert np.all(np.isfinite(slope) & (slope > 0))
+    want = [_scalar_continuation(center.parameter[0], n, w)
+            for center in centers for w in targets]  # center-major
+    np.testing.assert_allclose(c, want, rtol=0, atol=1e-12)
+    # the single-path entry point runs the same kernel
+    one = multiplier_continuation(QUAD, centers[-1], (targets[3],))
+    assert one == pytest.approx(c[len(targets) * (len(centers) - 1) + 3],
+                                abs=1e-12)
+
+
+def test_quad_cycle_multiplier_array_matches_scalar():
+    c = np.array([0.2 + 0.1j, -1.0 + 0.05j, -0.12 + 0.7j, -1.75, 0.3j])
+    for p in (1, 2, 3):
+        got = quad_cycle_multiplier(c, p)
+        assert isinstance(got, np.ndarray) and got.shape == c.shape
+        want = [quad_cycle_multiplier(complex(x), p) for x in c]
+        assert all(isinstance(x, complex) for x in want)
+        # numpy and Python complex products may round differently
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_continuation_rejects_large_targets():
