@@ -1,12 +1,13 @@
 """Computable core of quantitative bifurcation theory for rational maps.
 
 Submodules: ``arith`` (divisor-sum counting and the bifurcation-mass
-series), ``cpoly``/``aberth`` (black-box simultaneous root finding),
-``dynamics`` (lifts, dynatomic polynomials, exact-period cycles and
-multiplier spectra), ``lyapunov`` (periodic-point estimators, Green
-functions, degeneration slopes), ``families`` (parametrized families,
-center enumeration, continuation, component counting), ``equidist``
-(atomic bifurcation-measure diagnostics) and ``cli``.
+series), ``cpoly``/``aberth`` (simultaneous root finding, driven by
+black-box evaluators), ``dynamics`` (lifts, period-n wedge evaluators,
+exact-period cycles and multiplier spectra), ``lyapunov`` (periodic-point
+estimators, Green functions, degeneration slopes), ``families``
+(parametrized families, center enumeration, continuation, component
+counting), ``equidist`` (atomic bifurcation-measure diagnostics) and
+``cli``.
 """
 
 from . import arith, cpoly, dynamics, equidist, families, lyapunov
@@ -16,9 +17,7 @@ from .dynamics import (
     RationalMapLift,
     SpherePoint,
     Stability,
-    dynatomic_polynomial,
     exact_cycles,
-    multiplier_polynomial,
 )
 from .equidist import (
     AtomicMeasure,
@@ -61,10 +60,10 @@ __all__ = [
     "PeriodTuple", "PeriodicCycle", "RationalMapLift", "SpherePoint",
     "Stability", "arith", "binned_distance", "center_measure", "centers_1d",
     "centers_2d", "component_count", "convergence_report", "cpoly",
-    "degeneration_slope", "dynamics", "dynatomic_polynomial", "equidist",
-    "equidist_report", "exact_cycles", "families", "family_from_id",
-    "green_value", "lyap_from_spectrum", "lyap_oracle_backward",
-    "lyap_periodic", "lyap_poly_closed_form", "lyapunov", "m2_mass_series",
-    "map_at", "moment", "multiplier_continuation", "multiplier_polynomial",
-    "pern_circle_measure", "quadrat_fixed_normal_form",
+    "degeneration_slope", "dynamics", "equidist", "equidist_report",
+    "exact_cycles", "families", "family_from_id", "green_value",
+    "lyap_from_spectrum", "lyap_oracle_backward", "lyap_periodic",
+    "lyap_poly_closed_form", "lyapunov", "m2_mass_series", "map_at",
+    "moment", "multiplier_continuation", "pern_circle_measure",
+    "quadrat_fixed_normal_form",
 ]

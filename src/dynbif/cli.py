@@ -38,10 +38,8 @@ CACHE_ENV = "DYNBIF_CACHE_DIR"
 EXIT_CODES = {
     "ERROR": 1,
     "PRECONDITION": 2,
-    "NON_DIVISIBLE": 3,
     "NO_CONVERGENCE": 4,
     "DEGENERATE_MAP": 5,
-    "DEGENERATE": 6,
     "ORBIT_MISMATCH": 7,
     "PARABOLIC_CONTAMINATION": 8,
     "EXCEPTIONAL_START": 9,

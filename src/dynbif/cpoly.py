@@ -1,4 +1,5 @@
-"""Dense complex polynomial arithmetic and small bivariate resultants.
+"""Simultaneous root finding, for coefficient vectors and for black-box
+evaluators, with multiplicities read off root clusters.
 
 Coefficients are stored ascending in a complex128 numpy array.  The drop
 tolerance for trailing (leading) coefficients is 1e-14 times the largest
@@ -11,15 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateResultantError,
-    NonDivisibleError,
-    PreconditionError,
-)
+from .errors import PreconditionError
 from . import aberth
 
 DROP_TOL = 1e-14
-DIVIDE_TOL = 1e-9
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -45,61 +41,12 @@ class ComplexPolynomial:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
-    # -- basic queries ----------------------------------------------------
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == 0
-
     def scale(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
-
-    # -- ring operations --------------------------------------------------
-    def __add__(self, other):
-        a, b = self.coeffs, _as_poly(other).coeffs
-        n = max(len(a), len(b))
-        out = np.zeros(n, dtype=np.complex128)
-        out[: len(a)] += a
-        out[: len(b)] += b
-        return ComplexPolynomial(out)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return ComplexPolynomial(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return ComplexPolynomial(self.coeffs * other)
-        b = _as_poly(other)
-        if self.is_zero or b.is_zero:
-            return ComplexPolynomial(np.zeros(1))
-        return ComplexPolynomial(np.convolve(self.coeffs, b.coeffs))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise PreconditionError("polynomial powers must be nonnegative ints")
-        out = ComplexPolynomial(np.ones(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def derivative(self) -> "ComplexPolynomial":
         if self.degree == 0:
@@ -115,78 +62,6 @@ class ComplexPolynomial:
         if out.ndim == 0:
             return complex(out)
         return out
-
-    def compose(self, inner: "ComplexPolynomial") -> "ComplexPolynomial":
-        out = ComplexPolynomial(np.zeros(1))
-        for c in self.coeffs[::-1]:
-            out = out * inner + ComplexPolynomial(np.array([c]))
-        return out
-
-    def divmod_with_norm(self, divisor: "ComplexPolynomial"):
-        """Long division; returns (quotient, remainder_norm / scale)."""
-        b = _as_poly(divisor)
-        if b.is_zero:
-            raise PreconditionError("division by zero polynomial")
-        a = self.coeffs.copy()
-        if self.degree < b.degree:
-            return ComplexPolynomial(np.zeros(1)), float(
-                np.max(np.abs(a)) / max(self.scale(), b.scale(), 1.0)
-            )
-        q = np.zeros(self.degree - b.degree + 1, dtype=np.complex128)
-        lead = b.coeffs[-1]
-        for k in range(len(q) - 1, -1, -1):
-            q[k] = a[k + b.degree] / lead
-            a[k : k + b.degree + 1] -= q[k] * b.coeffs
-        rem = a[: b.degree] if b.degree > 0 else np.zeros(1)
-        rem_norm = float(np.max(np.abs(rem))) if rem.size else 0.0
-        return ComplexPolynomial(q), rem_norm / max(self.scale(), 1e-300)
-
-    def exact_divide(self, divisor: "ComplexPolynomial", tol: float = DIVIDE_TOL):
-        q, rel = self.divmod_with_norm(divisor)
-        if rel > tol:
-            raise NonDivisibleError(rel, tol)
-        return q
-
-    def monic(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(self.coeffs / self.coeffs[-1])
-
-    @staticmethod
-    def from_roots(roots) -> "ComplexPolynomial":
-        """Monic polynomial with the given roots.
-
-        Factors are multiplied in Leja order; taking same-phase roots
-        consecutively inflates the partial products and loses the final
-        cancellation to rounding.
-        """
-        rs = np.asarray(roots, dtype=np.complex128)
-        if rs.size > 2:
-            n = rs.size
-            order = np.empty(n, dtype=np.int64)
-            picked = np.zeros(n, dtype=bool)
-            i0 = int(np.argmax(np.abs(rs)))
-            order[0] = i0
-            picked[i0] = True
-            logdist = np.log(np.maximum(np.abs(rs - rs[i0]), 1e-300))
-            for k in range(1, n):
-                logdist[picked] = -np.inf
-                nxt = int(np.argmax(logdist))
-                order[k] = nxt
-                picked[nxt] = True
-                if k < n - 1:
-                    logdist += np.log(np.maximum(np.abs(rs - rs[nxt]), 1e-300))
-            rs = rs[order]
-        out = np.ones(1, dtype=np.complex128)
-        for r in rs:
-            out = np.convolve(out, np.array([-r, 1.0], dtype=np.complex128))
-        return ComplexPolynomial(out)
-
-
-def _as_poly(x) -> ComplexPolynomial:
-    if isinstance(x, ComplexPolynomial):
-        return x
-    if np.isscalar(x):
-        return ComplexPolynomial(np.array([x], dtype=np.complex128))
-    return ComplexPolynomial(np.asarray(x, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -265,7 +140,6 @@ def roots_simultaneous(
 ) -> RootSet:
     """All complex roots by simultaneous (Ehrlich-Aberth) iteration, with
     cluster post-processing for multiple roots."""
-    p = _as_poly(p)
     if tol <= 0:
         raise PreconditionError("tol must be positive")
     if p.degree < 1:
@@ -327,82 +201,3 @@ def roots_blackbox(eval_fn, degree: int, tol: float = 1e-12, max_iter: int = 300
         ratio = np.abs(v / dv)
     centers, mults, radius_out = _cluster(roots, tol, ratio)
     return RootSet(centers, mults, residual, radius_out)
-
-
-# ---------------------------------------------------------------------------
-# Bivariate resultants by evaluation-interpolation
-# ---------------------------------------------------------------------------
-
-
-def _sylvester_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sylvester matrix of two univariate coefficient vectors (ascending),
-    using their nominal lengths as degrees (leading zeros allowed: this is the
-    homogeneous convention)."""
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    s = np.zeros((size, size), dtype=np.complex128)
-    for i in range(n):
-        s[i, i : i + m + 1] = a[::-1]
-    for i in range(m):
-        s[n + i, i : i + n + 1] = b[::-1]
-    return s
-
-
-def sylvester_resultant_univariate(a, b) -> complex:
-    """Resultant of two univariate polynomials via the Sylvester determinant
-    (rows of the first polynomial on top)."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if len(a) < 2 and len(b) < 2:
-        raise PreconditionError("at least one input must have degree >= 1")
-    return complex(np.linalg.det(_sylvester_matrix(a, b)))
-
-
-def sylvester_resultant(p: np.ndarray, q: np.ndarray, eliminate: str = "x"
-                        ) -> ComplexPolynomial:
-    """Resultant of two bivariate polynomials with respect to one variable.
-
-    Inputs are 2-d coefficient arrays ``c[i, j]`` for the monomial x**i y**j.
-    Sign convention: the Sylvester matrix is built with the eliminated
-    variable's coefficient rows of ``p`` on top, so the result equals
-    (-1)**(deg_p * deg_q) times the opposite ordering.
-
-    Computed by sampling the surviving variable at scaled Chebyshev nodes,
-    taking univariate Sylvester determinants and interpolating.
-    """
-    p = np.atleast_2d(np.asarray(p, dtype=np.complex128))
-    q = np.atleast_2d(np.asarray(q, dtype=np.complex128))
-    if eliminate not in ("x", "y"):
-        raise PreconditionError("eliminate must be 'x' or 'y'")
-    if eliminate == "y":
-        p, q = p.T, q.T
-    if not p.any() or not q.any():
-        raise PreconditionError("inputs must be nonzero")
-    dx_p, dy_p = p.shape[0] - 1, p.shape[1] - 1
-    dx_q, dy_q = q.shape[0] - 1, q.shape[1] - 1
-    if dx_p < 1 and dx_q < 1:
-        raise PreconditionError(
-            "eliminated variable must appear in at least one input")
-    out_deg = dx_p * dy_q + dx_q * dy_p
-    if out_deg == 0:
-        val = sylvester_resultant_univariate(p[:, 0], q[:, 0])
-        return ComplexPolynomial(np.array([val]))
-    # Chebyshev nodes on a slightly irrational radius to dodge symmetry
-    nodes = 1.1789 * np.cos(np.pi * (2 * np.arange(out_deg + 1) + 1)
-                            / (2.0 * (out_deg + 1)))
-    vals = np.empty(out_deg + 1, dtype=np.complex128)
-    ypow_p = nodes[:, None] ** np.arange(dy_p + 1)[None, :]
-    ypow_q = nodes[:, None] ** np.arange(dy_q + 1)[None, :]
-    a_all = ypow_p @ p.T  # (nodes, dx_p+1)
-    b_all = ypow_q @ q.T
-    for k in range(out_deg + 1):
-        vals[k] = sylvester_resultant_univariate(a_all[k], b_all[k])
-    vmax = np.max(np.abs(vals))
-    if vmax == 0.0:
-        raise DegenerateResultantError("resultant vanishes identically")
-    vander = np.vander(nodes, out_deg + 1, increasing=True)
-    coeffs = np.linalg.solve(vander, vals)
-    res = ComplexPolynomial(coeffs)
-    if res.is_zero:
-        raise DegenerateResultantError("resultant vanishes identically")
-    return res

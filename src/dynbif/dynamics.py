@@ -14,11 +14,10 @@ from enum import Enum
 import numpy as np
 
 from . import arith
-from .cpoly import ComplexPolynomial, _sylvester_matrix, roots_blackbox
+from .cpoly import roots_blackbox
 from .errors import (
     DegenerateMapError,
     OrbitMismatchError,
-    ParabolicContaminationError,
     PreconditionError,
 )
 
@@ -26,6 +25,8 @@ DESK_DEGREE_CAP = 20_000
 NEUTRAL_TOL = 1e-8
 SUPERATTRACTING_TOL = 1e-10
 PARABOLIC_ROOT_OF_UNITY_TOL = 1e-6
+# chordal distance at which the orbit of infinity counts as closed
+INFINITY_RETURN_TOL = 1e-9
 # the period-n solve runs at the double-precision floor of the Aberth
 # correction: a looser one leaves roots whose images miss the root set
 PERIOD_SOLVER_TOL = 1e-14
@@ -79,10 +80,6 @@ def form_partial(coeffs: np.ndarray, var: int) -> np.ndarray:
     return c[:-1] * (m - np.arange(m))
 
 
-def _form_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
 def compose_forms(outer_num: np.ndarray, outer_den: np.ndarray,
                   inner_num: np.ndarray, inner_den: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -92,14 +89,14 @@ def compose_forms(outer_num: np.ndarray, outer_den: np.ndarray,
     apow = [np.ones(1, dtype=np.complex128)]
     bpow = [np.ones(1, dtype=np.complex128)]
     for _ in range(d):
-        apow.append(_form_mul(apow[-1], inner_num))
-        bpow.append(_form_mul(bpow[-1], inner_den))
+        apow.append(np.convolve(apow[-1], inner_num))
+        bpow.append(np.convolve(bpow[-1], inner_den))
     m = len(inner_num) - 1
     out_n = np.zeros(d * m + 1, dtype=np.complex128)
     out_d = np.zeros(d * m + 1, dtype=np.complex128)
     for k in range(d + 1):
         if outer_num[k] != 0 or outer_den[k] != 0:
-            term = _form_mul(apow[k], bpow[d - k])
+            term = np.convolve(apow[k], bpow[d - k])
             pad = np.zeros(d * m + 1, dtype=np.complex128)
             pad[: len(term)] = term
             out_n += outer_num[k] * pad
@@ -110,6 +107,20 @@ def compose_forms(outer_num: np.ndarray, outer_den: np.ndarray,
 # ---------------------------------------------------------------------------
 # resultant
 # ---------------------------------------------------------------------------
+
+
+def _sylvester_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sylvester matrix of two univariate coefficient vectors (ascending),
+    using their nominal lengths as degrees (leading zeros allowed: this is the
+    homogeneous convention)."""
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    s = np.zeros((size, size), dtype=np.complex128)
+    for i in range(n):
+        s[i, i : i + m + 1] = a[::-1]
+    for i in range(m):
+        s[n + i, i : i + n + 1] = b[::-1]
+    return s
 
 
 @functools.lru_cache(maxsize=32)
@@ -249,12 +260,6 @@ class RationalMapLift:
     def apply(self, p: SpherePoint) -> SpherePoint:
         return SpherePoint(self.apply_vector(p.vec))
 
-    def orbit(self, p: SpherePoint, steps: int) -> list[SpherePoint]:
-        out = [p]
-        for _ in range(steps):
-            out.append(self.apply(out[-1]))
-        return out
-
     # -- derived lifts ----------------------------------------------------
     def scaled(self, alpha: complex) -> "RationalMapLift":
         return RationalMapLift(self.num * alpha, self.den * alpha)
@@ -325,32 +330,8 @@ def lipschitz_square_bound(F: RationalMapLift, grid_n: int = 48,
 
 
 # ---------------------------------------------------------------------------
-# iterates and dynatomic polynomials
+# the period-n locus
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ScaledIterate:
-    num: np.ndarray
-    den: np.ndarray
-    log_scale: float  # true iterate = exp(log_scale) * (num, den)
-
-
-def lift_iterates(F: RationalMapLift, n: int) -> list[_ScaledIterate]:
-    """F^1 .. F^n with per-step max-modulus rescaling (scalar tracked)."""
-    out = [_ScaledIterate(F.num.copy(), F.den.copy(), 0.0)]
-    d = F.degree
-    for _ in range(1, n):
-        prev = out[-1]
-        num, den = compose_forms(F.num, F.den, prev.num, prev.den)
-        log_scale = d * prev.log_scale
-        scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
-        if scale > 0:
-            num = num / scale
-            den = den / scale
-            log_scale += np.log(scale)
-        out.append(_ScaledIterate(num, den, log_scale))
-    return out
 
 
 def _check_dynatomic_caps(F: RationalMapLift, n: int) -> None:
@@ -361,69 +342,16 @@ def _check_dynatomic_caps(F: RationalMapLift, n: int) -> None:
             f"d^n = {F.degree**n} exceeds the desk cap {DESK_DEGREE_CAP}")
 
 
-def infinity_exact_period(F: RationalMapLift, n: int, tol: float = 1e-9
-                          ) -> int | None:
+def infinity_exact_period(F: RationalMapLift, n: int) -> int | None:
     """Exact period of the point at infinity if it is periodic with period
     <= n, else None."""
     start = SpherePoint.infinity()
     current = start
     for m in range(1, n + 1):
         current = F.apply(current)
-        if chordal_distance(current, start) <= tol:
+        if chordal_distance(current, start) <= INFINITY_RETURN_TOL:
             return m
     return None
-
-
-def dynatomic_polynomial(F: RationalMapLift, n: int
-                         ) -> tuple[ComplexPolynomial, int]:
-    """Affine chart (z1 = 1) of the degree-d_n dynatomic form, together with
-    the number of its roots at infinity.
-
-    Built as the Moebius-alternating product of the fixed-point forms
-    F^k ^ id over k | n, with the negative-exponent factors removed by exact
-    division.  The root count at infinity is decided structurally from the
-    orbit of infinity, because for larger n the coefficient spread of the
-    affine chart swamps its (often tiny) leading coefficients and makes the
-    numerical degree meaningless.
-    """
-    _check_dynatomic_caps(F, n)
-    iterates = lift_iterates(F, n)
-    wedges: dict[int, ComplexPolynomial] = {}
-    for k in arith.divisors(n):
-        it = iterates[k - 1]
-        w = np.zeros(len(it.num) + 1, dtype=np.complex128)
-        w[: len(it.num)] += it.num  # num * z1 keeps z0-degrees
-        w[1:] -= it.den  # den * z0 shifts z0-degrees up
-        wedges[k] = ComplexPolynomial(w)
-    numer = ComplexPolynomial(np.ones(1))
-    denom = ComplexPolynomial(np.ones(1))
-    for k, w in wedges.items():
-        if arith.moebius(n // k) == 1:
-            numer = numer * w
-        elif arith.moebius(n // k) == -1:
-            denom = denom * w
-    phi = numer.exact_divide(denom)
-    d_n = arith.exact_cycle_point_count(F.degree, n)
-    inf_count = infinity_root_count(F, n)
-    if phi.degree > d_n - inf_count:
-        raise OrbitMismatchError(
-            f"dynatomic degree {phi.degree} exceeds expected {d_n - inf_count}")
-    return phi, inf_count
-
-
-def infinity_root_count(F: RationalMapLift, n: int) -> int:
-    """Number of period-n dynatomic roots at infinity (0 or 1 away from
-    parabolic degeneracy), decided from the orbit of infinity."""
-    m = infinity_exact_period(F, n)
-    if m == n:
-        return 1
-    if m is not None and n % m == 0:
-        mult = cycle_multiplier(F, F.orbit(SpherePoint.infinity(), m - 1))
-        if abs(mult ** (n // m) - 1.0) <= PARABOLIC_ROOT_OF_UNITY_TOL:
-            raise ParabolicContaminationError(
-                f"infinity is a parabolic period-{m} point contaminating the "
-                f"period-{n} dynatomic root set")
-    return 0
 
 
 def period_wedge_evaluator(F: RationalMapLift, n: int):
@@ -627,19 +555,3 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
             raise OrbitMismatchError(
                 f"found {found} exact-period-{n} points, expected {d_n}")
     return CycleExtraction(tuple(cycles), tuple(contaminated))
-
-
-def multiplier_polynomial(F: RationalMapLift, n: int) -> ComplexPolynomial:
-    """Polynomial in w with one factor (multiplier - w) per exact-period-n
-    cycle; degree d_n / n.  The n-th-root ambiguity of per-point multiplier
-    roots is avoided by the one-factor-per-cycle convention."""
-    ext = exact_cycles(F, n)
-    if ext.contaminated:
-        raise ParabolicContaminationError(
-            f"{len(ext.contaminated)} lower-period parabolic orbits in the "
-            f"dynatomic root set")
-    out = ComplexPolynomial(np.ones(1))
-    for cyc in ext.cycles:
-        out = out * ComplexPolynomial(
-            np.array([cyc.multiplier, -1.0], dtype=np.complex128))
-    return out

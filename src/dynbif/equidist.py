@@ -87,8 +87,9 @@ class CircleMeasure:
 def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
                         thetas: int) -> CircleMeasure:
     """Atoms at the parameters where the period-n cycle has multiplier
-    rho * e^(i theta_k), theta_k uniform, one per component center and
-    angle (center-major), each of weight 1/(d_n * thetas).
+    rho * e^(i theta_k), 0 <= rho <= families.MAX_TARGET_MODULUS (0.95),
+    theta_k uniform, one per component center and angle (center-major),
+    each of weight 1/(d_n * thetas).
 
     All center x angle paths are continued in one batched call.  Every atom
     re-verifies its multiplier via an independent critical-orbit
@@ -100,8 +101,9 @@ def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
     if spec.kind != "QuadraticPoly":
         raise PreconditionError("level-curve measures support one-parameter "
                                 "families")
-    if not (0.0 <= rho < 1.0):
-        raise PreconditionError("rho must lie in [0, 1)")
+    if not (0.0 <= rho <= families.MAX_TARGET_MODULUS):
+        raise PreconditionError(
+            f"rho must lie in [0, {families.MAX_TARGET_MODULUS}]")
     if thetas < 8 and not (rho == 0.0 and thetas == 1):
         raise PreconditionError("need thetas >= 8")
     centers = families.centers_1d(spec, n)

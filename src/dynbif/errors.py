@@ -15,19 +15,6 @@ class PreconditionError(DynbifError):
     code = "PRECONDITION"
 
 
-class NonDivisibleError(DynbifError):
-    """Exact polynomial division left a remainder above tolerance."""
-
-    code = "NON_DIVISIBLE"
-
-    def __init__(self, remainder_norm, tol):
-        super().__init__(
-            f"division remainder norm {remainder_norm:.3e} exceeds tolerance {tol:.3e}"
-        )
-        self.remainder_norm = remainder_norm
-        self.tol = tol
-
-
 class NoConvergenceError(DynbifError):
     code = "NO_CONVERGENCE"
 
@@ -36,12 +23,6 @@ class DegenerateMapError(DynbifError):
     """The two homogeneous forms share a root (vanishing resultant)."""
 
     code = "DEGENERATE_MAP"
-
-
-class DegenerateResultantError(DynbifError):
-    """Bivariate resultant identically zero (inputs share a factor)."""
-
-    code = "DEGENERATE"
 
 
 class OrbitMismatchError(DynbifError):

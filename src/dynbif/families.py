@@ -603,11 +603,16 @@ _S_END = 1.0 - 1e-15
 #: paths continued together: bounds the kernel's temporaries, whatever the
 #: number of paths
 PATH_CHUNK = 2**14
+#: largest multiplier modulus a continuation may target
+MAX_TARGET_MODULUS = 0.95
 
 
 def _check_continuation(centers, w: np.ndarray) -> None:
-    if np.any(np.abs(w) > 0.95):
-        raise PreconditionError("multiplier targets must satisfy |w| <= 0.95")
+    # rho * e^(i theta) can round to an ulp past rho: allow a few ulps
+    slack = 1.0 + 4.0 * np.finfo(float).eps
+    if np.any(np.abs(w) > MAX_TARGET_MODULUS * slack):
+        raise PreconditionError("multiplier targets must satisfy "
+                                f"|w| <= {MAX_TARGET_MODULUS}")
     if any(max(center.residuals) > 1e-8 for center in centers):
         raise PreconditionError("center residuals too large")
 
@@ -871,6 +876,13 @@ def _pca3_follow(c, a, z0, z1, n0, n1, w0, w1, steps, tol):
     return x
 
 
+def _settle_steps(p: int) -> int:
+    """Orbit steps before a cycle multiplier is read off: 400 p^2, and at
+    least 800 p, so a cycle with |lambda| = MAX_TARGET_MODULUS is reached to
+    0.95^800 ~ 1.5e-18 even at p = 1."""
+    return max(400 * p * p, 800 * p)
+
+
 def quad_cycle_multiplier(c, p: int):
     """Multiplier of the attracting period-p cycle of z^2 + c found from the
     critical orbit (the critical point converges to it); elementwise on an
@@ -879,7 +891,7 @@ def quad_cycle_multiplier(c, p: int):
     c = complex(c) if scalar else np.asarray(c, dtype=complex)
     z = 0.0 + 0.0j if scalar else np.zeros_like(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(400 * p * p):
+        for _ in range(_settle_steps(p)):
             z = z * z + c
         lam = 1.0 + 0.0j
         for _ in range(p):
@@ -893,7 +905,7 @@ def pca3_cycle_multiplier(c: complex, a: complex, z0: complex, p: int
     """Multiplier of the attracting period-p cycle that the orbit of z0
     converges to under the marked cubic."""
     z = complex(z0)
-    for _ in range(400 * p * p):
+    for _ in range(_settle_steps(p)):
         z = _pca3_step(z, c, a)[0]
     lam = 1.0 + 0.0j
     for _ in range(p):

@@ -9,7 +9,9 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dynbif
 from dynbif.cli import EXIT_CODES, main
+from dynbif.errors import DynbifError
 
 
 def run(argv, capsys):
@@ -142,6 +144,22 @@ def test_percurve_csv(capsys):
     assert diag["recheck_deficit"] == 0
 
 
+def test_percurve_at_largest_rho(capsys):
+    # 0.95 e^(i theta) rounds past 0.95 at some angles; the range is closed
+    code, out, err = run(["percurve", "--family", "quad", "--n", "3",
+                          "--rho", "0.95", "--thetas", "16",
+                          "--out", "pc.csv"], capsys)
+    assert code == 0, err
+    diag = json.loads(out)["diagnostics"]
+    assert diag["atoms"] == 48
+    assert (diag["path_loss_deficit"], diag["recheck_deficit"]) == (0, 0)
+    code, out, err = run(["percurve", "--family", "quad", "--n", "3",
+                          "--rho", "0.97", "--thetas", "16",
+                          "--out", "pc.csv"], capsys)
+    assert code == 2
+    assert "rho must lie in [0, 0.95]" in json.loads(err)["message"]
+
+
 def test_degenerate_slopes(capsys):
     for fam, lo, hi in [("degen:inv_t", 0.48, 0.52),
                         ("degen:inv_t2", 0.96, 1.04),
@@ -257,6 +275,27 @@ def test_degenerate_family_required(capsys):
     assert code == 2
 
 
+EXIT_CODE_NUMBERS = {
+    "ERROR": 1, "PRECONDITION": 2, "NO_CONVERGENCE": 4, "DEGENERATE_MAP": 5,
+    "ORBIT_MISMATCH": 7, "PARABOLIC_CONTAMINATION": 8,
+    "EXCEPTIONAL_START": 9, "ILL_CONDITIONED": 10, "PATH_LOSS": 11,
+    "NOT_IN_COMPONENT": 12, "COUNT_MISMATCH": 13, "COUNT_OVERFLOW": 14,
+    "EMPTY_MEASURE": 15,
+}
+
+
+def test_exit_codes_match_error_classes():
+    classes, todo = [], [DynbifError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert {cls.code for cls in classes} == set(EXIT_CODES)
+    # exit codes are stable: removing a class retires its number
+    assert EXIT_CODES == EXIT_CODE_NUMBERS
+    assert all(hasattr(dynbif, name) for name in dynbif.__all__)
+
+
 @pytest.mark.parametrize("option", ["--seed", "--threads", "--tolerance"])
 def test_removed_options_rejected(option, capsys):
     # nothing read these options, so they are no longer accepted
@@ -302,6 +341,21 @@ def test_out_in_missing_directory(workdir, capsys):
     assert not (workdir / "missing").exists()
 
 
+def assert_csv_or_one_error_line(code, stdout, err, out):
+    """A CLI run ends in its CSV and a report, or in one JSON error line
+    with the exit code of its error class and no output file."""
+    if code == 0:
+        assert err == ""
+        assert list(json.loads(stdout)["files"]) == [out]
+        return read_csv(out)
+    assert code in EXIT_CODES.values()
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert EXIT_CODES[json.loads(lines[0])["error"]] == code
+    assert stdout == "" and not os.path.exists(out)
+    return None
+
+
 @settings(deadline=None, max_examples=40,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=st.integers(1, 5),
@@ -313,13 +367,35 @@ def test_percurve_fuzz_ends_in_csv_or_one_error_line(n, rho, thetas, capsys):
         code, stdout, err = run(["percurve", "--family", "quad", "--n",
                                  str(n), f"--rho={rho}", "--thetas",
                                  str(thetas), "--out", out], capsys)
-        if code == 0:
-            assert err == ""
-            assert list(json.loads(stdout)["files"]) == [out]
-            assert read_csv(out)[0] == ["re", "im", "weight"]
-        else:
-            assert code in EXIT_CODES.values()
-            lines = err.splitlines()
-            assert len(lines) == 1
-            assert EXIT_CODES[json.loads(lines[0])["error"]] == code
-            assert stdout == "" and not os.path.exists(out)
+        rows = assert_csv_or_one_error_line(code, stdout, err, out)
+        if rows is not None:
+            assert rows[0] == ["re", "im", "weight"]
+
+
+# parabolic quad parameters (c = 1/4, -3/4), a family member with a
+# parabolic fixed point (mu1 = 1), a collapsed normal form (mu1 mu2 = 1)
+# and a parameter count that does not fit the family
+LYAP_FUZZ_PARAMS = [
+    ("quad", "0.25"), ("quad", "-0.75"), ("quad", "1.0"),
+    ("quad", "0.3+0.5j"), ("quad", "0.5,0.5"), ("pca3", "0,0"),
+    ("pca3", "0.5,0.2"), ("pca3", "1+1j,-0.5"), ("quadrat", "0.5,0.3"),
+    ("quadrat", "2,0.5"), ("quadrat", "1,0.5"),
+]
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(member=st.sampled_from(LYAP_FUZZ_PARAMS), n=st.integers(1, 5),
+       r=st.sampled_from(["0", "0.5", "1", "1.5"]))
+def test_lyap_fuzz_ends_in_csv_or_one_error_line(member, n, r, capsys):
+    family, params = member
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "lyap.csv")
+        code, stdout, err = run(["lyap", "--family", family, "--params",
+                                 params, "--n", str(n), "--r", r,
+                                 "--out", out], capsys)
+        rows = assert_csv_or_one_error_line(code, stdout, err, out)
+        if rows is not None:
+            assert rows[0] == ["n", "L_n_r", "reference", "error",
+                               "normalized_error"]
+            assert [row[0] for row in rows[1:]] == [str(n)]

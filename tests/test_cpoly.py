@@ -1,21 +1,17 @@
-"""Polynomial arithmetic, simultaneous root finding and resultants."""
+"""Simultaneous root finding from coefficients and from black-box
+evaluators, and the Sylvester resultant behind the lift's resultant.
+
+Test polynomials are built from their roots with numpy's
+``polyfromroots``, independently of the code under test."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
-from dynbif.cpoly import (
-    ComplexPolynomial,
-    roots_blackbox,
-    roots_simultaneous,
-    sylvester_resultant,
-    sylvester_resultant_univariate,
-)
-from dynbif.errors import (
-    NoConvergenceError,
-    NonDivisibleError,
-    PreconditionError,
-)
+from dynbif.cpoly import ComplexPolynomial, roots_blackbox, roots_simultaneous
+from dynbif.dynamics import _sylvester_matrix
+from dynbif.errors import NoConvergenceError, PreconditionError
 
 finite_complex = st.complex_numbers(
     min_magnitude=0, max_magnitude=10, allow_nan=False, allow_infinity=False)
@@ -35,47 +31,14 @@ def _match(found: np.ndarray, expected: np.ndarray, tol: float) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# ring operations
-# ---------------------------------------------------------------------------
+def from_roots(roots) -> ComplexPolynomial:
+    return ComplexPolynomial(P.polyfromroots(np.asarray(roots, dtype=complex)))
 
 
-def test_basic_ring_ops():
-    p = ComplexPolynomial(np.array([1.0, 2.0, 3.0]))  # 1 + 2z + 3z^2
-    q = ComplexPolynomial(np.array([0.0, 1.0]))  # z
-    assert (p * q).degree == 3
-    assert (p + q)(2.0) == pytest.approx(p(2.0) + 2.0)
-    assert (p - p).is_zero
-    assert (p**3)(1.5) == pytest.approx(p(1.5) ** 3)
-    assert p.derivative()(0.5) == pytest.approx(2.0 + 6.0 * 0.5)
-
-
-def test_compose_matches_pointwise():
-    p = ComplexPolynomial(np.array([1.0, 0.0, 1.0]))
-    q = ComplexPolynomial(np.array([-2.0, 3.0, 0.0, 1.0]))
-    comp = p.compose(q)
-    for z in [0.3, -1.2 + 0.7j, 2.0j]:
-        assert comp(z) == pytest.approx(p(q(z)), rel=1e-12)
-
-
-def test_division_and_exact_divide():
-    a = ComplexPolynomial.from_roots([1.0, 2.0, 3.0])
-    b = ComplexPolynomial.from_roots([2.0])
-    q = a.exact_divide(b)
-    assert _match(roots_simultaneous(q).expanded(),
-                  np.array([1.0, 3.0]), 1e-9)
-    c = a + 1e-3
-    with pytest.raises(NonDivisibleError):
-        c.exact_divide(b)
-
-
-@given(st.lists(finite_complex, min_size=1, max_size=6),
-       st.lists(finite_complex, min_size=1, max_size=6))
-def test_mul_evaluation_homomorphism(ac, bc):
-    p = ComplexPolynomial(np.array(ac, dtype=complex))
-    q = ComplexPolynomial(np.array(bc, dtype=complex))
-    z = 0.37 - 0.21j
-    assert (p * q)(z) == pytest.approx(p(z) * q(z), rel=1e-9, abs=1e-9)
+def resultant(a, b) -> complex:
+    """Sylvester determinant, rows of the first polynomial on top."""
+    return complex(np.linalg.det(_sylvester_matrix(
+        np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))))
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +47,14 @@ def test_mul_evaluation_homomorphism(ac, bc):
 
 
 def test_roots_simple():
-    p = ComplexPolynomial.from_roots([1.0, -2.0, 3.0j])
+    p = from_roots([1.0, -2.0, 3.0j])
     rs = roots_simultaneous(p)
     assert rs.total == 3
     assert _match(rs.expanded(), np.array([1.0, -2.0, 3.0j]), 1e-9)
 
 
 def test_roots_multiplicities():
-    p = ComplexPolynomial.from_roots([1.0, 1.0, 1.0, -1.0])
+    p = from_roots([1.0, 1.0, 1.0, -1.0])
     rs = roots_simultaneous(p, tol=1e-12)
     assert rs.total == 4
     assert sorted(rs.multiplicities.tolist()) == [1, 3]
@@ -107,7 +70,7 @@ SIMPLE_AT = [-1.0, 2.0, 0.3j, -3.0]
     (r, m, s) for r in MULTIPLE_AT for m in (2, 3) for s in SIMPLE_AT
     if s != r])
 def test_roots_multiplicity_sweep(multiple, m, simple):
-    p = ComplexPolynomial.from_roots([multiple] * m + [simple])
+    p = from_roots([multiple] * m + [simple])
     try:
         rs = roots_simultaneous(p, tol=1e-12)
     except NoConvergenceError:
@@ -124,7 +87,7 @@ def test_roots_multiplicity_sweep(multiple, m, simple):
 @given(st.lists(st.integers(-4, 4), min_size=2, max_size=8, unique=True))
 def test_roots_recover_integer_grid(roots_re):
     roots = np.array([complex(r, (r * 7919) % 5 - 2) for r in roots_re])
-    p = ComplexPolynomial.from_roots(roots)
+    p = from_roots(roots)
     rs = roots_simultaneous(p)
     assert _match(rs.expanded(), roots, 1e-7)
 
@@ -132,13 +95,13 @@ def test_roots_recover_integer_grid(roots_re):
 def test_roots_of_product_are_union():
     a = np.array([1.0, 2.0j, -3.0])
     b = np.array([0.5 + 0.5j, -1.0])
-    p = ComplexPolynomial.from_roots(a) * ComplexPolynomial.from_roots(b)
+    p = ComplexPolynomial(P.polymul(P.polyfromroots(a), P.polyfromroots(b)))
     rs = roots_simultaneous(p)
     assert _match(rs.expanded(), np.concatenate([a, b]), 1e-8)
 
 
 def test_blackbox_matches_simultaneous():
-    p = ComplexPolynomial.from_roots([0.3, -1.1, 2.0 + 1.0j, -0.4j])
+    p = from_roots([0.3, -1.1, 2.0 + 1.0j, -0.4j])
     dp = p.derivative()
 
     def eval_fn(z):
@@ -165,9 +128,9 @@ def test_univariate_resultant_known_values():
     # Res(z^2 - 1, z^2 - 4) = prod of pairwise root differences = 9
     a = np.array([-1.0, 0.0, 1.0])
     b = np.array([-4.0, 0.0, 1.0])
-    assert sylvester_resultant_univariate(a, b) == pytest.approx(9.0)
+    assert resultant(a, b) == pytest.approx(9.0)
     # Res(z - a, z - b) = b - a with the first input's rows on top
-    assert sylvester_resultant_univariate(
+    assert resultant(
         np.array([-2.0, 1.0]), np.array([-5.0, 1.0])) == pytest.approx(-3.0)
 
 
@@ -175,41 +138,12 @@ def test_univariate_resultant_known_values():
 @given(st.lists(finite_complex, min_size=1, max_size=4),
        st.lists(finite_complex, min_size=1, max_size=4))
 def test_univariate_resultant_product_formula(ra, rb):
-    a = ComplexPolynomial.from_roots(np.array(ra, dtype=complex))
-    b = ComplexPolynomial.from_roots(np.array(rb, dtype=complex))
     want = 1.0 + 0.0j
     scale = 1.0
     for x in ra:
         for y in rb:
             want *= (x - y)
             scale *= 1.0 + abs(x) + abs(y)
-    got = sylvester_resultant_univariate(a.coeffs, b.coeffs)
+    got = resultant(P.polyfromroots(ra), P.polyfromroots(rb))
     assert abs(got - want) <= 1e-8 * scale
 
-
-def test_bivariate_resultant_eliminates_variable():
-    # p = x^2 + y^2 - 1, q = x - y: eliminating x leaves 2y^2 - 1
-    p = np.zeros((3, 3))
-    p[2, 0] = 1.0
-    p[0, 2] = 1.0
-    p[0, 0] = -1.0
-    q = np.zeros((2, 2))
-    q[1, 0] = 1.0
-    q[0, 1] = -1.0
-    res = sylvester_resultant(p, q, eliminate="x")
-    rs = roots_simultaneous(res)
-    want = np.array([np.sqrt(0.5), -np.sqrt(0.5)])
-    assert _match(rs.expanded(), want, 1e-9)
-
-
-def test_bivariate_resultant_common_root_vanishes():
-    # p and q share the root (x, y) = (1, 1)
-    p = np.zeros((2, 2))
-    p[1, 0] = 1.0
-    p[0, 1] = 1.0
-    p[0, 0] = -2.0  # x + y - 2
-    q = np.zeros((2, 2))
-    q[1, 1] = 1.0
-    q[0, 0] = -1.0  # xy - 1
-    res = sylvester_resultant(p, q, eliminate="x")
-    assert abs(res(1.0)) < 1e-10

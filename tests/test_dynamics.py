@@ -1,12 +1,11 @@
-"""Sphere dynamics: lifts, resultants, dynatomic factors, cycle extraction
-and multiplier spectra."""
+"""Sphere dynamics: lifts, resultants, the period-n wedge evaluator, cycle
+extraction and multiplier spectra."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dynbif import arith
-from dynbif.cpoly import roots_simultaneous
 from dynbif.dynamics import (
     RationalMapLift,
     SpherePoint,
@@ -17,14 +16,10 @@ from dynbif.dynamics import (
     classify_multiplier,
     compose_forms,
     cycle_multiplier,
-    dynatomic_polynomial,
     exact_cycles,
     form_eval,
     homogeneous_resultant,
-    infinity_root_count,
-    lift_iterates,
     lipschitz_square_bound,
-    multiplier_polynomial,
     period_wedge_evaluator,
 )
 from dynbif.errors import (
@@ -168,34 +163,8 @@ def test_lipschitz_bound_dominates_samples(rng):
 
 
 # ---------------------------------------------------------------------------
-# dynatomic structure
+# the period-n locus
 # ---------------------------------------------------------------------------
-
-
-def test_dynatomic_polynomial_of_square_period2():
-    F = power_lift(2)
-    poly, inf_count = dynatomic_polynomial(F, 2)
-    # period-2 points of z^2 are the primitive cube roots of unity:
-    # the affine factor is z^2 + z + 1
-    assert inf_count == 0
-    monic = poly.monic()
-    assert np.allclose(monic.coeffs, [1.0, 1.0, 1.0], atol=1e-10)
-
-
-def test_dynatomic_degrees_census(rng):
-    for _ in range(12):
-        F = random_quadratic_rational(rng)
-        for n in range(1, 5):
-            poly, inf_count = dynatomic_polynomial(F, n)
-            assert poly.degree + inf_count == (
-                arith.exact_cycle_point_count(2, n))
-
-
-def test_infinity_root_count_polynomial():
-    F = quad_lift(0.3 + 0.1j)
-    assert infinity_root_count(F, 1) == 1  # fixed point at infinity
-    for n in range(2, 6):
-        assert infinity_root_count(F, n) == 0
 
 
 def test_period_wedge_evaluator_vanishes_on_cycles():
@@ -205,17 +174,6 @@ def test_period_wedge_evaluator_vanishes_on_cycles():
     assert abs(vals[0]) < 1e-10
     assert abs(vals[1]) < 1e-10
     assert abs(vals[2]) > 1e-6
-
-
-def test_lift_iterates_track_orbit():
-    F = quad_lift(0.2 - 0.3j)
-    its = lift_iterates(F, 3)
-    z = 0.4 + 0.1j
-    p = SpherePoint.from_affine(z)
-    for k, it in enumerate(its, start=1):
-        w = form_eval(it.num, z, 1.0) / form_eval(it.den, z, 1.0)
-        want = F.orbit(p, k)[-1].affine()
-        assert w == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -313,26 +271,6 @@ def test_conjugation_invariance_of_spectrum(rng):
             assert len(sa) == len(sb)
             for x, y in zip(sa, sb):
                 assert abs(x - y) < 1e-8 * (1.0 + abs(x))
-
-
-def test_multiplier_polynomial_of_square():
-    F = power_lift(2)
-    mp = multiplier_polynomial(F, 2)
-    rs = roots_simultaneous(mp)
-    assert rs.total == 1
-    assert rs.expanded()[0] == pytest.approx(4.0, rel=1e-8)
-
-
-def test_multiplier_polynomial_census(rng):
-    for _ in range(4):
-        F = random_quadratic_rational(rng)
-        for n in (2, 3):
-            mp = multiplier_polynomial(F, n)
-            ext = exact_cycles(F, n)
-            assert mp.degree == len(ext.cycles)
-            for c in ext.cycles:
-                val = mp(c.multiplier)
-                assert abs(val) < 1e-6 * max(1.0, mp.scale())
 
 
 def test_backward_cloud_lands_on_julia():

@@ -182,6 +182,16 @@ def test_circle_measure_keeps_ill_conditioned_atoms():
         assert abs(lam - target) <= 1e-8
 
 
+@pytest.mark.parametrize("rho", [0.949, 0.95])
+def test_circle_measure_period_one_near_max_modulus(rho):
+    # a fixed point with |lambda| near 0.95 attracts the critical orbit at
+    # rate |lambda| per step: the multiplier re-check must run long enough
+    # for its 1e-10 bound at n = 1 too
+    cm = pern_circle_measure(QUAD, 1, rho, 16)
+    assert (cm.path_loss_deficit, cm.recheck_deficit) == (0, 0)
+    assert len(cm.measure.atoms) == 16
+
+
 def test_circle_measure_thetas_validation():
     with pytest.raises(PreconditionError):
         pern_circle_measure(QUAD, 2, 0.5, 4)
