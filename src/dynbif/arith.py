@@ -165,6 +165,8 @@ def m2_mass_series(terms: int) -> MassSeriesResult:
     bound uses phi(n) <= n and (2**n - 1)**2 >= 4**(n-1).
     """
     _check_positive(terms, "terms")
+    if terms > 511:  # (2**n - 1)**2 overflows a double from n = 512 on
+        raise PreconditionError(f"terms must be at most 511, got {terms}")
     total = 0.0
     comp = 0.0
     for n in range(1, terms + 1):

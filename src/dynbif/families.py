@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -299,15 +299,6 @@ def _first_return(step, z0: complex, n: int, tol: float = 1e-8) -> int:
     return 0
 
 
-def _orbit(step, z: complex, n: int) -> list[complex]:
-    """The first n points z, step(z), ... of a scalar orbit."""
-    out = []
-    for _ in range(n):
-        out.append(z)
-        z = step(z)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _quad_exact_centers(n: int) -> tuple[complex, ...]:
     """Exact-period-n centers of z^2 + c, sorted, certified complete.
@@ -397,25 +388,26 @@ def _polish_centers(roots: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pca3_step(z, c, a):
-    """The marked cubic P(z) = z^3/3 - (c/2) z^2 + a^3 and its first
-    derivatives (P, dP/dz, dP/dc, dP/da), on scalars and arrays alike."""
+def _pca3_step(z, c, b):
+    """The marked cubic P(z) = z^3/3 - (c/2) z^2 + b with b = a^3 and its
+    first derivatives (P, dP/dz, dP/dc), on scalars and arrays alike;
+    dP/db = 1."""
     z2 = z * z
-    return (z2 * z / 3.0 - 0.5 * c * z2 + a**3, z2 - c * z, -0.5 * z2,
-            3.0 * a**2)
+    return z2 * z / 3.0 - 0.5 * c * z2 + b, z2 - c * z, -0.5 * z2
 
 
-def _pca3_map(c, a):
-    """The scalar map z -> P(z) at fixed parameters."""
-    return lambda z: _pca3_step(z, c, a)[0]
+def _pca3_map(c, b):
+    """The map z -> P(z) at fixed parameters (c, b = a^3)."""
+    return lambda z: _pca3_step(z, c, b)[0]
 
 
 def _pca3_orbit(c, a, z, z_c, n):
     """n steps of the orbit of z with forward-mode derivatives in (c, a),
     starting from dz/dc = z_c and dz/da = 0; all arrays broadcast."""
+    b, f_a = a**3, 3.0 * a**2
     z_a = np.zeros_like(z)
     for _ in range(n):
-        f, f_z, f_c, f_a = _pca3_step(z, c, a)
+        f, f_z, f_c = _pca3_step(z, c, b)
         z, z_c, z_a = f, f_z * z_c + f_c, f_z * z_a + f_a
     return z, z_c, z_a
 
@@ -529,7 +521,7 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     out = []
     for s in found:
         cc, aa = complex(s[0]), complex(s[1])
-        step = _pca3_map(cc, aa)
+        step = _pca3_map(cc, aa**3)
         if (_first_return(step, 0.0 + 0.0j, n0) != n0
                 or _first_return(step, cc, n1) != n1):
             continue  # a divisor-period solution of the full return system
@@ -623,10 +615,15 @@ def multiplier_continuation(spec: FamilySpec, center: CenterPoint,
     """Parameter in the hyperbolic component of ``center`` where the marked
     attracting cycles have the prescribed multipliers.
 
-    Predictor-corrector in the path variable s (multiplier targets s*w for
-    s from 0 to 1) with Newton correction on the cycle-and-parameter
-    augmented system; step halving down to 1e-4 before PATH_LOSS, and
-    NOT_IN_COMPONENT when the continued cycle changes exact period.
+    One path of ``_continue_paths`` (targets s*w for s from 0 to 1, step
+    halving down to 1e-4 before PATH_LOSS), then NOT_IN_COMPONENT when a
+    continued cycle closes early or does not attract its critical point.
+    The quadratic family returns c.  The marked cubic continues in the
+    chart (c, b = a^3), where the map, hence both multipliers, is smooth
+    (it sees a only through b), and returns (c, a) with a the cube root of
+    b nearest the center's a.  A center whose two marked critical points
+    share one cycle raises PreconditionError: no component with two
+    distinct attracting cycles starts there.
     """
     w = np.atleast_1d(np.asarray(target_w, dtype=complex))
     if spec.kind == "QuadraticPoly":
@@ -636,12 +633,27 @@ def multiplier_continuation(spec: FamilySpec, center: CenterPoint,
         if lost[0]:
             raise PathLossError("Newton diverged with minimal step")
         return complex(c[0])
-    if spec.kind == "PcaPoly" and spec.degree == 3:
-        if len(w) != 2:
-            raise PreconditionError("marked cubic family carries two cycles")
-        _check_continuation([center], w)
-        return _continue_pca3(center, complex(w[0]), complex(w[1]), steps, tol)
-    raise PreconditionError(f"continuation not supported for {spec.kind}")
+    if spec.kind != "PcaPoly" or spec.degree != 3:
+        raise PreconditionError(f"continuation not supported for {spec.kind}")
+    if len(w) != 2:
+        raise PreconditionError("marked cubic family carries two cycles")
+    _check_continuation([center], w)
+    n0, n1 = center.periods.periods
+    c0, a0 = (complex(v) for v in center.parameter)
+    if _pca3_cycles_merged(c0, a0, (n0, n1)):
+        raise PreconditionError("the marked critical points share one cycle "
+                                "at this center")
+    # the critical points 0 and c start on their cycles
+    x, lost, _ = _continue_paths([[c0], [a0**3], [0.0], [c0]], w[:, None],
+                                 partial(_pca3_corrector, n0, n1), steps, tol)
+    if lost[0]:
+        raise PathLossError("Newton diverged with minimal step")
+    c, b, z0, z1 = (complex(v[0]) for v in x)
+    step = _pca3_map(c, b)
+    _check_in_component(step, z0, 0.0 + 0.0j, n0)
+    _check_in_component(step, z1, c, n1)
+    roots = b ** (1.0 / 3.0) * np.exp(2j * np.pi * np.arange(3) / 3.0)
+    return c, complex(roots[np.argmin(np.abs(roots - a0))])
 
 
 def quad_continuation(centers: list[CenterPoint], targets, steps: int = 20,
@@ -655,7 +667,7 @@ def quad_continuation(centers: list[CenterPoint], targets, steps: int = 20,
     path, |d lambda/dc| = |det J| / |J_01| from its last corrector Jacobian
     J: the factor by which rounding in c moves the multiplier.  Raises
     NotInComponentError when a continued cycle closes early or does not
-    attract the critical point.  Paths run in chunks of PATH_CHUNK.
+    attract the critical point.
     """
     w = np.asarray(targets, dtype=complex).ravel()
     _check_continuation(centers, w)
@@ -665,215 +677,157 @@ def quad_continuation(centers: list[CenterPoint], targets, steps: int = 20,
     (p,) = periods
     c0 = np.repeat([complex(center.parameter[0]) for center in centers],
                    len(w))
-    w = np.tile(w, len(centers))
-    c, lost, slope = np.empty_like(c0), np.empty(len(c0), bool), \
-        np.empty(len(c0))
-    for lo in range(0, len(c0), PATH_CHUNK):
-        part = slice(lo, lo + PATH_CHUNK)
-        c[part], lost[part], slope[part] = _quad_paths(c0[part], w[part], p,
-                                                       steps, tol)
+    # the critical point 0 starts on its cycle
+    (c, z), lost, slope = _continue_paths(
+        (c0, np.zeros_like(c0)), (np.tile(w, len(centers)),),
+        partial(_quad_corrector, p), steps, tol)
+    kept_c = c[~lost]
+    _check_in_component(lambda u: u * u + kept_c, z[~lost],
+                        np.zeros_like(kept_c), p)
     return c, lost, slope
 
 
-def _quad_paths(c0: np.ndarray, w: np.ndarray, p: int, steps: int,
-                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predictor-corrector on (f_c^p(z) - z, multiplier - s w) for every
-    path in lockstep.  Each path keeps its own s, step ds and Newton state,
-    and only the paths still trying take another Newton step: a corrector
-    that converges advances s, one that fails or runs out of iterations
-    halves ds, and a path is lost once ds drops below _MIN_DS."""
-    n = len(c0)
-    c = c0.copy()
-    z = np.zeros(n, dtype=complex)  # the critical point is on the cycle
+def _continue_paths(x0, w, corrector, steps: int, tol: float
+                    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Predictor-corrector from the states x0 (an array over the paths per
+    coordinate: parameters, then a point per marked cycle) to the targets w
+    (an array per marked cycle); ``corrector(x, t)`` is the family's Newton
+    step at targets t, with its finite mask and their slopes or None.
+
+    Each path keeps its own s, ds and Newton state; in each PATH_CHUNK
+    chunk only the paths still trying take a Newton step.  A converged
+    corrector advances s, a failed or spent one halves ds, and a path is
+    lost below ds = _MIN_DS.  Returns the end states, the lost mask and
+    each path's last slope (NaN if none)."""
+    n = len(x0[0])
+    x = [np.array(v, dtype=complex) for v in x0]
     s = np.zeros(n)
     ds = np.full(n, 1.0 / steps)
     s_next = np.minimum(1.0, s + ds)
-    c_try, z_try = c.copy(), z.copy()
+    x_try = [v.copy() for v in x]
     iters = np.zeros(n, dtype=int)
     slope = np.full(n, np.nan)
     lost = np.zeros(n, dtype=bool)
-    live = np.arange(n)
-    while live.size:
-        ct, zt = c_try[live], z_try[live]
-        # the residual and its Jacobian in (c, z), in forward mode
-        zk, dz_z, dz_c = zt, np.ones_like(zt), np.zeros_like(zt)
-        lam, dlam_z, dlam_c = np.ones_like(zt), np.zeros_like(zt), \
-            np.zeros_like(zt)
-        for _ in range(p):
-            dlam_z = dlam_z * 2.0 * zk + lam * 2.0 * dz_z
-            dlam_c = dlam_c * 2.0 * zk + lam * 2.0 * dz_c
-            lam = lam * 2.0 * zk
-            dz_z = 2.0 * zk * dz_z
-            dz_c = 2.0 * zk * dz_c + 1.0
-            zk = zk * zk + ct
-        g0, g1 = zk - zt, lam - s_next[live] * w[live]
-        j00, j01, j10, j11 = dz_c, dz_z - 1.0, dlam_c, dlam_z
-        det = j00 * j11 - j01 * j10
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step_c = (g0 * j11 - g1 * j01) / det
-            step_z = (g1 * j00 - g0 * j10) / det
-            ok = ((det != 0) & np.isfinite(det) & np.isfinite(step_c)
-                  & np.isfinite(step_z))
-            slope[live[ok]] = np.abs(det[ok]) / np.abs(j01[ok])
-        moved, step_c, step_z = live[ok], step_c[ok], step_z[ok]
-        c_try[moved] -= step_c
-        z_try[moved] -= step_z
-        iters[moved] += 1
-        conv = (np.maximum(np.abs(step_c), np.abs(step_z))
-                < tol * (1.0 + np.abs(c_try[moved]) + np.abs(z_try[moved])))
-        done = moved[conv]
-        failed = np.concatenate(
-            [live[~ok], moved[~conv & (iters[moved] >= _CORRECTOR_ITERS)]])
-        c[done], z[done], s[done] = c_try[done], z_try[done], s_next[done]
-        ds[failed] *= 0.5
-        lost[failed] = ds[failed] < _MIN_DS
-        restart = np.concatenate([done, failed])
-        c_try[restart], z_try[restart] = c[restart], z[restart]
-        s_next[restart] = np.minimum(1.0, s[restart] + ds[restart])
-        iters[restart] = 0
-        live = live[(s[live] < _S_END) & ~lost[live]]
-    _check_in_component(c[~lost], z[~lost], p)
-    return c, lost, slope
+    for lo in range(0, n, PATH_CHUNK):
+        live = np.arange(lo, min(n, lo + PATH_CHUNK))
+        while live.size:
+            step, ok, live_slope = corrector(
+                [v[live] for v in x_try], [s_next[live] * wk[live] for wk in w])
+            moved = live[ok]
+            if live_slope is not None:
+                slope[moved] = live_slope
+            longest, scale = 0.0, 1.0
+            for v, d in zip(x_try, step):
+                d = d[ok]
+                v[moved] -= d
+                longest = np.maximum(longest, np.abs(d))
+                scale = scale + np.abs(v[moved])
+            iters[moved] += 1
+            conv = longest < tol * scale
+            done = moved[conv]
+            spent = iters[moved] >= _CORRECTOR_ITERS
+            failed = np.concatenate([live[~ok], moved[~conv & spent]])
+            s[done] = s_next[done]
+            ds[failed] *= 0.5
+            lost[failed] = ds[failed] < _MIN_DS
+            restart = np.concatenate([done, failed])
+            for v, v_try in zip(x, x_try):
+                v[done] = v_try[done]
+                v_try[restart] = v[restart]
+            s_next[restart] = np.minimum(1.0, s[restart] + ds[restart])
+            iters[restart] = 0
+            live = live[(s[live] < _S_END) & ~lost[live]]
+    return x, lost, slope
 
 
-def _check_in_component(c: np.ndarray, z: np.ndarray, p: int) -> None:
-    """NOT_IN_COMPONENT unless every continued cycle (through z, at c) has
-    exact period p and attracts the critical point."""
-    u = z
-    for m in range(1, p):
-        u = u * u + c
-        if np.any(np.abs(u - z) <= 1e-8):
-            raise NotInComponentError(
-                f"continued cycle closed early at step {m} < {p}")
-    orbit = np.zeros_like(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(600 * p):
-            orbit = orbit * orbit + c
-    # past 1e12 an orbit of a bounded c only grows, so one test at the end
-    # sees every escape
-    if not np.all(np.abs(orbit) < 1e12):
-        raise NotInComponentError("critical orbit escaped")
-    gap, u = np.abs(orbit - z), z
-    for _ in range(p - 1):
-        u = u * u + c
-        gap = np.minimum(gap, np.abs(orbit - u))
-    if np.any(gap > 1e-6):
-        raise NotInComponentError("critical point not attracted by the "
-                                  "continued cycle")
-
-
-def _pca3_cycle_block(c, a, z, p, w):
-    """Residuals (P^p(z) - z, multiplier - w) and the row of derivatives
-    with respect to (c, a, z)."""
-    zk = z
-    d_z, d_c, d_a = 1.0 + 0j, 0.0 + 0j, 0.0 + 0j
-    lam, l_z, l_c, l_a = 1.0 + 0j, 0.0 + 0j, 0.0 + 0j, 0.0 + 0j
+def _quad_corrector(p: int, x: np.ndarray, t: np.ndarray):
+    """Newton step on (f_c^p(z) - z, multiplier - t) in x = (c, z), in
+    closed form, with |det J| / |J_01| as the slope."""
+    ct, zt = x
+    # the residual and its Jacobian in (c, z), in forward mode
+    zk, dz_z, dz_c = zt, np.ones_like(zt), np.zeros_like(zt)
+    lam, dlam_z, dlam_c = np.ones_like(zt), np.zeros_like(zt), \
+        np.zeros_like(zt)
     for _ in range(p):
-        f, f_z, f_c, f_a = _pca3_step(zk, c, a)
-        f_zz = 2.0 * zk - c  # and d(f_z)/dc = -z
+        dlam_z = dlam_z * 2.0 * zk + lam * 2.0 * dz_z
+        dlam_c = dlam_c * 2.0 * zk + lam * 2.0 * dz_c
+        lam = lam * 2.0 * zk
+        dz_z = 2.0 * zk * dz_z
+        dz_c = 2.0 * zk * dz_c + 1.0
+        zk = zk * zk + ct
+    g0, g1 = zk - zt, lam - t[0]
+    j00, j01, j10, j11 = dz_c, dz_z - 1.0, dlam_c, dlam_z
+    det = j00 * j11 - j01 * j10
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step_c = (g0 * j11 - g1 * j01) / det
+        step_z = (g1 * j00 - g0 * j10) / det
+        ok = ((det != 0) & np.isfinite(det) & np.isfinite(step_c)
+              & np.isfinite(step_z))
+    return (step_c, step_z), ok, np.abs(det[ok]) / np.abs(j01[ok])
+
+
+def _pca3_cycle_block(c, b, z, p, w):
+    """Residuals (P^p(z) - z, multiplier - w) and the row of derivatives
+    with respect to (c, b, z)."""
+    zk = z
+    d_z, d_c, d_b = 1.0 + 0j, 0.0 + 0j, 0.0 + 0j
+    lam, l_z, l_c, l_b = 1.0 + 0j, 0.0 + 0j, 0.0 + 0j, 0.0 + 0j
+    for _ in range(p):
+        f, f_z, f_c = _pca3_step(zk, c, b)
+        f_zz = 2.0 * zk - c  # and d(f_z)/dc = -z, d(f_z)/db = 0
         l_z = l_z * f_z + lam * (f_zz * d_z)
         l_c = l_c * f_z + lam * (f_zz * d_c - zk)
-        l_a = l_a * f_z + lam * (f_zz * d_a)
+        l_b = l_b * f_z + lam * (f_zz * d_b)
         lam = lam * f_z
-        zk, d_z, d_c, d_a = f, f_z * d_z, f_z * d_c + f_c, f_z * d_a + f_a
-    return ((zk - z, (d_c, d_a, d_z - 1.0)),
-            (lam - w, (l_c, l_a, l_z)))
+        zk, d_z, d_c, d_b = f, f_z * d_z, f_z * d_c + f_c, f_z * d_b + 1.0
+    return ((zk - z, (d_c, d_b, d_z - 1.0)),
+            (lam - w, (l_c, l_b, l_z)))
 
 
-def _pca3_attracted_to(c: complex, a: complex, z_start: complex,
-                       cycle_rep: complex, p: int, tol: float = 1e-6
-                       ) -> bool:
-    """Whether the forward orbit of ``z_start`` converges to the period-p
-    cycle through ``cycle_rep``."""
-    step = _pca3_map(c, a)
-    cycle = _orbit(step, complex(cycle_rep), p)
-    z = complex(z_start)
-    for _ in range(600 * p):
-        z = step(z)
-        if not (abs(z) < 1e12):
-            return False
-    return min(abs(z - u) for u in cycle) <= tol
+def _pca3_corrector(n0: int, n1: int, x: np.ndarray, t: np.ndarray):
+    """Newton step on both marked cycles' (P^p(z) - z, multiplier - t) in
+    x = (c, b, z0, z1), in closed form.  Each return row has d/dz =
+    lambda - 1, nonzero on an attracting cycle, so it eliminates its z and
+    leaves a 2x2 system in (c, b)."""
+    with np.errstate(all="ignore"):
+        rows = []
+        for z, p, tk in ((x[2], n0, t[0]), (x[3], n1, t[1])):
+            (r, (r_c, r_b, r_z)), (m, (m_c, m_b, m_z)) = \
+                _pca3_cycle_block(x[0], x[1], z, p, tk)
+            rows.append((m_c * r_z - m_z * r_c, m_b * r_z - m_z * r_b,
+                         m * r_z - m_z * r, (r, r_c, r_b, r_z)))
+        (u0, v0, e0, ret0), (u1, v1, e1, ret1) = rows
+        det = u0 * v1 - v0 * u1
+        dc = (e0 * v1 - e1 * v0) / det
+        db = (e1 * u0 - e0 * u1) / det
+        step = [dc, db] + [(r - r_c * dc - r_b * db) / r_z
+                           for r, r_c, r_b, r_z in (ret0, ret1)]
+        ok = (det != 0) & np.isfinite(det) & np.isfinite(step).all(axis=0)
+    return step, ok, None
 
 
-def _continue_pca3(center: CenterPoint, w0: complex, w1: complex,
-                   steps: int, tol: float) -> tuple[complex, complex]:
-    """One full predictor-corrector pass per step count; the in-component
-    landing check in the caller decides whether to escalate."""
-    n0, n1 = center.periods.periods
-    c = complex(center.parameter[0])
-    a = complex(center.parameter[1])
-    z0, z1 = 0.0 + 0.0j, c  # critical points start on their cycles
-    for attempt in range(3):
-        try:
-            x = _pca3_follow(c, a, z0, z1, n0, n1, w0, w1,
-                             steps * 4**attempt, tol)
-        except (PathLossError, NotInComponentError):
-            if attempt == 2:
-                raise
-            continue
-        cc, aa = complex(x[0]), complex(x[1])
-        # the marked critical points must be attracted by the continued
-        # cycles, or the path jumped to a different solution sheet
-        if (_pca3_attracted_to(cc, aa, 0.0, complex(x[2]), n0)
-                and _pca3_attracted_to(cc, aa, cc, complex(x[3]), n1)):
-            return cc, aa
-    raise NotInComponentError(
-        "continuation landed outside the component (critical points are "
-        "not attracted by the continued cycles)")
-
-
-def _pca3_follow(c, a, z0, z1, n0, n1, w0, w1, steps, tol):
-    s = 0.0
-    ds = 1.0 / steps
-    x = np.array([c, a, z0, z1], dtype=complex)
-    # at centers with a superattracting fixed critical point the multiplier
-    # map has a cube-root branch point (the map depends on a only through
-    # a^3), leaving the Jacobian singular; step off the branch point before
-    # path following and let the final recheck confirm the landing
-    retries = 0
-    while s < 1.0 - 1e-15:
-        s_next = min(1.0, s + ds)
-        y = x.copy()
-        ok = False
-        for _ in range(60):
-            (r0, (r0c, r0a, r0z)), (m0, (m0c, m0a, m0z)) = \
-                _pca3_cycle_block(y[0], y[1], y[2], n0, s_next * w0)
-            (r1, (r1c, r1a, r1z)), (m1, (m1c, m1a, m1z)) = \
-                _pca3_cycle_block(y[0], y[1], y[3], n1, s_next * w1)
-            g = np.array([r0, r1, m0, m1])
-            if np.max(np.abs(g)) < tol * (1.0 + np.max(np.abs(y))):
-                ok = True
-                break
-            J = np.array([[r0c, r0a, r0z, 0.0],
-                          [r1c, r1a, 0.0, r1z],
-                          [m0c, m0a, m0z, 0.0],
-                          [m1c, m1a, 0.0, m1z]], dtype=complex)
-            step, *_ = np.linalg.lstsq(J, g, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            y = y - step
-            if np.max(np.abs(y)) > 1e6:
-                break
-        if ok:
-            x, s = y, s_next
-        else:
-            ds *= 0.5
-            if ds < 1e-4:
-                if s == 0.0 and retries < 6:
-                    retries += 1
-                    phase = np.exp(2j * np.pi * retries / 7.0)
-                    x = np.array([c, a + 2e-2 * phase, z0 + 1e-2 * phase,
-                                  z1], dtype=complex)
-                    ds = 1.0 / steps
-                    continue
-                raise PathLossError(
-                    f"Newton diverged at s = {s:.6f} with minimal step")
-    step = _pca3_map(complex(x[0]), complex(x[1]))
-    for z, p in ((complex(x[2]), n0), (complex(x[3]), n1)):
-        if m := _first_return(step, z, p - 1):
+def _check_in_component(f, z: np.ndarray, crit: np.ndarray, p: int
+                        ) -> None:
+    """NOT_IN_COMPONENT unless every continued cycle through z has exact
+    period p under the map f and attracts the orbit of crit; z and crit
+    are arrays or scalars alike."""
+    cycle = [z]
+    for m in range(1, p):
+        cycle.append(f(cycle[-1]))
+        if np.any(np.abs(cycle[-1] - z) <= 1e-8):
             raise NotInComponentError(
                 f"continued cycle closed early at step {m} < {p}")
-    return x
+    orbit = crit
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(600 * p):
+            orbit = f(orbit)
+    # past 1e12 an orbit of bounded parameters only grows, so one test at
+    # the end sees every escape
+    if not np.all(np.abs(orbit) < 1e12):
+        raise NotInComponentError("critical orbit escaped")
+    if np.any(np.min([np.abs(orbit - u) for u in cycle], axis=0) > 1e-6):
+        raise NotInComponentError("critical point not attracted by the "
+                                  "continued cycle")
 
 
 def _settle_steps(p: int) -> int:
@@ -904,12 +858,12 @@ def pca3_cycle_multiplier(c: complex, a: complex, z0: complex, p: int
                           ) -> complex:
     """Multiplier of the attracting period-p cycle that the orbit of z0
     converges to under the marked cubic."""
-    z = complex(z0)
+    z, b = complex(z0), a**3
     for _ in range(_settle_steps(p)):
-        z = _pca3_step(z, c, a)[0]
+        z = _pca3_step(z, c, b)[0]
     lam = 1.0 + 0.0j
     for _ in range(p):
-        z, f_z = _pca3_step(z, c, a)[:2]
+        z, f_z = _pca3_step(z, c, b)[:2]
         lam *= f_z
     return complex(lam)
 
@@ -941,7 +895,7 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
     merge into one orbit; both numbers are reported.
     """
     stab = arith.stab_count(periods)
-    if spec.kind == "QuadraticPoly":
+    if spec.kind == "QuadraticPoly" and len(periods.periods) == 1:
         (n,) = periods.periods
         centers = centers_1d(spec, n)
         N = len(centers)
@@ -954,8 +908,8 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
                               deficiency=deficiency, merged_solutions=0,
                               merged_fraction=0.0, bezout=d_tuple)
     if spec.kind != "PcaPoly" or len(periods.periods) != 2:
-        raise PreconditionError("counting supports quad and the marked "
-                                "cubic family")
+        raise PreconditionError("counting supports one quad period or a "
+                                "pair of marked cubic periods")
     n0, n1 = periods.periods
     sols = marked_centers(spec, n0, n1, tol)
     both = 2 if n0 == n1 else 1  # one run of the system covers both markings
@@ -985,9 +939,11 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
 
 def _pca3_cycles_merged(c: complex, a: complex, periods: tuple[int, ...],
                         tol: float = 1e-8) -> bool:
-    """Whether the two marked critical orbits lie on one periodic orbit."""
-    n0, n1 = periods
-    step = _pca3_map(c, a)
-    orbit0 = _orbit(step, 0.0 + 0.0j, n0)
-    return any(abs(z - u) <= tol
-               for z in _orbit(step, complex(c), n1) for u in orbit0)
+    """Whether the two marked critical orbits lie on one periodic orbit: at
+    a center, whether the orbit of 0 passes through c."""
+    step, z = _pca3_map(c, a**3), 0.0 + 0.0j
+    for _ in range(periods[0]):
+        if abs(z - c) <= tol:
+            return True
+        z = step(z)
+    return False

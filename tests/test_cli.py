@@ -7,7 +7,8 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 import dynbif
 from dynbif.cli import EXIT_CODES, main
@@ -341,18 +342,26 @@ def test_out_in_missing_directory(workdir, capsys):
     assert not (workdir / "missing").exists()
 
 
-def assert_csv_or_one_error_line(code, stdout, err, out):
-    """A CLI run ends in its CSV and a report, or in one JSON error line
-    with the exit code of its error class and no output file."""
+def assert_file_or_one_error_line(code, stdout, err, out):
+    """A CLI run ends in its output file and a report (True), or in one
+    JSON error line with the exit code of its error class and no output
+    file (False)."""
     if code == 0:
         assert err == ""
         assert list(json.loads(stdout)["files"]) == [out]
-        return read_csv(out)
+        return True
     assert code in EXIT_CODES.values()
     lines = err.splitlines()
     assert len(lines) == 1
     assert EXIT_CODES[json.loads(lines[0])["error"]] == code
     assert stdout == "" and not os.path.exists(out)
+    return False
+
+
+def assert_csv_or_one_error_line(code, stdout, err, out):
+    """As assert_file_or_one_error_line, returning the CSV rows or None."""
+    if assert_file_or_one_error_line(code, stdout, err, out):
+        return read_csv(out)
     return None
 
 
@@ -399,3 +408,92 @@ def test_lyap_fuzz_ends_in_csv_or_one_error_line(member, n, r, capsys):
             assert rows[0] == ["n", "L_n_r", "reference", "error",
                                "normalized_error"]
             assert [row[0] for row in rows[1:]] == [str(n)]
+
+
+# small periods keep every run short: quad up to 6, pca3 pairs up to 2;
+# the rest are malformed, reversed-family or out-of-range inputs
+FUZZ_FAMILIES = ["quad", "pca3", "quadrat", "degen:t", "cubic"]
+FUZZ_PERIODS = st.one_of(
+    st.integers(-1, 6).map(str),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
+        lambda t: f"{t[0]},{t[1]}"),
+    st.sampled_from(["", "1,2,3", "x", "2.5"]))
+FUZZ_TOLERANCES = [None, "1e-10", "1e-3"]
+
+
+def _period_run(cmd, family, periods, tolerance, out, capsys):
+    argv = [cmd, "--family", family, f"--periods={periods}", "--out", out]
+    if tolerance is not None:
+        argv += ["--tolerance", tolerance]
+    return run(argv, capsys)
+
+
+@settings(deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=st.sampled_from(FUZZ_FAMILIES), periods=FUZZ_PERIODS,
+       tolerance=st.sampled_from(FUZZ_TOLERANCES))
+@example(family="pca3", periods="2,2", tolerance=None)
+@example(family="pca3", periods="1,2", tolerance="1e-10")
+@example(family="quad", periods="6", tolerance=None)
+def test_centers_fuzz_ends_in_csv_or_one_error_line(family, periods,
+                                                    tolerance, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "centers.csv")
+        code, stdout, err = _period_run("centers", family, periods,
+                                        tolerance, out, capsys)
+        rows = assert_csv_or_one_error_line(code, stdout, err, out)
+        if rows is not None:
+            assert rows[0][:2] == ["re", "im"]
+            assert len(rows) - 1 == json.loads(stdout)["diagnostics"]["count"]
+
+
+@settings(deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=st.sampled_from(FUZZ_FAMILIES), periods=FUZZ_PERIODS,
+       tolerance=st.sampled_from(FUZZ_TOLERANCES))
+@example(family="pca3", periods="2,2", tolerance=None)
+@example(family="quad", periods="6", tolerance=None)
+@example(family="quad", periods="1,1", tolerance=None)
+def test_count_fuzz_ends_in_json_or_one_error_line(family, periods,
+                                                   tolerance, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "count.json")
+        code, stdout, err = _period_run("count", family, periods, tolerance,
+                                        out, capsys)
+        if assert_file_or_one_error_line(code, stdout, err, out):
+            with open(out) as fh:
+                record = json.load(fh)
+            assert record["N"] >= 0 and record["stab"] >= 1
+
+
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(terms=st.integers(-2, 600))
+@example(terms=511)
+@example(terms=512)
+def test_mass_m2_fuzz_ends_in_json_or_one_error_line(terms, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "mass.json")
+        code, stdout, err = run(["mass-m2", f"--terms={terms}", "--out",
+                                 out], capsys)
+        if assert_file_or_one_error_line(code, stdout, err, out):
+            with open(out) as fh:
+                record = json.load(fh)
+            assert record["terms"] == terms
+            assert 0.0 < record["partial_sum"] < 1.0 / 3.0
+
+
+@settings(deadline=None, max_examples=20,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=st.sampled_from(["quad", "pca3", "quadrat", "degen:inv_t",
+                               "degen:inv_t2", "degen:t", "degen:",
+                               "degen:bogus"]))
+def test_degenerate_fuzz_ends_in_json_or_one_error_line(family, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "degenerate.json")
+        code, stdout, err = run(["degenerate", "--family", family, "--out",
+                                 out], capsys)
+        if assert_file_or_one_error_line(code, stdout, err, out):
+            with open(out) as fh:
+                record = json.load(fh)
+            assert record["ci"][0] <= record["alpha"] <= record["ci"][1]

@@ -1,6 +1,8 @@
 """Parametrized families: construction, center enumeration, multiplier
 continuation and component counting."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dynbif.families import (
     QUAD,
     _assign_multiplicities,
     _dedupe,
+    _pca3_cycles_merged,
     _pca3_newton,
     _pca3_step,
     centers_1d,
@@ -236,7 +239,8 @@ def test_pca3_step_matches_horner_and_finite_differences():
     rng = np.random.default_rng(7)
     z, c, a = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
                for _ in range(3))
-    f, f_z, f_c, f_a = _pca3_step(z, c, a)
+    b = a**3
+    f, f_z, f_c = _pca3_step(z, c, b)
     for i in range(6):
         coeffs = pca_map(3, [c[i]], a[i])
         horner = 0.0j
@@ -244,18 +248,18 @@ def test_pca3_step_matches_horner_and_finite_differences():
             horner = horner * z[i] + k
         assert f[i] == pytest.approx(horner, rel=1e-12, abs=1e-12)
     # central differences along a real step (P is holomorphic in each
-    # argument)
+    # argument, and dP/db = 1)
     h = 1e-6
-    for got, dz, dc, da in ((f_z, h, 0, 0), (f_c, 0, h, 0), (f_a, 0, 0, h)):
-        fd = (_pca3_step(z + dz, c + dc, a + da)[0]
-              - _pca3_step(z - dz, c - dc, a - da)[0]) / (2 * h)
+    for got, dz, dc, db in ((f_z, h, 0, 0), (f_c, 0, h, 0), (1.0, 0, 0, h)):
+        fd = (_pca3_step(z + dz, c + dc, b + db)[0]
+              - _pca3_step(z - dz, c - dc, b - db)[0]) / (2 * h)
         assert np.allclose(got, fd, rtol=1e-6, atol=1e-6)
     # Python complex scalars give the same values as the arrays
     for i in range(6):
-        scalar = _pca3_step(complex(z[i]), complex(c[i]), complex(a[i]))
+        scalar = _pca3_step(complex(z[i]), complex(c[i]), complex(b[i]))
         assert all(isinstance(v, complex) for v in scalar)
         assert scalar == pytest.approx(
-            [f[i], f_z[i], f_c[i], f_a[i]], rel=1e-14, abs=1e-14)
+            [f[i], f_z[i], f_c[i]], rel=1e-14, abs=1e-14)
 
 
 def _dedupe_loop(points, radius):
@@ -444,17 +448,48 @@ def test_continuation_rejects_large_targets():
         multiplier_continuation(QUAD, center, (1.2,))
 
 
-def test_continuation_pca3():
-    sols = centers_2d(PCA3, 1, 2)
-    center = sols[0]
-    w0, w1 = 0.4 + 0.2j, -0.3 + 0.1j
-    c, a = multiplier_continuation(PCA3, center, (w0, w1))
-    c, a = complex(c), complex(a)
-    crit = marked_critical_points(PCA3, [c, a])
-    m0 = pca3_cycle_multiplier(c, a, crit[0], 1)
-    m1 = pca3_cycle_multiplier(c, a, crit[1], 2)
-    assert m0 == pytest.approx(w0, abs=1e-9)
-    assert m1 == pytest.approx(w1, abs=1e-9)
+@lru_cache(maxsize=None)
+def _pca3_centers(n0, n1):
+    return centers_2d(PCA3, n0, n1)
+
+
+# multiplier targets of the two marked cycles, up to |w| = 0.95
+PCA3_TARGETS = [(0.4 + 0.2j, -0.3 + 0.1j), (0.95, -0.95j),
+                (-0.95, 0.6 - 0.3j), (0.0, 0.95 * np.exp(2.2j)),
+                (0.95 * np.exp(-1.1j), 0.0)]
+
+
+@pytest.mark.parametrize("n0,n1", [(1, 2), (2, 1), (1, 3), (2, 2)])
+def test_continuation_pca3(n0, n1):
+    centers = [s for s in _pca3_centers(n0, n1)
+               if not _pca3_cycles_merged(*s.parameter, (n0, n1))]
+    assert len(centers) == {(1, 2): 6, (2, 1): 18, (1, 3): 24,
+                            (2, 2): 24}[n0, n1]
+    cube_roots = np.exp(2j * np.pi * np.arange(3) / 3.0)
+    for center in centers:
+        a0 = center.parameter[1]
+        for w0, w1 in PCA3_TARGETS:
+            c, a = multiplier_continuation(PCA3, center, (w0, w1))
+            assert isinstance(c, complex) and isinstance(a, complex)
+            crit = marked_critical_points(PCA3, [c, a])
+            assert pca3_cycle_multiplier(c, a, crit[0], n0) == \
+                pytest.approx(w0, abs=1e-9)
+            assert pca3_cycle_multiplier(c, a, crit[1], n1) == \
+                pytest.approx(w1, abs=1e-9)
+            # a is the cube root of b = a^3 nearest the center's a
+            assert abs(a - a0) <= np.min(np.abs(a * cube_roots - a0)) + 1e-12
+
+
+def test_continuation_pca3_rejects_merged_centers():
+    # at 12 of the (2,2) centers both marked critical points lie on one
+    # 2-cycle; no component with two distinct attracting cycles starts
+    # there
+    merged = [s for s in _pca3_centers(2, 2)
+              if _pca3_cycles_merged(*s.parameter, (2, 2))]
+    assert len(merged) == 12
+    for center in merged:
+        with pytest.raises(PreconditionError, match="share one cycle"):
+            multiplier_continuation(PCA3, center, (0.3, -0.2j))
 
 
 # ---------------------------------------------------------------------------
