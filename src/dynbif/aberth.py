@@ -1,10 +1,12 @@
 """Ehrlich-Aberth simultaneous iteration.
 
-The evaluator contract is vectorized: eval_fn(z) -> (p, dp) over numpy
-arrays; p and dp may share an arbitrary per-point scaling since only the
-Newton ratio enters.  The O(n^2) pairwise repulsion sum is the hot loop; it
-runs in real float64 arithmetic over row blocks small enough to stay in
-cache.
+The evaluator contract is vectorized and pointwise: eval_fn(z) -> (p, dp)
+over a 1-d numpy array, where the pair at z_i depends on z_i alone.  p and
+dp may share an arbitrary per-point scaling since only the Newton ratio
+enters.  Each sweep evaluates only the points still moving: a point whose
+correction fell below the tolerance is frozen and never evaluated again.
+The O(n^2) pairwise repulsion sum is the hot loop; it runs in real float64
+arithmetic over row blocks small enough to stay in cache.
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ def aberth_solve(eval_fn, init: np.ndarray, tol: float, max_iter: int
                  ) -> np.ndarray:
     """Run the Ehrlich-Aberth iteration from ``init``.
 
-    A point freezes once its correction drops below tol * (1 + |z|).  Multiple
+    A point freezes once its correction drops below tol * (1 + |z|); each
+    sweep calls ``eval_fn`` on the points not yet frozen only, so the
+    evaluator must be pointwise (see the module docstring).  Multiple
     roots converge only linearly and bottom out at the double-precision
     cluster radius (~eps**(1/m)), so the loop also exits when the worst active
     correction has stopped improving at a sub-sqrt(tol) level; the cluster
@@ -121,15 +125,17 @@ def aberth_solve(eval_fn, init: np.ndarray, tol: float, max_iter: int
     best = np.inf
     stagnant = 0
     for _ in range(max_iter):
-        p, dp = eval_fn(z)
+        idx = np.flatnonzero(active)
+        za = z[idx]
+        p, dp = eval_fn(za)
         p = np.asarray(p, dtype=np.complex128)
         dp = np.asarray(dp, dtype=np.complex128)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w = p / dp
         bad = ~np.isfinite(w)
         if np.any(bad):
-            w[bad] = 0.02 * (1.0 + np.abs(z[bad]))
-        s = pairwise_sums(z, active)
+            w[bad] = 0.02 * (1.0 + np.abs(za[bad]))
+        s = pairwise_sums(z, active)[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             corr = w / (1.0 - w * s)
         bad = ~np.isfinite(corr)
@@ -137,17 +143,18 @@ def aberth_solve(eval_fn, init: np.ndarray, tol: float, max_iter: int
             corr[bad] = w[bad]
         # damp absurd steps (far-field points with huge Newton ratios)
         mag = np.abs(corr)
-        limit = 0.5 * (1.0 + np.abs(z))
+        limit = 0.5 * (1.0 + np.abs(za))
         big = mag > limit
         if np.any(big):
             corr[big] *= limit[big] / mag[big]
-        corr[~active] = 0.0
-        z = z - corr
-        rel = np.abs(corr) / (1.0 + np.abs(z))
-        active &= rel > tol
-        if not np.any(active):
+        za = za - corr
+        z[idx] = za
+        rel = np.abs(corr) / (1.0 + np.abs(za))
+        moving = rel > tol
+        active[idx] = moving
+        if not np.any(moving):
             return z
-        worst = float(np.max(rel[active]))
+        worst = float(np.max(rel[moving]))
         if worst < 0.9 * best:
             best = worst
             stagnant = 0

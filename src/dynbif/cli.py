@@ -30,10 +30,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import arith, equidist, families, lyapunov
-from .errors import DynbifError, IncompleteEnumerationWarning, \
-    PreconditionError
+from .errors import DynbifError, EmptyMeasureError, \
+    IncompleteEnumerationWarning, PreconditionError
 
 CACHE_ENV = "DYNBIF_CACHE_DIR"
+# pixels per side of the equidist PGM: 4096^2 bins already take 128 MB
+MAX_RESOLUTION = 4096
 
 EXIT_CODES = {
     "ERROR": 1,
@@ -300,6 +302,16 @@ def cmd_equidist(cfg: RunConfig) -> tuple[dict, dict]:
         raise PreconditionError("equidist needs --n and --ref")
     ns = range(cfg.n_lo, (cfg.n_hi or cfg.n_lo) + 1)
     report = equidist.equidist_report(spec, ns, cfg.k_moments, cfg.ref)
+    grid = None
+    if cfg.window is not None:
+        x0, x1, y0, y1 = cfg.window
+        mu_ref = equidist.center_measure(
+            spec, arith.PeriodTuple((cfg.ref,)))
+        grid = equidist.GridDensity.from_measure(
+            mu_ref, ((x0, x1), (y0, y1)), cfg.resolution)
+        if grid.mass <= 0.0:
+            raise EmptyMeasureError(
+                f"no period-{cfg.ref} center lies inside --window")
     rows = []
     for row in report.rows:
         rows.append([row.n, *row.moment_errors, row.grid_distance])
@@ -309,12 +321,7 @@ def cmd_equidist(cfg: RunConfig) -> tuple[dict, dict]:
     out = cfg.out or "equidist.csv"
     write_csv(out, header, rows)
     files = {out: _sha256(out)}
-    if cfg.window is not None:
-        x0, x1, y0, y1 = cfg.window
-        mu_ref = equidist.center_measure(
-            spec, arith.PeriodTuple((cfg.ref,)))
-        grid = equidist.GridDensity.from_measure(
-            mu_ref, ((x0, x1), (y0, y1)), cfg.resolution)
+    if grid is not None:
         pgm = os.path.splitext(out)[0] + ".pgm"
         write_pgm(pgm, grid)
         files[pgm] = _sha256(pgm)
@@ -392,8 +399,17 @@ def _parse_complex_list(s: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise PreconditionError, so a
+    malformed command line ends in the one-JSON-line error contract; its
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise PreconditionError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dynbif",
         description="quantitative bifurcation diagnostics for rational maps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
@@ -495,21 +511,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         kw["k_moments"] = args.k
     if getattr(args, "window", None):
         vals = tuple(float(x) for x in args.window.split(","))
-        if len(vals) != 4 or vals[0] >= vals[1] or vals[2] >= vals[3]:
-            raise PreconditionError("--window must be x0,x1,y0,y1 with "
-                                    "x0 < x1 and y0 < y1")
+        if (len(vals) != 4 or not np.all(np.isfinite(vals))
+                or vals[0] >= vals[1] or vals[2] >= vals[3]):
+            raise PreconditionError("--window must be finite x0,x1,y0,y1 "
+                                    "with x0 < x1 and y0 < y1")
         kw["window"] = vals
     if getattr(args, "resolution", None):
         nx, ny = (int(x) for x in args.resolution.split(","))
+        if not (1 <= nx <= MAX_RESOLUTION and 1 <= ny <= MAX_RESOLUTION):
+            raise PreconditionError(
+                f"--resolution sides must lie in [1, {MAX_RESOLUTION}]")
         kw["resolution"] = (nx, ny)
     return RunConfig(**kw)
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
         t0 = time.perf_counter()
         diag, files = COMMANDS[cfg.subcommand](cfg)
         wall = time.perf_counter() - t0

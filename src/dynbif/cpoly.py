@@ -179,10 +179,13 @@ def roots_blackbox(eval_fn, degree: int, tol: float = 1e-12, max_iter: int = 300
     """Same contract as :func:`roots_simultaneous` for a polynomial known only
     through an evaluator.
 
-    ``eval_fn(z_array) -> (p, dp)`` must be vectorized over numpy arrays; the
-    pair may carry a common per-point rescaling (only the Newton ratio p/p'
-    and the sign of p enter the iteration).  Used when explicit coefficients
-    would overflow, e.g. iterated-map recursions.
+    ``eval_fn(z_array) -> (p, dp)`` must be vectorized over numpy arrays
+    and pointwise: the pair at z_i may depend on z_i alone, since each Aberth
+    sweep evaluates only the points still moving (the final residual and
+    cluster pass evaluates all of them).  The pair may carry a common
+    per-point rescaling (only the Newton ratio p/p' and the sign of p enter
+    the iteration).  Used when explicit coefficients would overflow, e.g.
+    iterated-map recursions.
     """
     if degree < 1:
         raise PreconditionError("degree must be >= 1")

@@ -43,29 +43,36 @@ MATCH_BLOCK = 2**16
 
 def form_eval(coeffs: np.ndarray, z0, z1):
     """Evaluate sum_k c_k z0^k z1^(m-k), Horner in whichever chart keeps the
-    ratio inside the unit disk."""
+    ratio inside the unit disk.
+
+    ``coeffs`` is one form (m+1,) or a stack (k, m+1) of forms of one
+    degree; the result has the stack's leading shape followed by the shape
+    of z0.  The chart is chosen once per point for every form of the stack.
+    The products run on flat contiguous vectors, which numpy rounds the same
+    at every length and offset, so a point's value depends on that point
+    alone.
+    """
     c = np.asarray(coeffs, dtype=np.complex128)
-    m = len(c) - 1
+    m = c.shape[-1] - 1
     z0 = np.asarray(z0, dtype=np.complex128)
     z1 = np.asarray(z1, dtype=np.complex128)
-    scalar = z0.ndim == 0
-    z0, z1 = np.atleast_1d(z0), np.atleast_1d(z1)
-    out = np.empty_like(z0)
+    shape = c.shape[:-1] + z0.shape
+    c = c.reshape(-1, m + 1).T[:, :, None]  # (m+1, forms, 1)
+    z0, z1 = z0.reshape(-1), z1.reshape(-1)
+    flat = (c.shape[1], z0.size)
+    # chart z1 = 1 where |z0| <= |z1|: Horner from c_m down in t = z0/z1;
+    # chart z0 = 1 elsewhere: Horner from c_0 up in t = z1/z0
     lo = np.abs(z0) <= np.abs(z1)
-    if np.any(lo):
-        t = z0[lo] / z1[lo]
-        acc = np.full_like(t, c[m])
-        for k in range(m - 1, -1, -1):
-            acc = acc * t + c[k]
-        out[lo] = acc * z1[lo] ** m
-    hi = ~lo
-    if np.any(hi):
-        t = z1[hi] / z0[hi]
-        acc = np.full_like(t, c[0])
-        for k in range(1, m + 1):
-            acc = acc * t + c[k]
-        out[hi] = acc * z0[hi] ** m
-    return complex(out[0]) if scalar else out
+    top, bottom = np.where(lo, z0, z1), np.where(lo, z1, z0)
+    coef = np.where(lo, c[::-1], c)
+    t = np.broadcast_to(top / bottom, flat).reshape(-1)
+    acc = coef[0].reshape(-1)
+    for k in range(1, m + 1):
+        acc = acc * t
+        acc += coef[k].reshape(-1)
+    acc = acc * np.broadcast_to(bottom ** m, flat).reshape(-1)
+    out = acc.reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def form_partial(coeffs: np.ndarray, var: int) -> np.ndarray:
@@ -252,10 +259,7 @@ class RationalMapLift:
     # -- evaluation -------------------------------------------------------
     def apply_vector(self, v: np.ndarray) -> np.ndarray:
         """F(v) for a pair v, or column-wise for a (2, N) array."""
-        return np.array(
-            [form_eval(self.num, v[0], v[1]), form_eval(self.den, v[0], v[1])],
-            dtype=np.complex128,
-        )
+        return form_eval(np.stack([self.num, self.den]), v[0], v[1])
 
     def apply(self, p: SpherePoint) -> SpherePoint:
         return SpherePoint(self.apply_vector(p.vec))
@@ -275,12 +279,16 @@ class RationalMapLift:
                                inv[1, 0] * fn + inv[1, 1] * fd)
 
 
+def _jacobian_forms(F: RationalMapLift) -> np.ndarray:
+    """The four partials of the lift as one (4, d) stack: d num/d z0,
+    d num/d z1, d den/d z0, d den/d z1."""
+    return np.stack([form_partial(F.num, 0), form_partial(F.num, 1),
+                     form_partial(F.den, 0), form_partial(F.den, 1)])
+
+
 def _jacobian_det(F: RationalMapLift, v0, v1):
     """det DF at (v0, v1), on scalars or arrays."""
-    j00 = form_eval(form_partial(F.num, 0), v0, v1)
-    j01 = form_eval(form_partial(F.num, 1), v0, v1)
-    j10 = form_eval(form_partial(F.den, 0), v0, v1)
-    j11 = form_eval(form_partial(F.den, 1), v0, v1)
+    j00, j01, j10, j11 = form_eval(_jacobian_forms(F), v0, v1)
     return j00 * j11 - j01 * j10
 
 
@@ -362,12 +370,13 @@ def period_wedge_evaluator(F: RationalMapLift, n: int):
     all points of period dividing n), with a shared per-point rescaling.
     Orbits and their z-derivatives run on unit sphere representatives, so the
     evaluation stays stable where any coefficient expansion is hopelessly
-    ill-conditioned.
+    ill-conditioned.  Each orbit step evaluates the lift and its four
+    partials in two stacked form evaluations.  The evaluator is pointwise:
+    the pair at z_i depends on z_i alone, bit for bit, so it may be called
+    on any subset of points.
     """
-    dn0 = form_partial(F.num, 0)
-    dn1 = form_partial(F.num, 1)
-    dd0 = form_partial(F.den, 0)
-    dd1 = form_partial(F.den, 1)
+    lift = np.stack([F.num, F.den])
+    jac = _jacobian_forms(F)
 
     def eval_fn(z: np.ndarray):
         z = np.asarray(z, dtype=np.complex128)
@@ -376,12 +385,8 @@ def period_wedge_evaluator(F: RationalMapLift, n: int):
         u0 = np.ones_like(z)
         u1 = np.zeros_like(z)
         for _ in range(n):
-            w0 = form_eval(F.num, v0, v1)
-            w1 = form_eval(F.den, v0, v1)
-            j00 = form_eval(dn0, v0, v1)
-            j01 = form_eval(dn1, v0, v1)
-            j10 = form_eval(dd0, v0, v1)
-            j11 = form_eval(dd1, v0, v1)
+            w0, w1 = form_eval(lift, v0, v1)
+            j00, j01, j10, j11 = form_eval(jac, v0, v1)
             t0 = j00 * u0 + j01 * u1
             t1 = j10 * u0 + j11 * u1
             s = np.maximum(np.abs(w0), np.abs(w1))

@@ -22,6 +22,9 @@ from .errors import EmptyMeasureError, PreconditionError
 #: window containing the quadratic connectedness locus
 QUAD_WINDOW = ((-2.1, 0.6), (-1.3, 1.3))
 DEFAULT_RESOLUTION = (64, 64)
+#: highest moment order of the report: quadratic centers lie in |c| < 2, so
+#: |c|^k stays finite in double precision
+MAX_MOMENT_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -220,13 +223,19 @@ def equidist_report(spec: families.FamilySpec, n_range, k_moments: int,
                     reference_n: int) -> EquidistReport:
     """Moment and grid-TV convergence of the center measures toward the
     highest-period reference measure, with trend flags."""
+    if spec.parameter_dim != 1:
+        raise PreconditionError(
+            f"equidist compares one-period center measures; {spec.family_id}"
+            " has more than one parameter")
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
         raise PreconditionError("empty period range")
     if reference_n <= max(ns):
         raise PreconditionError("reference period must exceed the range")
-    if k_moments < 1:
-        raise PreconditionError("need at least one moment order")
+    if not 1 <= k_moments <= MAX_MOMENT_ORDER:
+        raise PreconditionError(
+            f"the moment orders must be 1..k with 1 <= k <= "
+            f"{MAX_MOMENT_ORDER}")
     ref = center_measure(spec, arith.PeriodTuple((reference_n,)))
     ref_moments = [moment(ref, k) for k in range(1, k_moments + 1)]
     rows = []

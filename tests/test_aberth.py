@@ -1,9 +1,11 @@
-"""The Aberth repulsion kernel against a direct double loop."""
+"""The Aberth repulsion kernel against a direct double loop, and the
+solver's active-only evaluation against a sweep that evaluates every point."""
 
 import numpy as np
 import pytest
 
-from dynbif.aberth import REPULSION_BLOCK, pairwise_sums
+from dynbif import aberth
+from dynbif.aberth import REPULSION_BLOCK, aberth_solve, pairwise_sums
 
 
 def _loop(z, active):
@@ -48,3 +50,94 @@ def test_coincident_points_contribute_zero():
 def test_no_active_points():
     z = _cloud(5, 0)
     assert np.all(pairwise_sums(z, np.zeros(5, dtype=bool)) == 0)
+
+
+def _horner_pair(coeffs):
+    """Pointwise evaluator of an ascending coefficient vector: (p, p')."""
+    dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
+
+    def eval_fn(z):
+        p = np.full_like(z, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            p = p * z + c
+        dp = np.full_like(z, dcoeffs[-1])
+        for c in dcoeffs[-2::-1]:
+            dp = dp * z + c
+        return p, dp
+
+    return eval_fn
+
+
+def _aberth_every_point(eval_fn, init, tol, max_iter):
+    """The Aberth sweep as it ran before the evaluation was restricted to
+    the active points: every point is evaluated, and the frozen points'
+    corrections are zeroed afterwards."""
+    z = np.array(init, dtype=np.complex128)
+    active = np.ones(len(z), dtype=bool)
+    best, stagnant = np.inf, 0
+    for _ in range(max_iter):
+        p, dp = eval_fn(z)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = p / dp
+        bad = ~np.isfinite(w)
+        w[bad] = 0.02 * (1.0 + np.abs(z[bad]))
+        s = pairwise_sums(z, active)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            corr = w / (1.0 - w * s)
+        bad = ~np.isfinite(corr)
+        corr[bad] = w[bad]
+        mag = np.abs(corr)
+        limit = 0.5 * (1.0 + np.abs(z))
+        big = mag > limit
+        corr[big] *= limit[big] / mag[big]
+        corr[~active] = 0.0
+        z = z - corr
+        rel = np.abs(corr) / (1.0 + np.abs(z))
+        active &= rel > tol
+        if not np.any(active):
+            return z
+        worst = float(np.max(rel[active]))
+        if worst < 0.9 * best:
+            best, stagnant = worst, 0
+        else:
+            stagnant += 1
+            if stagnant >= 15 and best < tol**0.5:
+                return z
+    raise AssertionError("the reference sweep did not converge")
+
+
+@pytest.mark.parametrize("degree, seed", [(64, 0), (96, 1)])
+def test_frozen_points_are_not_evaluated(degree, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
+        degree + 1)
+    init = aberth.initial_points_from_coeffs(coeffs)
+    tol = 1e-12
+    eval_fn = _horner_pair(coeffs)
+    want = _aberth_every_point(eval_fn, init, tol, 300)
+
+    calls, sweeps = [], []
+
+    def recording(z):
+        calls.append(z.copy())
+        return eval_fn(z)
+
+    def recording_sums(z, active):
+        sweeps.append((z.copy(), active.copy()))
+        return pairwise_sums(z, active)
+
+    monkeypatch.setattr(aberth, "pairwise_sums", recording_sums)
+    got = aberth_solve(recording, init, tol, 300)
+    assert np.array_equal(got, want)  # bit for bit
+
+    assert len(calls) == len(sweeps) > 1
+    assert len(calls[-1]) < len(calls[0]) == degree
+    frozen = np.zeros(degree, dtype=bool)
+    for k, (z, active) in enumerate(sweeps):
+        # each sweep evaluates exactly the points still moving
+        assert np.array_equal(active, ~frozen)
+        assert np.array_equal(calls[k], z[active])
+        after = sweeps[k + 1][0] if k + 1 < len(sweeps) else got
+        rel = np.abs(z - after) / (1.0 + np.abs(after))
+        assert np.all(rel[frozen] == 0)
+        frozen |= rel <= tol

@@ -297,23 +297,54 @@ def test_exit_codes_match_error_classes():
     assert all(hasattr(dynbif, name) for name in dynbif.__all__)
 
 
+def assert_precondition_line(code, out, err, words):
+    """A usage error: exit 2, nothing on stdout, one PRECONDITION line on
+    stderr whose message carries ``words``."""
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "PRECONDITION"
+    assert words in record["message"]
+
+
 @pytest.mark.parametrize("option", ["--seed", "--threads", "--tolerance"])
-def test_removed_options_rejected(option, capsys):
+def test_removed_options_rejected(option, workdir, capsys):
     # nothing read these options, so they are no longer accepted
-    with pytest.raises(SystemExit) as exc:
-        main(["mass-m2", option, "1", "--out", "m.json"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run(["mass-m2", option, "1", "--out", "m.json"], capsys)
+    assert_precondition_line(code, out, err, "unrecognized arguments")
+    assert not (workdir / "m.json").exists()
 
 
 def test_lyap_rejects_tolerance(capsys):
     # the period-n solve runs at a fixed floor: only centers and count
     # read --tolerance
+    code, out, err = run(["lyap", "--family", "quad", "--c", "1.0", "--n",
+                          "6", "--tolerance", "1e-10"], capsys)
+    assert_precondition_line(code, out, err, "unrecognized arguments")
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["mass-m2", "--terms", "abc"], "invalid int value"),
+    (["count", "--family", "pca3"], "required: --periods"),
+    (["centers", "--periods", "3"], "required: --family"),
+    ([], "required: subcommand"),
+    (["bogus"], "invalid choice"),
+])
+def test_usage_errors_end_in_one_json_line(argv, words, capsys):
+    code, out, err = run(argv, capsys)
+    assert_precondition_line(code, out, err, words)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mass-m2", "--help"]])
+def test_help_prints_usage_and_exits_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["lyap", "--family", "quad", "--c", "1.0", "--n", "6",
-              "--tolerance", "1e-10"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: dynbif")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("sub", ["centers", "count"])
@@ -342,25 +373,26 @@ def test_out_in_missing_directory(workdir, capsys):
     assert not (workdir / "missing").exists()
 
 
-def assert_file_or_one_error_line(code, stdout, err, out):
-    """A CLI run ends in its output file and a report (True), or in one
-    JSON error line with the exit code of its error class and no output
-    file (False)."""
+def assert_file_or_one_error_line(code, stdout, err, out, *more):
+    """A CLI run ends in its output files (``out`` and ``more``) and a
+    report (True), or in one JSON error line with the exit code of its error
+    class and no output file (False)."""
     if code == 0:
         assert err == ""
-        assert list(json.loads(stdout)["files"]) == [out]
+        assert list(json.loads(stdout)["files"]) == [out, *more]
         return True
     assert code in EXIT_CODES.values()
     lines = err.splitlines()
     assert len(lines) == 1
     assert EXIT_CODES[json.loads(lines[0])["error"]] == code
-    assert stdout == "" and not os.path.exists(out)
+    assert stdout == ""
+    assert not any(os.path.exists(path) for path in (out, *more))
     return False
 
 
-def assert_csv_or_one_error_line(code, stdout, err, out):
+def assert_csv_or_one_error_line(code, stdout, err, out, *more):
     """As assert_file_or_one_error_line, returning the CSV rows or None."""
-    if assert_file_or_one_error_line(code, stdout, err, out):
+    if assert_file_or_one_error_line(code, stdout, err, out, *more):
         return read_csv(out)
     return None
 
@@ -379,6 +411,67 @@ def test_percurve_fuzz_ends_in_csv_or_one_error_line(n, rho, thetas, capsys):
         rows = assert_csv_or_one_error_line(code, stdout, err, out)
         if rows is not None:
             assert rows[0] == ["re", "im", "weight"]
+
+
+# n <= 6 and --ref <= 8 keep every run short; the rest are reversed or
+# empty ranges, moment orders out of range, windows that are reversed, not
+# finite or hold no center, and resolutions out of range
+EQUIDIST_RANGES = st.one_of(
+    st.integers(0, 6).map(str),
+    st.tuples(st.integers(1, 6), st.integers(0, 6)).map(
+        lambda t: f"{t[0]}..{t[1]}"),
+    st.sampled_from(["x", "3..", "2.5"]))
+EQUIDIST_WINDOWS = [None, "-2.1,0.6,-1.3,1.3", "-1,0,0,1", "0.6,-2.1,-1,1",
+                    "5,6,5,6", "nan,1,0,1", "-inf,inf,-1,1", "-1,0,1"]
+EQUIDIST_RESOLUTIONS = ["8,8", "1,1", "16,3", "0,4", "5000,2", "4,x"]
+
+
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=st.sampled_from(["quad", "quad", "quad", "pca3", "quadrat"]),
+       n=EQUIDIST_RANGES, ref=st.integers(1, 8),
+       k=st.one_of(st.integers(0, 4), st.sampled_from([512, 513, 2000])),
+       window=st.sampled_from(EQUIDIST_WINDOWS),
+       resolution=st.sampled_from(EQUIDIST_RESOLUTIONS))
+@example(family="pca3", n="1..2", ref=3, k=2, window=None,
+         resolution="8,8")
+@example(family="quad", n="2..3", ref=4, k=2, window="nan,1,0,1",
+         resolution="8,8")
+@example(family="quad", n="2..3", ref=4, k=2, window="-inf,inf,-1,1",
+         resolution="8,8")
+@example(family="quad", n="2..3", ref=4, k=2, window="5,6,5,6",
+         resolution="8,8")
+@example(family="quad", n="2..3", ref=4, k=2, window="-1,0,0,1",
+         resolution="0,4")
+@example(family="quad", n="1..6", ref=8, k=4, window="-2.1,0.6,-1.3,1.3",
+         resolution="16,3")
+@example(family="quad", n="2..3", ref=5, k=2000, window=None,
+         resolution="8,8")
+@example(family="quad", n="2..3", ref=5, k=512, window=None,
+         resolution="8,8")
+def test_equidist_fuzz_ends_in_csv_and_pgm_or_one_error_line(
+        family, n, ref, k, window, resolution, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "eq.csv")
+        pgm = os.path.join(tmp, "eq.pgm")
+        argv = ["equidist", "--family", family, f"--n={n}", "--ref",
+                str(ref), "--k", str(k), "--resolution", resolution,
+                "--out", out]
+        if window is not None:
+            argv.append(f"--window={window}")
+        code, stdout, err = run(argv, capsys)
+        more = [] if window is None else [pgm]
+        rows = assert_csv_or_one_error_line(code, stdout, err, out, *more)
+        if rows is None:
+            return
+        assert rows[0] == (["n"] + [f"moment_error_{j}"
+                                    for j in range(1, k + 1)] + ["grid_tv"])
+        if window is not None:
+            with open(pgm, "rb") as fh:
+                header, dims, maxval, pixels = fh.read().split(b"\n", 3)
+            assert header == b"P5" and maxval == b"65535"
+            assert dims == resolution.replace(",", " ").encode()
+            assert max(pixels) > 0  # the window holds a center
 
 
 # parabolic quad parameters (c = 1/4, -3/4), a family member with a

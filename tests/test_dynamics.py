@@ -28,6 +28,8 @@ from dynbif.errors import (
     PreconditionError,
 )
 
+from dynbif.families import PCA3, QUADRAT, map_at
+
 from conftest import power_lift, quad_lift, random_quadratic_rational
 
 small_complex = st.complex_numbers(
@@ -54,6 +56,57 @@ def test_form_eval_homogeneous():
     a = form_eval(coeffs, lam * 1.3, lam * -0.4)
     b = lam**2 * form_eval(coeffs, 1.3, -0.4)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def _chart_points(rng, size):
+    """Pairs (z0, z1) in both charts, on the chart boundary |z0| = |z1|
+    exactly (z1 = conj z0, i z0, -z0), and with z1 = 0 or z0 = 0."""
+    a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    b = 3.0 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    z0 = np.concatenate([a, b, a, a, a, a, [0.0, 1.0, 0.0, 2.5 - 1j]])
+    z1 = np.concatenate([b, a, np.conj(a), 1j * a, -a, np.zeros(size),
+                         [1.0, 0.0, -0.5j, 0.0]])
+    assert np.any(np.abs(z0) == np.abs(z1))
+    return z0, z1
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_stacked_form_eval_equals_rows(degree):
+    rng = np.random.default_rng(degree)
+    forms = (rng.standard_normal((4, degree + 1))
+             + 1j * rng.standard_normal((4, degree + 1)))
+    z0, z1 = _chart_points(rng, 16)
+    got = form_eval(forms, z0, z1)
+    assert got.shape == (4, len(z0))
+    for row, form in zip(got, forms):
+        assert np.array_equal(row, form_eval(form, z0, z1))  # bit for bit
+    # a scalar point gives one value per form
+    for i in range(len(z0)):
+        col = form_eval(forms, z0[i], z1[i])
+        assert col.shape == (4,)
+        assert np.array_equal(col, got[:, i])
+        assert form_eval(forms[0], z0[i], z1[i]) == got[0, i]
+
+
+@pytest.mark.parametrize("F, n", [
+    (quad_lift(1.0), 6),
+    (map_at(PCA3, [0.5, 0.2]), 3),
+    (map_at(QUADRAT, [0.5, 0.3]), 4),
+], ids=["quad", "pca3", "quadrat"])
+def test_period_wedge_evaluator_is_pointwise(F, n):
+    rng = np.random.default_rng(n)
+    z = np.concatenate([
+        rng.standard_normal(200) + 1j * rng.standard_normal(200),
+        [0.0, 1.0, -1.0, 1e8 + 1e8j, 1e-9j]])
+    p, dp = period_wedge_evaluator(F, n)(z)
+    ev = period_wedge_evaluator(F, n)
+    for keep in (rng.random(len(z)) < 0.3, np.arange(len(z)) % 7 == 3):
+        ps, dps = ev(z[keep])
+        assert np.array_equal(ps, p[keep])  # bit for bit
+        assert np.array_equal(dps, dp[keep])
+    for i in (0, 57, len(z) - 1):
+        pi, dpi = ev(z[i:i + 1])
+        assert pi[0] == p[i] and dpi[0] == dp[i]
 
 
 def test_homogeneous_resultant_known_values():
