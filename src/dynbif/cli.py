@@ -450,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--window", type=str, default=None,
                    help="x0,x1,y0,y1 for the PGM density")
-    p.add_argument("--resolution", type=str, default="64,64")
+    p.add_argument("--resolution", type=str, default=None,
+                   help="nx,ny of the PGM density (default 64,64); "
+                        "needs --window")
     common(p)
 
     p = sub.add_parser("percurve", help="multiplier level-curve measure")
@@ -516,7 +518,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise PreconditionError("--window must be finite x0,x1,y0,y1 "
                                     "with x0 < x1 and y0 < y1")
         kw["window"] = vals
-    if getattr(args, "resolution", None):
+    if getattr(args, "resolution", None) is not None:
+        if not getattr(args, "window", None):
+            raise PreconditionError("--resolution sizes the --window PGM; "
+                                    "it needs --window")
         nx, ny = (int(x) for x in args.resolution.split(","))
         if not (1 <= nx <= MAX_RESOLUTION and 1 <= ny <= MAX_RESOLUTION):
             raise PreconditionError(

@@ -113,7 +113,7 @@ def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
     d_n = arith.exact_cycle_point_count(spec.degree, n)
     w = 1.0 / (d_n * thetas)
     targets = rho * np.exp(2j * np.pi * np.arange(thetas) / thetas)
-    c, lost, slope = families.quad_continuation(centers, targets)
+    (c,), lost, slope = families.continuation(spec, centers, targets)
     kept = np.flatnonzero(~lost)
     recheck_deficit = 0
     if rho > 0:

@@ -9,6 +9,14 @@ degeneration slopes.
 Parameter-space solving is black-box throughout: critical-orbit return
 polynomials are evaluated by orbit recursion (never expanded in
 coefficients), with escape shortcuts so that nothing overflows.
+
+The marked cycles of z^2 + c (one) and of the marked cubic (two) share one
+kernel.  Each family gives only its step in the continuation chart, with
+the derivatives the corrector needs, and its bare map; the cycle block, the
+corrector, the batched continuation of all center x target paths and the
+settled-multiplier read-off are written once.  The cubic continues in
+(c, b = a^3) and maps back to the cube root a nearest the center's; at the
+(1, n) centers a = 0, where the three roots tie.
 """
 
 from __future__ import annotations
@@ -247,33 +255,6 @@ def quad_center_evaluator(n: int):
     return eval_fn
 
 
-def _mandel_equipotential(count: int, depth: int) -> np.ndarray:
-    """Points on an escape-time level curve hugging the boundary of the
-    quadratic connectedness locus: the natural seeding curve, since the
-    period-n centers accumulate exactly there."""
-    theta = 2.0 * np.pi * np.arange(count) / count + 0.241
-    dirs = np.exp(1j * theta)
-    anchor = -0.4 + 0.0j
-    lo = np.zeros(count)
-    hi = np.full(count, 2.8)
-
-    def escapes(c):
-        z = np.zeros_like(c)
-        out = np.zeros(c.shape, dtype=bool)
-        for _ in range(depth):
-            z = z * z + c
-            out |= np.abs(z) > 4.0
-            z[out] = 5.0  # freeze escaped points
-        return out
-
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        esc = escapes(anchor + mid * dirs)
-        hi[esc] = mid[esc]
-        lo[~esc] = mid[~esc]
-    return anchor + hi * dirs
-
-
 @dataclass(frozen=True)
 class CenterPoint:
     """A postcritically finite parameter with its marked periods.
@@ -304,28 +285,25 @@ def _quad_exact_centers(n: int) -> tuple[complex, ...]:
     """Exact-period-n centers of z^2 + c, sorted, certified complete.
 
     Solves the full critical-orbit return polynomial (all periods dividing
-    n) by the black-box simultaneous iteration.  For n >= 10 the solve is
-    seeded with the union of all lower-period centers plus jittered padding:
-    the centers of all periods together equidistribute like the bifurcation
-    measure, which is exactly where the period-n centers live, so the sweep
-    count stays flat with the degree.  Exact periods are assigned by orbit
+    n) by the black-box simultaneous iteration, seeded with the union of
+    all lower-period centers plus jittered padding: the centers of all
+    periods together equidistribute like the bifurcation measure, which is
+    exactly where the period-n centers live, so the sweep count stays flat
+    with the degree.  Exact periods are assigned by orbit
     tests and every per-period count is certified against the Moebius
     divisor count, raising COUNT_MISMATCH on any discrepancy.
     """
     if n == 1:
         return (0.0 + 0.0j,)
     degree = 2 ** (n - 1)
-    if n < 10:
-        init = _mandel_equipotential(degree, depth=n + 20)
-    else:
-        lower = np.concatenate(
-            [np.asarray(_quad_exact_centers(m)) for m in range(1, n)])
-        rng = np.random.default_rng(1000 + n)
-        pad = degree - len(lower)
-        extra = (lower[rng.choice(len(lower), size=pad)]
-                 + 1e-4 * (rng.standard_normal(pad)
-                           + 1j * rng.standard_normal(pad)))
-        init = np.concatenate([lower, extra])
+    lower = np.concatenate(
+        [np.asarray(_quad_exact_centers(m)) for m in range(1, n)])
+    rng = np.random.default_rng(1000 + n)
+    pad = degree - len(lower)
+    extra = (lower[rng.choice(len(lower), size=pad)]
+             + 1e-4 * (rng.standard_normal(pad)
+                       + 1j * rng.standard_normal(pad)))
+    init = np.concatenate([lower, extra])
     rs = roots_blackbox(quad_center_evaluator(n), degree, 1e-12,
                         max_iter=3000, init=init)
     if np.any(rs.multiplicities > 1):
@@ -394,11 +372,6 @@ def _pca3_step(z, c, b):
     dP/db = 1."""
     z2 = z * z
     return z2 * z / 3.0 - 0.5 * c * z2 + b, z2 - c * z, -0.5 * z2
-
-
-def _pca3_map(c, b):
-    """The map z -> P(z) at fixed parameters (c, b = a^3)."""
-    return lambda z: _pca3_step(z, c, b)[0]
 
 
 def _pca3_orbit(c, a, z, z_c, n):
@@ -521,7 +494,7 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     out = []
     for s in found:
         cc, aa = complex(s[0]), complex(s[1])
-        step = _pca3_map(cc, aa**3)
+        step = partial(_pca3_bare, q=(cc, aa**3))
         if (_first_return(step, 0.0 + 0.0j, n0) != n0
                 or _first_return(step, cc, n1) != n1):
             continue  # a divisor-period solution of the full return system
@@ -583,8 +556,42 @@ def _assign_multiplicities(sols: list[CenterPoint], n0: int, n1: int,
 
 
 # ---------------------------------------------------------------------------
-# multiplier continuation
+# marked cycles: one kernel for z^2 + c and the marked cubic
 # ---------------------------------------------------------------------------
+#
+# A family's step in its chart q (q = (c,) for z^2 + c, q = (c, b = a^3) for
+# the cubic) is (f, f_z, f_zz, f_q, f_zq); its bare map is f alone, for
+# settling and orbit scans.  Marked cycle j starts at the marked critical
+# point 0 (j = 0) or q[j - 1].
+
+
+def _quad_chart_step(z, q):
+    return z * z + q[0], 2.0 * z, 2.0, (1.0,), (0.0,)
+
+
+def _quad_bare(z, q):
+    return z * z + q[0]
+
+
+def _pca3_chart_step(z, q):
+    c, b = q
+    f, f_z, f_c = _pca3_step(z, c, b)
+    return f, f_z, 2.0 * z - c, (f_c, 1.0), (-z, 0.0)
+
+
+def _pca3_bare(z, q):
+    z2 = z * z
+    return z2 * z / 3.0 - 0.5 * q[0] * z2 + q[1]
+
+
+#: the continued families: (chart step, bare map)
+_CYCLE_FAMILIES = {QUAD: (_quad_chart_step, _quad_bare),
+                   PCA3: (_pca3_chart_step, _pca3_bare)}
+
+
+def _marked_points(q: list) -> list:
+    """The marked critical points in the chart q, one per marked cycle."""
+    return [np.zeros_like(q[0])] + list(q[:-1])
 
 
 #: corrector iterations per continuation step; below a step of _MIN_DS in
@@ -599,7 +606,55 @@ PATH_CHUNK = 2**14
 MAX_TARGET_MODULUS = 0.95
 
 
-def _check_continuation(centers, w: np.ndarray) -> None:
+def multiplier_continuation(spec: FamilySpec, center: CenterPoint,
+                            target_w, steps: int = 20,
+                            tol: float = 1e-12):
+    """Parameter in the hyperbolic component of ``center`` where the marked
+    attracting cycles have the prescribed multipliers: the one path of
+    ``continuation`` from ``center`` to ``target_w``, with PATH_LOSS when it
+    is lost.  Returns c for the quadratic family and (c, a) for the marked
+    cubic."""
+    w = np.atleast_1d(np.asarray(target_w, dtype=complex))
+    if len(w) != spec.parameter_dim:
+        raise PreconditionError(f"{spec.family_id} takes one target "
+                                "multiplier per marked cycle, "
+                                f"{spec.parameter_dim} in all")
+    q, lost, _ = continuation(spec, [center], w[None, :], steps, tol)
+    if lost[0]:
+        raise PathLossError("Newton diverged with minimal step")
+    params = tuple(complex(v[0]) for v in q)
+    return params if len(params) > 1 else params[0]
+
+
+def continuation(spec: FamilySpec, centers: list[CenterPoint], targets,
+                 steps: int = 20, tol: float = 1e-12
+                 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Multiplier continuation along every (center, target) path at once,
+    center-major and target-minor: from each center, the parameters where
+    the marked attracting cycles have the target multipliers (one per
+    marked cycle and target; a flat array for z^2 + c).
+
+    Every path runs on ``_continue_paths`` (targets s*w for s from 0 to 1,
+    step halving down to 1e-4 before it counts as lost).  The marked cubic
+    continues in the chart (c, b = a^3), where the map, hence both
+    multipliers, is smooth (it sees a only through b), and returns the cube
+    root a of b nearest the center's a.  Where the center's a is 0 (the
+    (1, n) markings, up to rounding) the three roots tie and rounding
+    picks one; all three give the same map.
+
+    Returns the end parameters, one array per coordinate ((c,) or (c, a)),
+    the mask of lost paths and each path's slope |det d lambda/dq|: the
+    factor by which rounding in q moves the multipliers.  Raises
+    NotInComponentError when a continued cycle closes early or does not
+    attract its critical point, and PreconditionError at a center whose two
+    marked critical points share one cycle (no component with two distinct
+    attracting cycles starts there).
+    """
+    if spec not in _CYCLE_FAMILIES:
+        raise PreconditionError(f"continuation not supported for {spec.kind}")
+    step, bare = _CYCLE_FAMILIES[spec]
+    k = spec.parameter_dim  # one marked cycle per parameter
+    w = np.asarray(targets, dtype=complex).reshape(-1, k)
     # rho * e^(i theta) can round to an ulp past rho: allow a few ulps
     slack = 1.0 + 4.0 * np.finfo(float).eps
     if np.any(np.abs(w) > MAX_TARGET_MODULUS * slack):
@@ -607,92 +662,42 @@ def _check_continuation(centers, w: np.ndarray) -> None:
                                 f"|w| <= {MAX_TARGET_MODULUS}")
     if any(max(center.residuals) > 1e-8 for center in centers):
         raise PreconditionError("center residuals too large")
-
-
-def multiplier_continuation(spec: FamilySpec, center: CenterPoint,
-                            target_w, steps: int = 20,
-                            tol: float = 1e-12):
-    """Parameter in the hyperbolic component of ``center`` where the marked
-    attracting cycles have the prescribed multipliers.
-
-    One path of ``_continue_paths`` (targets s*w for s from 0 to 1, step
-    halving down to 1e-4 before PATH_LOSS), then NOT_IN_COMPONENT when a
-    continued cycle closes early or does not attract its critical point.
-    The quadratic family returns c.  The marked cubic continues in the
-    chart (c, b = a^3), where the map, hence both multipliers, is smooth
-    (it sees a only through b), and returns (c, a) with a the cube root of
-    b nearest the center's a.  A center whose two marked critical points
-    share one cycle raises PreconditionError: no component with two
-    distinct attracting cycles starts there.
-    """
-    w = np.atleast_1d(np.asarray(target_w, dtype=complex))
-    if spec.kind == "QuadraticPoly":
-        if len(w) != 1:
-            raise PreconditionError("quadratic family carries one cycle")
-        c, lost, _ = quad_continuation([center], w, steps, tol)
-        if lost[0]:
-            raise PathLossError("Newton diverged with minimal step")
-        return complex(c[0])
-    if spec.kind != "PcaPoly" or spec.degree != 3:
-        raise PreconditionError(f"continuation not supported for {spec.kind}")
-    if len(w) != 2:
-        raise PreconditionError("marked cubic family carries two cycles")
-    _check_continuation([center], w)
-    n0, n1 = center.periods.periods
-    c0, a0 = (complex(v) for v in center.parameter)
-    if _pca3_cycles_merged(c0, a0, (n0, n1)):
-        raise PreconditionError("the marked critical points share one cycle "
-                                "at this center")
-    # the critical points 0 and c start on their cycles
-    x, lost, _ = _continue_paths([[c0], [a0**3], [0.0], [c0]], w[:, None],
-                                 partial(_pca3_corrector, n0, n1), steps, tol)
-    if lost[0]:
-        raise PathLossError("Newton diverged with minimal step")
-    c, b, z0, z1 = (complex(v[0]) for v in x)
-    step = _pca3_map(c, b)
-    _check_in_component(step, z0, 0.0 + 0.0j, n0)
-    _check_in_component(step, z1, c, n1)
-    roots = b ** (1.0 / 3.0) * np.exp(2j * np.pi * np.arange(3) / 3.0)
-    return c, complex(roots[np.argmin(np.abs(roots - a0))])
-
-
-def quad_continuation(centers: list[CenterPoint], targets, steps: int = 20,
-                      tol: float = 1e-12
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multiplier continuation of z^2 + c along every (center, target) path
-    at once, center-major and target-minor: from each period-p center, the
-    parameter where the cycle through the critical point has multiplier w.
-
-    Returns the end parameters, the mask of lost paths (PATH_LOSS) and, per
-    path, |d lambda/dc| = |det J| / |J_01| from its last corrector Jacobian
-    J: the factor by which rounding in c moves the multiplier.  Raises
-    NotInComponentError when a continued cycle closes early or does not
-    attract the critical point.
-    """
-    w = np.asarray(targets, dtype=complex).ravel()
-    _check_continuation(centers, w)
-    periods = {center.periods.periods[0] for center in centers}
+    periods = {center.periods.periods for center in centers}
     if len(periods) != 1:
-        raise PreconditionError("continued centers must share one period")
-    (p,) = periods
-    c0 = np.repeat([complex(center.parameter[0]) for center in centers],
-                   len(w))
-    # the critical point 0 starts on its cycle
-    (c, z), lost, slope = _continue_paths(
-        (c0, np.zeros_like(c0)), (np.tile(w, len(centers)),),
-        partial(_quad_corrector, p), steps, tol)
-    kept_c = c[~lost]
-    _check_in_component(lambda u: u * u + kept_c, z[~lost],
-                        np.zeros_like(kept_c), p)
-    return c, lost, slope
+        raise PreconditionError("continued centers must share their periods")
+    (periods,) = periods
+    if k == 2 and any(_pca3_cycles_merged(*center.parameter, periods)
+                      for center in centers):
+        raise PreconditionError("the marked critical points share one cycle "
+                                "at a center")
+    start = np.repeat(np.array([center.parameter for center in centers],
+                               dtype=complex), len(w), axis=0).T
+    q0 = [start[0]] + [a**3 for a in start[1:]]  # the chart (c, b = a^3)
+    x, lost, slope = _continue_paths(
+        q0 + _marked_points(q0), np.tile(w, (len(centers), 1)).T,
+        partial(_corrector, step, periods), steps, tol)
+    q = x[:k]
+    kept = [v[~lost] for v in q]
+    for z, crit, p in zip(x[k:], _marked_points(kept), periods):
+        _check_in_component(lambda u: bare(u, kept), z[~lost], crit, p)
+    return [q[0]] + [_nearest_cube_root(b, a0)
+                     for b, a0 in zip(q[1:], start[1:])], lost, slope
+
+
+def _nearest_cube_root(b: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """Elementwise, the cube root of b nearest a0; the first on a tie."""
+    roots = [b ** (1.0 / 3.0) * u
+             for u in np.exp(2j * np.pi * np.arange(3) / 3.0)]
+    return np.choose(np.argmin([np.abs(r - a0) for r in roots], axis=0),
+                     roots)
 
 
 def _continue_paths(x0, w, corrector, steps: int, tol: float
                     ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Predictor-corrector from the states x0 (an array over the paths per
     coordinate: parameters, then a point per marked cycle) to the targets w
-    (an array per marked cycle); ``corrector(x, t)`` is the family's Newton
-    step at targets t, with its finite mask and their slopes or None.
+    (an array per marked cycle); ``corrector(x, t)`` is the Newton step at
+    targets t, with its finite mask and the slopes of the finite steps.
 
     Each path keeps its own s, ds and Newton state; in each PATH_CHUNK
     chunk only the paths still trying take a Newton step.  A converged
@@ -714,8 +719,7 @@ def _continue_paths(x0, w, corrector, steps: int, tol: float
             step, ok, live_slope = corrector(
                 [v[live] for v in x_try], [s_next[live] * wk[live] for wk in w])
             moved = live[ok]
-            if live_slope is not None:
-                slope[moved] = live_slope
+            slope[moved] = live_slope
             longest, scale = 0.0, 1.0
             for v, d in zip(x_try, step):
                 d = d[ok]
@@ -740,70 +744,59 @@ def _continue_paths(x0, w, corrector, steps: int, tol: float
     return x, lost, slope
 
 
-def _quad_corrector(p: int, x: np.ndarray, t: np.ndarray):
-    """Newton step on (f_c^p(z) - z, multiplier - t) in x = (c, z), in
-    closed form, with |det J| / |J_01| as the slope."""
-    ct, zt = x
-    # the residual and its Jacobian in (c, z), in forward mode
-    zk, dz_z, dz_c = zt, np.ones_like(zt), np.zeros_like(zt)
-    lam, dlam_z, dlam_c = np.ones_like(zt), np.zeros_like(zt), \
-        np.zeros_like(zt)
+def _cycle_block(step, q, z, p: int, w):
+    """The return residual r = f^p(z) - z and the multiplier residual
+    m = lambda - w of the cycle through z, each with its row of
+    derivatives in (q, z), by forward mode along the orbit:
+    ((r, r_q, r_z), (m, m_q, m_z))."""
+    zk, d_z, d_q = z, 1.0, [0.0] * len(q)
+    lam, l_z, l_q = 1.0, 0.0, [0.0] * len(q)
     for _ in range(p):
-        dlam_z = dlam_z * 2.0 * zk + lam * 2.0 * dz_z
-        dlam_c = dlam_c * 2.0 * zk + lam * 2.0 * dz_c
-        lam = lam * 2.0 * zk
-        dz_z = 2.0 * zk * dz_z
-        dz_c = 2.0 * zk * dz_c + 1.0
-        zk = zk * zk + ct
-    g0, g1 = zk - zt, lam - t[0]
-    j00, j01, j10, j11 = dz_c, dz_z - 1.0, dlam_c, dlam_z
-    det = j00 * j11 - j01 * j10
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        step_c = (g0 * j11 - g1 * j01) / det
-        step_z = (g1 * j00 - g0 * j10) / det
-        ok = ((det != 0) & np.isfinite(det) & np.isfinite(step_c)
-              & np.isfinite(step_z))
-    return (step_c, step_z), ok, np.abs(det[ok]) / np.abs(j01[ok])
-
-
-def _pca3_cycle_block(c, b, z, p, w):
-    """Residuals (P^p(z) - z, multiplier - w) and the row of derivatives
-    with respect to (c, b, z)."""
-    zk = z
-    d_z, d_c, d_b = 1.0 + 0j, 0.0 + 0j, 0.0 + 0j
-    lam, l_z, l_c, l_b = 1.0 + 0j, 0.0 + 0j, 0.0 + 0j, 0.0 + 0j
-    for _ in range(p):
-        f, f_z, f_c = _pca3_step(zk, c, b)
-        f_zz = 2.0 * zk - c  # and d(f_z)/dc = -z, d(f_z)/db = 0
+        f, f_z, f_zz, f_q, f_zq = step(zk, q)
         l_z = l_z * f_z + lam * (f_zz * d_z)
-        l_c = l_c * f_z + lam * (f_zz * d_c - zk)
-        l_b = l_b * f_z + lam * (f_zz * d_b)
+        l_q = [l_j * f_z + lam * (f_zz * d_j + g_j)
+               for l_j, d_j, g_j in zip(l_q, d_q, f_zq)]
         lam = lam * f_z
-        zk, d_z, d_c, d_b = f, f_z * d_z, f_z * d_c + f_c, f_z * d_b + 1.0
-    return ((zk - z, (d_c, d_b, d_z - 1.0)),
-            (lam - w, (l_c, l_b, l_z)))
+        zk, d_z = f, f_z * d_z
+        d_q = [f_z * d_j + f_j for d_j, f_j in zip(d_q, f_q)]
+    return (zk - z, d_q, d_z - 1.0), (lam - w, l_q, l_z)
 
 
-def _pca3_corrector(n0: int, n1: int, x: np.ndarray, t: np.ndarray):
-    """Newton step on both marked cycles' (P^p(z) - z, multiplier - t) in
-    x = (c, b, z0, z1), in closed form.  Each return row has d/dz =
-    lambda - 1, nonzero on an attracting cycle, so it eliminates its z and
-    leaves a 2x2 system in (c, b)."""
+def _corrector(step, periods: tuple[int, ...], x: list, t: list):
+    """Newton step on every marked cycle's (return, multiplier) residuals in
+    x = (q, then a point per cycle), in closed form.  Each return row has
+    d/dz = lambda - 1, nonzero on an attracting cycle, so it eliminates its
+    z and leaves one row in q per cycle; the k x k system in q (k = 1 or 2)
+    is solved by Cramer's rule.  The slope is |det d lambda/dq| =
+    |det| / prod |r_z|."""
+    k = len(periods)
+    q = x[:k]
     with np.errstate(all="ignore"):
-        rows = []
-        for z, p, tk in ((x[2], n0, t[0]), (x[3], n1, t[1])):
-            (r, (r_c, r_b, r_z)), (m, (m_c, m_b, m_z)) = \
-                _pca3_cycle_block(x[0], x[1], z, p, tk)
-            rows.append((m_c * r_z - m_z * r_c, m_b * r_z - m_z * r_b,
-                         m * r_z - m_z * r, (r, r_c, r_b, r_z)))
-        (u0, v0, e0, ret0), (u1, v1, e1, ret1) = rows
-        det = u0 * v1 - v0 * u1
-        dc = (e0 * v1 - e1 * v0) / det
-        db = (e1 * u0 - e0 * u1) / det
-        step = [dc, db] + [(r - r_c * dc - r_b * db) / r_z
-                           for r, r_c, r_b, r_z in (ret0, ret1)]
-        ok = (det != 0) & np.isfinite(det) & np.isfinite(step).all(axis=0)
-    return step, ok, None
+        rows, returns = [], []
+        for z, p, w in zip(x[k:], periods, t):
+            ret, (m, m_q, m_z) = _cycle_block(step, q, z, p, w)
+            r, r_q, r_z = ret
+            rows.append(([m_j * r_z - m_z * r_j for m_j, r_j in zip(m_q, r_q)],
+                         m * r_z - m_z * r))
+            returns.append(ret)
+        if k == 1:
+            (((det,), e),) = rows
+            dq = [e / det]
+        else:
+            ((u0, v0), e0), ((u1, v1), e1) = rows
+            det = u0 * v1 - v0 * u1
+            dq = [(e0 * v1 - e1 * v0) / det, (e1 * u0 - e0 * u1) / det]
+        dz = []
+        for r, r_q, r_z in returns:
+            for r_j, d_j in zip(r_q, dq):
+                r = r - r_j * d_j
+            dz.append(r / r_z)
+        newton = dq + dz
+        ok = (det != 0) & np.isfinite(det) & np.isfinite(newton).all(axis=0)
+        slope = np.abs(det[ok])
+        for _, _, r_z in returns:
+            slope = slope / np.abs(r_z[ok])
+    return newton, ok, slope
 
 
 def _check_in_component(f, z: np.ndarray, crit: np.ndarray, p: int
@@ -830,11 +823,21 @@ def _check_in_component(f, z: np.ndarray, crit: np.ndarray, p: int
                                   "continued cycle")
 
 
-def _settle_steps(p: int) -> int:
-    """Orbit steps before a cycle multiplier is read off: 400 p^2, and at
-    least 800 p, so a cycle with |lambda| = MAX_TARGET_MODULUS is reached to
-    0.95^800 ~ 1.5e-18 even at p = 1."""
-    return max(400 * p * p, 800 * p)
+def _settled_multiplier(spec: FamilySpec, q, z, p: int):
+    """Multiplier of the attracting period-p cycle that the orbit of z
+    converges to: the orbit settles under the bare map for 400 p^2 steps,
+    and at least 800 p, so a cycle with |lambda| = MAX_TARGET_MODULUS is
+    reached to 0.95^800 ~ 1.5e-18 even at p = 1; then the product of f_z is
+    taken over one period."""
+    step, bare = _CYCLE_FAMILIES[spec]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max(400 * p * p, 800 * p)):
+            z = bare(z, q)
+        lam = 1.0 + 0.0j
+        for _ in range(p):
+            z, f_z = step(z, q)[:2]
+            lam = lam * f_z
+    return lam
 
 
 def quad_cycle_multiplier(c, p: int):
@@ -844,13 +847,7 @@ def quad_cycle_multiplier(c, p: int):
     scalar = np.ndim(c) == 0
     c = complex(c) if scalar else np.asarray(c, dtype=complex)
     z = 0.0 + 0.0j if scalar else np.zeros_like(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_settle_steps(p)):
-            z = z * z + c
-        lam = 1.0 + 0.0j
-        for _ in range(p):
-            lam = lam * (2.0 * z)
-            z = z * z + c
+    lam = _settled_multiplier(QUAD, (c,), z, p)
     return complex(lam) if scalar else lam
 
 
@@ -858,14 +855,7 @@ def pca3_cycle_multiplier(c: complex, a: complex, z0: complex, p: int
                           ) -> complex:
     """Multiplier of the attracting period-p cycle that the orbit of z0
     converges to under the marked cubic."""
-    z, b = complex(z0), a**3
-    for _ in range(_settle_steps(p)):
-        z = _pca3_step(z, c, b)[0]
-    lam = 1.0 + 0.0j
-    for _ in range(p):
-        z, f_z = _pca3_step(z, c, b)[:2]
-        lam *= f_z
-    return complex(lam)
+    return complex(_settled_multiplier(PCA3, (c, a**3), complex(z0), p))
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +931,7 @@ def _pca3_cycles_merged(c: complex, a: complex, periods: tuple[int, ...],
                         tol: float = 1e-8) -> bool:
     """Whether the two marked critical orbits lie on one periodic orbit: at
     a center, whether the orbit of 0 passes through c."""
-    step, z = _pca3_map(c, a**3), 0.0 + 0.0j
+    step, z = partial(_pca3_bare, q=(c, a**3)), 0.0 + 0.0j
     for _ in range(periods[0]):
         if abs(z - c) <= tol:
             return True

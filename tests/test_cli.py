@@ -415,7 +415,8 @@ def test_percurve_fuzz_ends_in_csv_or_one_error_line(n, rho, thetas, capsys):
 
 # n <= 6 and --ref <= 8 keep every run short; the rest are reversed or
 # empty ranges, moment orders out of range, windows that are reversed, not
-# finite or hold no center, and resolutions out of range
+# finite or hold no center, resolutions out of range, and a resolution
+# without a window (PRECONDITION; None leaves the option out)
 EQUIDIST_RANGES = st.one_of(
     st.integers(0, 6).map(str),
     st.tuples(st.integers(1, 6), st.integers(0, 6)).map(
@@ -423,7 +424,7 @@ EQUIDIST_RANGES = st.one_of(
     st.sampled_from(["x", "3..", "2.5"]))
 EQUIDIST_WINDOWS = [None, "-2.1,0.6,-1.3,1.3", "-1,0,0,1", "0.6,-2.1,-1,1",
                     "5,6,5,6", "nan,1,0,1", "-inf,inf,-1,1", "-1,0,1"]
-EQUIDIST_RESOLUTIONS = ["8,8", "1,1", "16,3", "0,4", "5000,2", "4,x"]
+EQUIDIST_RESOLUTIONS = [None, "8,8", "1,1", "16,3", "0,4", "5000,2", "4,x"]
 
 
 @settings(deadline=None, max_examples=30,
@@ -434,7 +435,7 @@ EQUIDIST_RESOLUTIONS = ["8,8", "1,1", "16,3", "0,4", "5000,2", "4,x"]
        window=st.sampled_from(EQUIDIST_WINDOWS),
        resolution=st.sampled_from(EQUIDIST_RESOLUTIONS))
 @example(family="pca3", n="1..2", ref=3, k=2, window=None,
-         resolution="8,8")
+         resolution=None)
 @example(family="quad", n="2..3", ref=4, k=2, window="nan,1,0,1",
          resolution="8,8")
 @example(family="quad", n="2..3", ref=4, k=2, window="-inf,inf,-1,1",
@@ -446,22 +447,27 @@ EQUIDIST_RESOLUTIONS = ["8,8", "1,1", "16,3", "0,4", "5000,2", "4,x"]
 @example(family="quad", n="1..6", ref=8, k=4, window="-2.1,0.6,-1.3,1.3",
          resolution="16,3")
 @example(family="quad", n="2..3", ref=5, k=2000, window=None,
-         resolution="8,8")
+         resolution=None)
 @example(family="quad", n="2..3", ref=5, k=512, window=None,
-         resolution="8,8")
+         resolution=None)
+@example(family="quad", n="2..3", ref=4, k=2, window=None,
+         resolution="4,4")
 def test_equidist_fuzz_ends_in_csv_and_pgm_or_one_error_line(
         family, n, ref, k, window, resolution, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "eq.csv")
         pgm = os.path.join(tmp, "eq.pgm")
         argv = ["equidist", "--family", family, f"--n={n}", "--ref",
-                str(ref), "--k", str(k), "--resolution", resolution,
-                "--out", out]
+                str(ref), "--k", str(k), "--out", out]
+        if resolution is not None:
+            argv += ["--resolution", resolution]
         if window is not None:
             argv.append(f"--window={window}")
         code, stdout, err = run(argv, capsys)
         more = [] if window is None else [pgm]
         rows = assert_csv_or_one_error_line(code, stdout, err, out, *more)
+        if window is None and resolution is not None:
+            assert code == 2  # a resolution has no PGM to size
         if rows is None:
             return
         assert rows[0] == (["n"] + [f"moment_error_{j}"
@@ -470,7 +476,7 @@ def test_equidist_fuzz_ends_in_csv_and_pgm_or_one_error_line(
             with open(pgm, "rb") as fh:
                 header, dims, maxval, pixels = fh.read().split(b"\n", 3)
             assert header == b"P5" and maxval == b"65535"
-            assert dims == resolution.replace(",", " ").encode()
+            assert dims == (resolution or "64,64").replace(",", " ").encode()
             assert max(pixels) > 0  # the window holds a center
 
 

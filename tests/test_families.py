@@ -16,11 +16,13 @@ from dynbif.families import (
     _assign_multiplicities,
     _dedupe,
     _pca3_cycles_merged,
+    _pca3_chart_step,
     _pca3_newton,
     _pca3_step,
     centers_1d,
     centers_2d,
     component_count,
+    continuation,
     degen_parameter,
     family_from_id,
     map_at,
@@ -31,7 +33,6 @@ from dynbif.families import (
     power_map_degree,
     power_map_spectrum,
     quad_center_evaluator,
-    quad_continuation,
     quad_cycle_multiplier,
     quadrat_fixed_normal_form,
 )
@@ -254,6 +255,17 @@ def test_pca3_step_matches_horner_and_finite_differences():
         fd = (_pca3_step(z + dz, c + dc, b + db)[0]
               - _pca3_step(z - dz, c - dc, b - db)[0]) / (2 * h)
         assert np.allclose(got, fd, rtol=1e-6, atol=1e-6)
+    # the chart step adds f_zz and f_zq = (d f_z/dc, d f_z/db), checked by
+    # central differences of f_z, and keeps the bits of the first three
+    g, g_z, f_zz, (g_c, g_b), (f_zc, f_zb) = _pca3_chart_step(z, (c, b))
+    for got, want in ((g, f), (g_z, f_z), (g_c, f_c)):
+        assert np.array_equal(got, want)
+    assert g_b == 1.0
+    for got, dz, dc, db in ((f_zz, h, 0, 0), (f_zc, 0, h, 0),
+                            (f_zb, 0, 0, h)):
+        fd = (_pca3_step(z + dz, c + dc, b + db)[1]
+              - _pca3_step(z - dz, c - dc, b - db)[1]) / (2 * h)
+        assert np.allclose(got, fd, rtol=1e-6, atol=1e-6)
     # Python complex scalars give the same values as the arrays
     for i in range(6):
         scalar = _pca3_step(complex(z[i]), complex(c[i]), complex(b[i]))
@@ -419,7 +431,7 @@ def _scalar_continuation(c, p, w, steps=20, tol=1e-12):
 def test_batched_continuation_matches_scalar_loop(n):
     centers = _quad_center(n)
     targets = 0.7 * np.exp(2j * np.pi * np.arange(8) / 8)
-    c, lost, slope = quad_continuation(centers, targets)
+    (c,), lost, slope = continuation(QUAD, centers, targets)
     assert not lost.any()
     assert np.all(np.isfinite(slope) & (slope > 0))
     want = [_scalar_continuation(center.parameter[0], n, w)
@@ -459,18 +471,25 @@ PCA3_TARGETS = [(0.4 + 0.2j, -0.3 + 0.1j), (0.95, -0.95j),
                 (0.95 * np.exp(-1.1j), 0.0)]
 
 
+def _unmerged_pca3_centers(n0, n1):
+    return [s for s in _pca3_centers(n0, n1)
+            if not _pca3_cycles_merged(*s.parameter, (n0, n1))]
+
+
 @pytest.mark.parametrize("n0,n1", [(1, 2), (2, 1), (1, 3), (2, 2)])
 def test_continuation_pca3(n0, n1):
-    centers = [s for s in _pca3_centers(n0, n1)
-               if not _pca3_cycles_merged(*s.parameter, (n0, n1))]
+    centers = _unmerged_pca3_centers(n0, n1)
     assert len(centers) == {(1, 2): 6, (2, 1): 18, (1, 3): 24,
                             (2, 2): 24}[n0, n1]
+    (cs, as_), lost, _ = continuation(PCA3, centers, PCA3_TARGETS)
+    assert not lost.any()
+    assert cs.dtype == as_.dtype == complex
     cube_roots = np.exp(2j * np.pi * np.arange(3) / 3.0)
+    paths = iter(zip(cs, as_))  # center-major, target-minor
     for center in centers:
         a0 = center.parameter[1]
         for w0, w1 in PCA3_TARGETS:
-            c, a = multiplier_continuation(PCA3, center, (w0, w1))
-            assert isinstance(c, complex) and isinstance(a, complex)
+            c, a = (complex(v) for v in next(paths))
             crit = marked_critical_points(PCA3, [c, a])
             assert pca3_cycle_multiplier(c, a, crit[0], n0) == \
                 pytest.approx(w0, abs=1e-9)
@@ -478,6 +497,31 @@ def test_continuation_pca3(n0, n1):
                 pytest.approx(w1, abs=1e-9)
             # a is the cube root of b = a^3 nearest the center's a
             assert abs(a - a0) <= np.min(np.abs(a * cube_roots - a0)) + 1e-12
+
+
+def test_single_path_is_the_batched_path_bit_for_bit():
+    # one path of each family, against the same path inside a batch; the
+    # (1, 2) centers have a = 0 up to rounding, where the three cube roots
+    # of b tie
+    quad = _quad_center(4)
+    targets = 0.8 * np.exp(2j * np.pi * np.arange(5) / 5)
+    (c,), _, _ = continuation(QUAD, quad, targets)
+    for i, center in enumerate(quad):
+        for j, w in enumerate(targets):
+            one = multiplier_continuation(QUAD, center, (w,))
+            assert isinstance(one, complex)
+            assert one == c[i * len(targets) + j]
+    for n0, n1 in ((1, 2), (2, 2)):
+        centers = _unmerged_pca3_centers(n0, n1)
+        (cs, as_), _, _ = continuation(PCA3, centers, PCA3_TARGETS)
+        if n0 == 1:
+            assert max(abs(s.parameter[1]) for s in centers) < 1e-12
+        for i, center in enumerate(centers):
+            for j, w in enumerate(PCA3_TARGETS):
+                c, a = multiplier_continuation(PCA3, center, w)
+                assert isinstance(c, complex) and isinstance(a, complex)
+                k = i * len(PCA3_TARGETS) + j
+                assert (c, a) == (cs[k], as_[k])
 
 
 def test_continuation_pca3_rejects_merged_centers():
