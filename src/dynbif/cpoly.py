@@ -116,21 +116,22 @@ def _cluster(roots: np.ndarray, tol: float, newton_ratio: np.ndarray | None = No
             if abs(roots[i] - roots[j]) <= thresh[i] + thresh[j]:
                 ri, rj = find(i), find(j)
                 if ri != rj:
-                    parent[ri] = rj
+                    parent[max(ri, rj)] = min(ri, rj)
             b += 1
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    centers, mults, radius = [], [], 0.0
-    for members in groups.values():
-        pts = roots[members]
-        c = pts.mean()
-        centers.append(c)
-        mults.append(len(members))
-        if len(members) > 1:
-            radius = max(radius, float(np.max(np.abs(pts - c))))
-    centers = np.array(centers, dtype=np.complex128)
-    mults = np.array(mults, dtype=np.int64)
+    # flatten the forest; a root is its group's first member, so the groups
+    # come in first-member order
+    while not np.array_equal(parent[parent], parent):
+        parent = parent[parent]
+    _, gid, mults = np.unique(parent, return_inverse=True, return_counts=True)
+    starts = np.cumsum(mults) - mults
+    members = np.argsort(gid, kind="stable")  # index order within a group
+    centers = np.empty(len(mults), dtype=np.complex128)
+    for k in set(mults.tolist()):
+        # row means, so each group sums in the order of its own mean()
+        g = np.flatnonzero(mults == k)
+        centers[g] = roots[members[starts[g, None] + np.arange(k)]].mean(axis=1)
+    spread = np.abs(roots - centers[gid])[mults[gid] > 1]
+    radius = float(np.max(spread, initial=0.0))
     order2 = np.argsort(centers.real + 1e-12 * centers.imag, kind="stable")
     return centers[order2], mults[order2], radius
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
-from dynbif.cpoly import ComplexPolynomial, roots_blackbox, roots_simultaneous
+from dynbif.cpoly import (
+    ComplexPolynomial, _cluster, roots_blackbox, roots_simultaneous)
 from dynbif.dynamics import _sylvester_matrix
 from dynbif.errors import NoConvergenceError, PreconditionError
 
@@ -110,6 +111,32 @@ def test_blackbox_matches_simultaneous():
     rs_bb = roots_blackbox(eval_fn, p.degree, tol=1e-12, radius=4.0)
     rs = roots_simultaneous(p)
     assert _match(rs_bb.expanded(), rs.expanded(), 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cluster_centers_are_per_group_means(seed):
+    # well-separated clusters of 1..9 members (with exact duplicates),
+    # shuffled: each center must be bit for bit its group's own mean(), and
+    # the groups come in the stable real-part order of those centers
+    rng = np.random.default_rng(seed)
+    base = 3.0 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    base = base[np.argsort(base.real)][::2]  # keep the sites apart
+    sizes = rng.integers(1, 10, size=len(base))
+    group = np.repeat(np.arange(len(base)), sizes)
+    pts = base[group] + 1e-9 * (rng.standard_normal(len(group))
+                                + 1j * rng.standard_normal(len(group)))
+    pts[::4] = base[group[::4]]
+    perm = rng.permutation(len(pts))
+    pts, group = pts[perm], group[perm]
+    centers, mults, radius = _cluster(pts, 1e-8)
+    first = sorted(range(len(base)), key=lambda g: np.flatnonzero(group == g)[0])
+    means = np.array([pts[group == g].mean() for g in first])
+    counts = np.array([np.count_nonzero(group == g) for g in first])
+    order = np.argsort(means.real + 1e-12 * means.imag, kind="stable")
+    assert centers.tobytes() == means[order].tobytes()
+    assert mults.tolist() == counts[order].tolist()
+    assert radius == max(float(np.max(np.abs(pts[group == g] - means[i])))
+                         for i, g in enumerate(first) if counts[i] > 1)
 
 
 def test_roots_preconditions():

@@ -1,6 +1,9 @@
 """Parametrized families: construction, center enumeration, multiplier
 continuation and component counting."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +22,7 @@ from dynbif.families import (
     _pca3_chart_step,
     _pca3_newton,
     _pca3_step,
+    _quad_exact_centers,
     centers_1d,
     centers_2d,
     component_count,
@@ -45,8 +49,9 @@ PERIOD3_CENTERS = [
     complex(-0.12256116687665362, -0.7448617666197442),
 ]
 
-# distinct-component counts for z^2 + c at periods 1..12
-QUAD_COMPONENT_COUNTS = [1, 1, 3, 6, 15, 27, 63, 120, 252, 495, 1023, 2010]
+# distinct-component counts for z^2 + c at periods 1..14
+QUAD_COMPONENT_COUNTS = [1, 1, 3, 6, 15, 27, 63, 120, 252, 495, 1023, 2010,
+                         4095, 8127]
 
 
 def _match(found, expected, tol):
@@ -193,6 +198,28 @@ def test_quad_center_rows_in_stable_order(n):
 def test_quad_center_counts_mid_range():
     for n in (7, 8, 9):
         assert len(centers_1d(QUAD, n)) == QUAD_COMPONENT_COUNTS[n - 1]
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
+def test_quad_center_counts_high_periods(n):
+    assert len(centers_1d(QUAD, n)) == QUAD_COMPONENT_COUNTS[n - 1]
+
+
+def test_quad_centers_are_deterministic_without_rng():
+    # the seeds come from the period-(n-1) centers, not from a random draw:
+    # a fresh interpreter never loads numpy.random, and a re-solve after
+    # clearing the cache returns the same tuple
+    code = ("import sys\n"
+            "from dynbif.families import QUAD, centers_1d\n"
+            "assert len(centers_1d(QUAD, 6)) == 27\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+    first = _quad_exact_centers(9)
+    _quad_exact_centers.cache_clear()
+    assert _quad_exact_centers(9) == first
 
 
 def test_quad_centers_cap():
