@@ -142,8 +142,10 @@ def _cache_dir() -> str | None:
 
 
 def _cache_key(family: str, periods, tolerance: float) -> str:
+    # the solver tag keeps an earlier solver's rows from being served
     blob = json.dumps({"family": family, "periods": list(periods),
-                       "tolerance": tolerance}, sort_keys=True)
+                       "solver": "pca3-cb-chart", "tolerance": tolerance},
+                      sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -367,7 +367,7 @@ def _polish_centers(roots: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cubic (c, a) center systems
+# cubic center systems in the chart (c, b = a^3)
 # ---------------------------------------------------------------------------
 
 
@@ -379,54 +379,64 @@ def _pca3_step(z, c, b):
     return z2 * z / 3.0 - 0.5 * c * z2 + b, z2 - c * z, -0.5 * z2
 
 
-def _pca3_orbit(c, a, z, z_c, n):
-    """n steps of the orbit of z with forward-mode derivatives in (c, a),
-    starting from dz/dc = z_c and dz/da = 0; all arrays broadcast."""
-    b, f_a = a**3, 3.0 * a**2
-    z_a = np.zeros_like(z)
+def _pca3_orbit(c, b, z, z_c, n):
+    """n steps of the orbit of z with forward-mode derivatives in (c, b),
+    starting from dz/dc = z_c and dz/db = 0; all arrays broadcast."""
+    z_b = np.zeros_like(z)
     for _ in range(n):
         f, f_z, f_c = _pca3_step(z, c, b)
-        z, z_c, z_a = f, f_z * z_c + f_c, f_z * z_a + f_a
-    return z, z_c, z_a
+        z, z_c, z_b = f, f_z * z_c + f_c, f_z * z_b + 1.0
+    return z, z_c, z_b
 
 
-def _pca3_center_system(c, a, n0, n1):
+def _pca3_center_system(c, b, n0, n1):
     """Residuals and exact Jacobian of the two-critical-orbit return system
-    (P^n0(0), P^n1(c)) at parameters (c, a), vectorized."""
+    (P^n0(0), P^n1(c)) at parameters (c, b), vectorized."""
     zero = np.zeros_like(c)
-    g0, g0c, g0a = _pca3_orbit(c, a, zero, zero, n0)
+    g0, g0c, g0b = _pca3_orbit(c, b, zero, zero, n0)
     # the free critical point c must return to itself
-    z1, z1c, z1a = _pca3_orbit(c, a, c, np.ones_like(c), n1)
-    return (g0, z1 - c), ((g0c, g0a), (z1c - 1.0, z1a))
+    z1, z1c, z1b = _pca3_orbit(c, b, c, np.ones_like(c), n1)
+    return (g0, z1 - c), ((g0c, g0b), (z1c - 1.0, z1b))
 
 
-def _pca3_newton(c, a, n0, n1, iters, target=(0.0, 0.0), damped=False):
-    """``iters`` vectorized Newton steps from every seed (c, a) on the return
-    system shifted to ``target``; steps that are not finite are skipped, and
-    with ``damped`` steps longer than 1 are cut to length 1.  Returns the
-    end points and their residuals |g0 - target0| + |g1 - target1|."""
+def _pca3_newton(c, b, n0, n1, iters, target=(0.0, 0.0), damped=False):
+    """Up to ``iters`` vectorized Newton steps from every seed (c, b) on the
+    return system shifted to ``target`` (with ``damped``, steps cut to
+    length 1).  A seed stops once its step is not finite or |dc| + |db| <=
+    1e-15 (1 + |c| + |b|).  Returns the end points and the residuals
+    |g0 - target0| + |g1 - target1|, inf where a seed did not converge."""
+    c, b = np.array(c, dtype=complex), np.array(b, dtype=complex)
+    live = np.arange(len(c))
+    conv = np.zeros(len(c), dtype=bool)
     for _ in range(iters):
-        (g0, g1), ((g0c, g0a), (g1c, g1a)) = \
-            _pca3_center_system(c, a, n0, n1)
+        if not live.size:
+            break
+        (g0, g1), ((g0c, g0b), (g1c, g1b)) = \
+            _pca3_center_system(c[live], b[live], n0, n1)
         g0 = g0 - target[0]
         g1 = g1 - target[1]
-        det = g0c * g1a - g0a * g1c
+        det = g0c * g1b - g0b * g1c
         with np.errstate(divide="ignore", invalid="ignore"):
-            step_c = (g0 * g1a - g1 * g0a) / det
-            step_a = (g1 * g0c - g0 * g1c) / det
-        bad = ~(np.isfinite(step_c) & np.isfinite(step_a))
-        step_c[bad] = 0.0
-        step_a[bad] = 0.0
+            step_c = (g0 * g1b - g1 * g0b) / det
+            step_b = (g1 * g0c - g0 * g1c) / det
+        ok = np.isfinite(step_c) & np.isfinite(step_b)
+        live, step_c, step_b = live[ok], step_c[ok], step_b[ok]
         if damped:
             # damp long steps to keep seeds from being flung out
-            mag = np.sqrt(np.abs(step_c) ** 2 + np.abs(step_a) ** 2)
+            mag = np.sqrt(np.abs(step_c) ** 2 + np.abs(step_b) ** 2)
             damp = np.minimum(1.0, 1.0 / np.maximum(mag, 1e-30))
             step_c = step_c * damp
-            step_a = step_a * damp
-        c = c - step_c
-        a = a - step_a
-    (g0, g1), _ = _pca3_center_system(c, a, n0, n1)
-    return c, a, np.abs(g0 - target[0]) + np.abs(g1 - target[1])
+            step_b = step_b * damp
+        c[live] -= step_c
+        b[live] -= step_b
+        done = (np.abs(step_c) + np.abs(step_b)
+                <= 1e-15 * (1.0 + np.abs(c[live]) + np.abs(b[live])))
+        conv[live[done]] = True
+        live = live[~done]
+    res = np.full(len(c), np.inf)
+    (g0, g1), _ = _pca3_center_system(c[conv], b[conv], n0, n1)
+    res[conv] = np.abs(g0 - target[0]) + np.abs(g1 - target[1])
+    return c, b, res
 
 
 def _dedupe(points: np.ndarray, radius: float) -> np.ndarray:
@@ -459,10 +469,13 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     """All (c, a) where critical point 0 has exact period n0 and critical
     point c has exact period n1, for the marked cubic family.
 
-    Grid-seeded damped Newton on the two return equations with exact
-    forward-mode Jacobians; solutions deduped at radius 10*tol and certified
-    against the Bezout count D_n0 * D_n1 (an IncompleteEnumerationWarning is
-    issued when seeding falls short, with the deficit in the message).
+    Random-seeded damped Newton on the two return equations in the chart
+    (c, b = a^3), where a = 0 is no triple root; converged solutions are
+    deduped at radius 10*tol.  Each exact-period (c, b) gives the rows of
+    the three cube roots a of b, or a = 0 alone when n0 = 1 (P(0) = b).
+    The multiplicity total is certified against the Bezout count
+    D_n0 * D_n1 (an IncompleteEnumerationWarning with the deficit when
+    seeding falls short).
     """
     if spec.kind != "PcaPoly" or spec.degree != 3:
         raise PreconditionError("two-parameter centers support the marked "
@@ -489,28 +502,31 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
                       + 1j * rng.standard_normal(n_seeds))
         a = (0.73 * spread) * (rng.standard_normal(n_seeds)
                                + 1j * rng.standard_normal(n_seeds))
-        c, a, res = _pca3_newton(c, a, n0, n1, 120, damped=True)
-        ok = np.isfinite(res) & (res < 1e-8)
+        c, b, res = _pca3_newton(c, a**3, n0, n1, 120, damped=True)
+        ok = res < 1e-8
         before = len(found)
-        found = np.concatenate([found, np.stack([c[ok], a[ok]], axis=1)])
+        found = np.concatenate([found, np.stack([c[ok], b[ok]], axis=1)])
         found = found[_dedupe(found, 10.0 * max(tol, 1e-10))]
         if round_id > 0 and len(found) == before:
             break  # a fresh larger seeding found nothing new
-    out = []
-    for s in found:
-        cc, aa = complex(s[0]), complex(s[1])
-        step = partial(_pca3_bare, q=(cc, aa**3))
-        if (_first_return(step, 0.0 + 0.0j, n0) != n0
-                or _first_return(step, cc, n1) != n1):
-            continue  # a divisor-period solution of the full return system
-        (g0, g1), _ = _pca3_center_system(
-            np.array([cc]), np.array([aa]), n0, n1)
-        out.append(CenterPoint((cc, aa), arith.PeriodTuple((n0, n1)),
-                               (float(abs(g0[0])), float(abs(g1[0])))))
+    if n0 == 1:
+        found[:, 1] = 0.0  # P(0) = b
+    # drop the divisor-period solutions of the full return system
+    exact = [_first_return(step, 0.0 + 0.0j, n0) == n0
+             and _first_return(step, q[0], n1) == n1
+             for q in found.tolist() for step in [partial(_pca3_bare, q=q)]]
+    found = found[np.array(exact, dtype=bool)]
+    (g0, g1), _ = _pca3_center_system(found[:, 0], found[:, 1], n0, n1)
+    res = list(zip(np.abs(g0).tolist(), np.abs(g1).tolist()))
     # assign local intersection multiplicities by a perturbation
     # local-degree count, then certify the multiplicity total against the
     # Bezout number of the exact-period divisors
-    out = _assign_multiplicities(out, n0, n1, seed)
+    mult = _assign_multiplicities(found, n0, n1, seed).tolist()
+    periods = arith.PeriodTuple((n0, n1))
+    roots = np.outer(np.exp(2j * np.pi * np.arange(3 if n0 > 1 else 1) / 3.0),
+                     found[:, 1] ** (1.0 / 3.0))
+    out = [CenterPoint((c, a), periods, r, m) for a_k in roots.tolist()
+           for c, a, r, m in zip(found[:, 0].tolist(), a_k, res, mult)]
     total = sum(s.multiplicity for s in out)
     if total < bezout:
         warnings.warn(
@@ -526,38 +542,34 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     return out
 
 
-def _assign_multiplicities(sols: list[CenterPoint], n0: int, n1: int,
-                           seed: int) -> list[CenterPoint]:
-    """Local intersection multiplicity at each solution: the number of
-    nearby solutions of a generically perturbed system (the local degree of
-    the return map), counted within a ball kept clear of the neighbors.
-    One Newton run covers the seeds of all solutions at once."""
-    if not sols:
-        return sols
-    params = np.array([s.parameter for s in sols])
+def _assign_multiplicities(q: np.ndarray, n0: int, n1: int, seed: int
+                           ) -> np.ndarray:
+    """Multiplicity in (c, a) of the rows over each solution (c, b) of the
+    K x 2 array ``q``: the number of nearby solutions of a generically
+    perturbed system in (c, b), counted within a ball kept clear of the
+    neighbors (one Newton run covers all seeds), times 3 at b = 0 (n0 = 1),
+    where a = 0 is a triple root."""
+    k, n_seed = len(q), 48
     rng = np.random.default_rng(seed + 1)
     eps = (1e-9 * np.exp(0.73j), 1e-9 * np.exp(2.11j))
-    k, n_seed = len(sols), 48
-    # per solution, in turn: n_seed draws each for re c, im c, re a, im a
+    # per solution, in turn: n_seed draws each for re c, im c, re b, im b
     draws = rng.standard_normal((k, 4, n_seed))
     ball = np.empty(k)
-    for i, p0 in enumerate(params):
-        gaps = np.linalg.norm(params - p0, axis=1)
+    for i, p0 in enumerate(q):
+        gaps = np.linalg.norm(q - p0, axis=1)
         gaps[i] = np.inf
         ball[i] = min(3e-2, 0.45 * gaps.min())
-    c0, a0, half = params[:, :1], params[:, 1:], 0.5 * ball[:, None]
+    c0, b0, half = q[:, :1], q[:, 1:], 0.5 * ball[:, None]
     c = c0 + half * (draws[:, 0] + 1j * draws[:, 1])
-    a = a0 + half * (draws[:, 2] + 1j * draws[:, 3])
-    c, a, res = (v.reshape(k, n_seed) for v in _pca3_newton(
-        c.ravel(), a.ravel(), n0, n1, 80, target=eps))
-    near = (np.isfinite(res) & (res < 1e-10)
-            & (np.abs(c - c0) + np.abs(a - a0) < ball[:, None]))
-    out = []
-    for i, s in enumerate(sols):
-        pts = np.stack([c[i, near[i]], a[i, near[i]]], axis=1)
-        out.append(CenterPoint(s.parameter, s.periods, s.residuals,
-                               multiplicity=max(1, len(_dedupe(pts, 1e-5)))))
-    return out
+    b = b0 + half * (draws[:, 2] + 1j * draws[:, 3])
+    c, b, res = (v.reshape(k, n_seed) for v in _pca3_newton(
+        c.ravel(), b.ravel(), n0, n1, 80, target=eps))
+    near = ((res < 1e-10)
+            & (np.abs(c - c0) + np.abs(b - b0) < ball[:, None]))
+    mult = [max(1, len(_dedupe(np.stack([c[i, near[i]], b[i, near[i]]],
+                                        axis=1), 1e-5)))
+            for i in range(k)]
+    return np.array(mult) * (3 if n0 == 1 else 1)
 
 
 # ---------------------------------------------------------------------------

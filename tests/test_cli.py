@@ -2,6 +2,7 @@
 codes."""
 
 import csv
+import hashlib
 import json
 import os
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 import dynbif
-from dynbif.cli import EXIT_CODES, main
+from dynbif.cli import EXIT_CODES, _cache_key, main
 from dynbif.errors import DynbifError
 
 
@@ -207,6 +208,17 @@ def test_cache_round_trip(tmp_path, monkeypatch, capsys):
                       "--no-cache", "--out", "c.csv"], capsys)
     assert code == 0
     assert not list(cache.glob("centers-*.json"))
+
+
+def test_cache_key_names_the_solver():
+    # the key of the earlier (c, a) solver hashed no solver tag: its entries
+    # hold other rows in another order and must miss
+    blob = json.dumps({"family": "pca3", "periods": [1, 3],
+                       "tolerance": 1e-12}, sort_keys=True)
+    old = hashlib.sha256(blob.encode()).hexdigest()
+    key = _cache_key("pca3", (1, 3), 1e-12)
+    assert key != old and len(key) == len(old)
+    assert key == _cache_key("pca3", [1, 3], 1e-12)
 
 
 def test_report_lists_output_hashes(capsys):

@@ -4,6 +4,7 @@ continuation and component counting."""
 import os
 import subprocess
 import sys
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -11,7 +12,12 @@ import pytest
 
 from dynbif import arith
 from dynbif.dynamics import SpherePoint, cycle_multiplier
-from dynbif.errors import DegenerateMapError, PathLossError, PreconditionError
+from dynbif.errors import (
+    DegenerateMapError,
+    IncompleteEnumerationWarning,
+    PathLossError,
+    PreconditionError,
+)
 from dynbif.families import (
     DEGEN_CATALOG,
     PCA3,
@@ -258,6 +264,62 @@ def test_pca3_centers_2_2_distinct():
         assert max(s.residuals) < 1e-8
 
 
+@pytest.mark.parametrize("n0,n1,bezout", [(2, 4, 432), (3, 3, 576)])
+def test_pca3_centers_certify_larger_pairs(n0, n1, bezout):
+    # (2, 4) used to overflow (460 > 432): seeds that passed the residual
+    # test without having converged were kept as near-duplicates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IncompleteEnumerationWarning)
+        sols = centers_2d(PCA3, n0, n1)
+    assert sum(s.multiplicity for s in sols) == bezout
+
+
+@pytest.mark.parametrize("n0,n1", [(2, 1), (2, 2), (3, 1)])
+def test_pca3_rows_are_the_three_cube_roots(n0, n1):
+    # n0 > 1 keeps b = a^3 away from 0: each solution (c, b) gives the
+    # three rows a = b^(1/3) w^k, with one bit-identical c and multiplicity
+    rows: dict[complex, list] = {}
+    for s in _pca3_centers(n0, n1):
+        rows.setdefault(s.parameter[0], []).append(s)
+    assert len(rows) * 3 == len(_pca3_centers(n0, n1))
+    for group in rows.values():
+        a = np.array([s.parameter[1] for s in group])
+        assert len(group) == 3 and len({s.multiplicity for s in group}) == 1
+        assert np.all(np.abs(a) > 1e-3)
+        np.testing.assert_allclose(a**3, a[0] ** 3, rtol=1e-13)
+        for u in np.exp(2j * np.pi * np.arange(3) / 3):
+            assert np.min(np.abs(a / a[0] - u)) < 1e-12
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3])
+def test_pca3_period_one_rows_sit_at_a_zero(n1):
+    # P(0) = b: the critical point 0 is fixed only at b = 0, where a = 0 is
+    # a triple root
+    sols = _pca3_centers(1, n1)
+    assert all(s.parameter[1] == 0 for s in sols)
+    assert {s.multiplicity for s in sols} == {3}
+    assert len({s.parameter[0] for s in sols}) == len(sols)
+
+
+def test_pca3_newton_drops_seeds_with_no_finite_step():
+    # the orbit of c = 1e200 overflows, so its Newton step is not finite
+    c0, b0 = np.array([1e200 + 0j, 0.3 + 0.1j]), np.array([0j, 0.2 + 0j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, b, res = _pca3_newton(c0, b0, 2, 2, 120, damped=True)
+    assert c[0] == c0[0] and b[0] == b0[0] and res[0] == np.inf
+    assert res[1] < 1e-12
+    assert c0[1] == 0.3 + 0.1j  # the seeds are not moved in place
+
+
+def test_pca3_newton_keeps_only_converged_seeds():
+    c0, b0 = np.array([0.3 + 0.1j]), np.array([0.2 + 0j])
+    *_, res = _pca3_newton(c0, b0, 2, 2, 120, damped=True)
+    assert res[0] < 1e-12
+    for iters in (0, 1, 2):
+        *_, res = _pca3_newton(c0, b0, 2, 2, iters, damped=True)
+        assert res[0] == np.inf
+
+
 def test_pca3_step_matches_horner_and_finite_differences():
     rng = np.random.default_rng(7)
     z, c, a = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -346,35 +408,38 @@ def test_dedupe_matches_pairwise_loop():
         assert list(_dedupe(pts, radius)) == _dedupe_loop(pts, radius)
 
 
-def _multiplicities_loop(sols, n0, n1, seed):
-    """One Newton run per solution, as a reference for the batched run."""
-    params = np.array([s.parameter for s in sols])
+def _multiplicities_loop(q, n0, n1, seed):
+    """One Newton run in (c, b) per solution, as a reference for the batched
+    run."""
     rng = np.random.default_rng(seed + 1)
     eps = (1e-9 * np.exp(0.73j), 1e-9 * np.exp(2.11j))
     out = []
-    for i, p0 in enumerate(params):
-        gaps = np.linalg.norm(params - p0, axis=1)
+    for i, p0 in enumerate(q):
+        gaps = np.linalg.norm(q - p0, axis=1)
         gaps[i] = np.inf
         ball = min(3e-2, 0.45 * gaps.min())
         c = p0[0] + 0.5 * ball * (rng.standard_normal(48)
                                   + 1j * rng.standard_normal(48))
-        a = p0[1] + 0.5 * ball * (rng.standard_normal(48)
+        b = p0[1] + 0.5 * ball * (rng.standard_normal(48)
                                   + 1j * rng.standard_normal(48))
-        c, a, res = _pca3_newton(c, a, n0, n1, 80, target=eps)
-        near = (np.isfinite(res) & (res < 1e-10)
-                & (np.abs(c - p0[0]) + np.abs(a - p0[1]) < ball))
-        pts = np.stack([c[near], a[near]], axis=1)
-        out.append(max(1, len(_dedupe(pts, 1e-5))))
+        c, b, res = _pca3_newton(c, b, n0, n1, 80, target=eps)
+        near = ((res < 1e-10)
+                & (np.abs(c - p0[0]) + np.abs(b - p0[1]) < ball))
+        pts = np.stack([c[near], b[near]], axis=1)
+        # a = 0 is a triple root of b = a^3
+        out.append(max(1, len(_dedupe(pts, 1e-5))) * (3 if n0 == 1 else 1))
     return out
 
 
 @pytest.mark.parametrize("n0,n1,mult", [(1, 2, 3), (2, 1, 1)])
 def test_batched_multiplicities_match_per_solution_loop(n0, n1, mult):
-    sols = centers_2d(PCA3, n0, n1)
+    # the distinct solutions (c, b = a^3) under the rows
+    q = np.array([(c, a**3) for c, a in
+                  (s.parameter for s in centers_2d(PCA3, n0, n1))])
+    q = q[_dedupe(q, 1e-9)]
     for seed in (0, 5):
-        got = [s.multiplicity
-               for s in _assign_multiplicities(sols, n0, n1, seed)]
-        assert got == _multiplicities_loop(sols, n0, n1, seed)
+        got = _assign_multiplicities(q, n0, n1, seed).tolist()
+        assert got == _multiplicities_loop(q, n0, n1, seed)
         assert set(got) == {mult}
 
 
