@@ -523,8 +523,7 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     # Bezout number of the exact-period divisors
     mult = _assign_multiplicities(found, n0, n1, seed).tolist()
     periods = arith.PeriodTuple((n0, n1))
-    roots = np.outer(np.exp(2j * np.pi * np.arange(3 if n0 > 1 else 1) / 3.0),
-                     found[:, 1] ** (1.0 / 3.0))
+    roots = _cube_roots(found[:, 1])[:3 if n0 > 1 else 1]
     out = [CenterPoint((c, a), periods, r, m) for a_k in roots.tolist()
            for c, a, r, m in zip(found[:, 0].tolist(), a_k, res, mult)]
     total = sum(s.multiplicity for s in out)
@@ -701,12 +700,16 @@ def continuation(spec: FamilySpec, centers: list[CenterPoint], targets,
                      for b, a0 in zip(q[1:], start[1:])], lost, slope
 
 
+def _cube_roots(b: np.ndarray) -> np.ndarray:
+    """The cube roots b^(1/3) w^k of the array b, one row per k = 0, 1, 2."""
+    return np.array([b ** (1.0 / 3.0) * u
+                     for u in np.exp(2j * np.pi * np.arange(3) / 3.0)])
+
+
 def _nearest_cube_root(b: np.ndarray, a0: np.ndarray) -> np.ndarray:
     """Elementwise, the cube root of b nearest a0; the first on a tie."""
-    roots = [b ** (1.0 / 3.0) * u
-             for u in np.exp(2j * np.pi * np.arange(3) / 3.0)]
-    return np.choose(np.argmin([np.abs(r - a0) for r in roots], axis=0),
-                     roots)
+    roots = _cube_roots(b)
+    return np.choose(np.argmin(np.abs(roots - a0), axis=0), roots)
 
 
 def _continue_paths(x0, w, corrector, steps: int, tol: float
