@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -405,6 +406,11 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise PreconditionError, so a
     malformed command line ends in the one-JSON-line error contract; its
     subcommand parsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-0.12+0.75j" or "-2.1,0.6,-1.3,1.3" is a value (Python 3.13 rule)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise PreconditionError(f"{self.prog}: {message}")

@@ -17,6 +17,7 @@ from . import arith
 from .cpoly import roots_blackbox
 from .errors import (
     DegenerateMapError,
+    ExceptionalStartError,
     OrbitMismatchError,
     PreconditionError,
 )
@@ -34,6 +35,10 @@ PERIOD_SOLVER_TOL = 1e-14
 MATCH_FACTOR = 100.0
 # elements per temporary in the nearest-root match
 MATCH_BLOCK = 2**16
+# generic start points of the period-n seed tree, tried in turn, and the
+# relative gap below which two preimages of one parent count as one
+CLOUD_STARTS = (0.3 + 0.2j, -0.41 + 0.17j, 0.13 - 0.37j)
+CLOUD_GAP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -398,46 +403,42 @@ def period_wedge_evaluator(F: RationalMapLift, n: int):
     return eval_fn
 
 
-def backward_cloud(F: RationalMapLift, count: int, seed: int = 0,
-                   burn_in: int = 24) -> np.ndarray:
-    """Points spread over the Julia set by breadth-first random backward
-    iteration; the cloud equidistributes like the periodic points and makes
-    an excellent root-finder initialization for the period-n locus.
-
-    Returned as affine values; branches that wander to infinity are replaced
-    by large finite stand-ins."""
-    rng = np.random.default_rng(seed)
+def backward_cloud(F: RationalMapLift, count: int) -> np.ndarray:
+    """Seeds for the period-n locus: the n-th preimages of a start point off
+    the Julia set, n the largest with d^n <= count, plus the start itself if
+    count = d^n + 1.  Each inverse branch of F^n takes the start close to its
+    own fixed point, so an expanding map gets one seed per root.  A start on
+    the critical orbit has a parent whose preimages coincide; the next of
+    CLOUD_STARTS is then tried.  Affine values; branches that wander to
+    infinity are replaced by large finite stand-ins."""
     d = F.degree
-    pts = np.array([0.3 + 0.2j], dtype=np.complex128)
-    num = F.num
-    den = F.den
-    for _ in range(burn_in):
-        # batched fiber polynomials num(w) - y*den(w) solved by companion
-        # eigenvalues; degree can drop when y passes through the image of
-        # infinity, so guard the leading coefficient
-        coeffs = num[None, :] - pts[:, None] * den[None, :]
-        lead = coeffs[:, -1]
-        small = np.abs(lead) < 1e-12 * np.max(np.abs(coeffs), axis=1)
-        if np.any(small):
-            coeffs[small, -1] = 1e-6 * np.max(np.abs(coeffs[small]), axis=-1)
-        comp = np.zeros((len(pts), d, d), dtype=np.complex128)
-        comp[:, 1:, :-1] = np.eye(d - 1)
-        comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
-        pre = np.linalg.eigvals(comp).reshape(-1)
-        pre = pre[np.isfinite(pre)]
-        big = np.abs(pre) > 1e8
-        if np.any(big):
+    n = len(np.base_repr(count, d)) - 1  # d^n <= count < d^(n+1)
+    if count - d**n > 1:
+        raise PreconditionError(f"count {count} is neither d^n nor d^n + 1")
+    i, j = np.triu_indices(d, 1)
+    for z0 in CLOUD_STARTS:
+        pts = np.array([z0], dtype=np.complex128)
+        for _ in range(n):
+            # batched fiber polynomials num(w) - y*den(w) solved by companion
+            # eigenvalues; degree can drop when y passes through the image of
+            # infinity, so guard the leading coefficient
+            coeffs = F.num[None, :] - pts[:, None] * F.den[None, :]
+            small = np.abs(coeffs[:, -1]) < 1e-12 * np.abs(coeffs).max(axis=1)
+            coeffs[small, -1] = 1e-6 * np.abs(coeffs[small]).max(axis=-1)
+            comp = np.zeros((len(pts), d, d), dtype=np.complex128)
+            comp[:, 1:, :-1] = np.eye(d - 1)
+            comp[:, :, -1] = -coeffs[:, :-1] / coeffs[:, -1:]
+            pre = np.linalg.eigvals(comp)  # (parents, d)
+            big = np.abs(pre) > 1e8
             pre[big] = 1e8 * pre[big] / np.abs(pre[big])
-        if len(pre) > count:
-            pre = rng.choice(pre, size=count, replace=False)
-        pts = pre
-    if len(pts) < count:
-        # pad with jittered copies; repulsion separates them immediately
-        extra = rng.choice(pts, size=count - len(pts), replace=True)
-        extra = extra + 1e-6 * (rng.standard_normal(len(extra))
-                                + 1j * rng.standard_normal(len(extra)))
-        pts = np.concatenate([pts, extra])
-    return pts
+            scale = np.maximum(1.0, np.abs(pre).max(axis=1, keepdims=True))
+            if np.any(np.abs(pre[:, i] - pre[:, j]) <= CLOUD_GAP * scale):
+                break
+            pts = pre.reshape(-1)
+        else:
+            return np.append(pts, z0) if count > d**n else pts
+    raise ExceptionalStartError(
+        "every start of the preimage tree hits the critical orbit")
 
 
 @dataclass(frozen=True)
@@ -505,9 +506,9 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
     m_inf = infinity_exact_period(F, n)
     has_inf = m_inf is not None and n % m_inf == 0
     target_deg = F.degree**n + 1 - (1 if has_inf else 0)
-    # the backward-orbit cloud already sits on the closure of the periodic
-    # points, so the simultaneous iteration starts essentially converged;
-    # coefficient-based seeding is hopeless at these degrees
+    # one preimage-tree seed lies next to each root, so the simultaneous
+    # iteration starts essentially converged; coefficient-based seeding is
+    # hopeless at these degrees
     init = backward_cloud(F, target_deg)
     rs = roots_blackbox(period_wedge_evaluator(F, n), target_deg,
                         PERIOD_SOLVER_TOL, max_iter=3000, init=init)

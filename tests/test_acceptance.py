@@ -342,12 +342,12 @@ def test_criterion_8_equidistribution():
 # ---------------------------------------------------------------------------
 
 
-def _full_periodic_points(F, n, seed):
+def _full_periodic_points(F, n):
     """Roots of the full period-n fixed-point locus, solved directly."""
     m_inf = infinity_exact_period(F, n)
     has_inf = m_inf is not None and n % m_inf == 0
     target = F.degree**n + 1 - (1 if has_inf else 0)
-    init = backward_cloud(F, target, seed=seed)
+    init = backward_cloud(F, target)
     rs = roots_blackbox(period_wedge_evaluator(F, n), target, 1e-12,
                         max_iter=3000, init=init)
     pts = [SpherePoint.from_affine(z) for z in rs.expanded()]
@@ -386,7 +386,7 @@ def test_criterion_9_structural_suite():
                     ext = exact_cycles(F, m)
                     for cyc in ext.cycles + ext.contaminated:
                         union.extend(cyc.points)
-                full = _full_periodic_points(F, n, seed=trial)
+                full = _full_periodic_points(F, n)
             except Exception:
                 moebius_ok = False
                 break

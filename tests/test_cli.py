@@ -349,6 +349,31 @@ def test_usage_errors_end_in_one_json_line(argv, words, capsys):
     assert_precondition_line(code, out, err, words)
 
 
+@pytest.mark.parametrize("argv", [
+    ["lyap", "--family", "quad", "--c", "-0.12+0.75j", "--n", "4"],
+    ["lyap", "--family", "quadrat", "--c", "-0.5,0.3", "--n", "3"],
+    ["equidist", "--family", "quad", "--n", "3..4", "--ref", "6",
+     "--window", "-2.1,0.6,-1.3,1.3", "--resolution", "16,16"],
+])
+def test_negative_values_parse_after_a_space(argv, capsys):
+    # "--c -0.5,0.3" reads like "--c=-0.5,0.3" and writes the same bytes
+    i = next(k for k, a in enumerate(argv) if a[:2] == "--" and
+             argv[k + 1].startswith("-"))
+    joined = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+    reports = []
+    for args in (argv, joined):
+        code, out, err = run(args + ["--out", "a.csv"], capsys)
+        assert code == 0, err
+        reports.append(json.loads(out)["files"])
+    assert reports[0] == reports[1]
+
+
+def test_missing_value_before_an_option_is_a_usage_error(capsys):
+    code, out, err = run(["lyap", "--family", "quad", "--c", "--n", "6"],
+                         capsys)
+    assert_precondition_line(code, out, err, "expected one argument")
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["mass-m2", "--help"]])
 def test_help_prints_usage_and_exits_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,18 @@
 """Sphere dynamics: lifts, resultants, the period-n wedge evaluator, cycle
 extraction and multiplier spectra."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dynbif import arith
+from dynbif.cpoly import roots_blackbox
 from dynbif.dynamics import (
+    CLOUD_STARTS,
     RationalMapLift,
     SpherePoint,
     Stability,
@@ -326,9 +332,61 @@ def test_conjugation_invariance_of_spectrum(rng):
                 assert abs(x - y) < 1e-8 * (1.0 + abs(x))
 
 
-def test_backward_cloud_lands_on_julia():
-    # for z^2 the Julia set is the unit circle: backward orbits accumulate
-    F = power_lift(2)
-    pts = backward_cloud(F, 64, seed=3)
-    radii = np.abs(np.asarray(pts, dtype=complex))
-    assert all(abs(r - 1.0) < 1e-6 for r in radii)
+def test_backward_cloud_is_the_preimage_tree():
+    # for z^2 the tree of depth n is the 2^n distinct roots of z^(2^n) = z0,
+    # on the circle of radius |z0|^(1/2^n), not on the Julia set
+    z0 = CLOUD_STARTS[0]
+    for n in (3, 6):
+        pts = backward_cloud(power_lift(2), 2**n)
+        assert len(pts) == 2**n
+        assert np.max(np.abs(pts ** (2**n) - z0)) < 1e-12
+        spacing = 2.0 * np.pi * abs(z0) ** (1.0 / 2**n) / 2**n
+        gaps = np.abs(np.subtract.outer(pts, pts)) + np.eye(2**n)
+        assert gaps.min() > 0.9 * spacing
+    # d^n + 1 seeds: the start itself is the extra one
+    assert backward_cloud(power_lift(2), 9)[-1] == z0
+    with pytest.raises(PreconditionError):
+        backward_cloud(power_lift(2), 10)
+    # for z^2 + 1 each period-8 root has its own seed as nearest point and
+    # each seed its own root; the roots come from an unseeded solve
+    F = quad_lift(1.0)
+    seeds = backward_cloud(F, 256)
+    roots = roots_blackbox(period_wedge_evaluator(F, 8), 256, 1e-12,
+                           max_iter=3000).roots
+    assert len(roots) == 256
+    dist = np.abs(np.subtract.outer(seeds, roots))
+    assert sorted(np.argmin(dist, axis=1)) == list(range(256))
+    assert sorted(np.argmin(dist, axis=0)) == list(range(256))
+
+
+@pytest.mark.parametrize("c", [
+    CLOUD_STARTS[0],  # the first start is the critical value
+    (-1.0 + np.sqrt(1.0 + 4.0 * CLOUD_STARTS[0])) / 2.0,  # c^2 + c = start
+])
+def test_exact_cycles_certify_when_the_start_hits_the_critical_orbit(c):
+    # at c = start the two preimages of the start are both 0 and every
+    # subtree below them is duplicated; the tree moves on to the next start
+    F = quad_lift(c)
+    pts = backward_cloud(F, 2**6)
+    assert np.abs(np.subtract.outer(pts, pts))[~np.eye(64, dtype=bool)].min() > 1e-6
+    for n in range(2, 11):
+        ext = exact_cycles(F, n)
+        assert not ext.contaminated
+        assert n * len(ext.cycles) == arith.exact_cycle_point_count(2, n)
+
+
+def test_period_solve_draws_no_random_numbers():
+    code = ("import sys\n"
+            "from dynbif.dynamics import exact_cycles\n"
+            "from dynbif.families import QUAD, map_at\n"
+            "exact_cycles(map_at(QUAD, [1.0]), 9)\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+    a, b = (exact_cycles(quad_lift(1.0), 9) for _ in range(2))
+    assert len(a.cycles) == len(b.cycles)
+    for x, y in zip(a.cycles, b.cycles):
+        assert all(np.array_equal(p.vec, q.vec)
+                   for p, q in zip(x.points, y.points))
