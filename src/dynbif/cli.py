@@ -409,7 +409,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # "-0.12+0.75j" or "-2.1,0.6,-1.3,1.3" is a value (Python 3.13 rule)
+        # "-0.12+0.75j" and "-2.1,0.6,-1.3,1.3" are values, not unknown options
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
