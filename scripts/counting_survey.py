@@ -5,6 +5,7 @@ family with two marked critical points.
 For each (n0, n1) pair prints the Bezout bound, the number of marked
 solutions found, the deduplicated component count N, the symmetry
 stabilizer, and the deficiency against the cycle-census prediction.
+Pairs whose Bezout count exceeds the solver's cap are listed as skipped.
 Example:
 
     python3 scripts/counting_survey.py --max-n 2
@@ -14,7 +15,7 @@ import argparse
 import sys
 
 from dynbif import arith
-from dynbif.families import PCA3, QUAD, component_count
+from dynbif.families import PCA3, PCA_BEZOUT_CAP, QUAD, component_count
 
 
 def main() -> int:
@@ -37,6 +38,13 @@ def main() -> int:
           f"{'merged':>7} {'deficiency':>11}")
     for n0 in range(1, args.max_n + 1):
         for n1 in range(n0, args.max_n + 1):
+            bezout = (arith.affine_cycle_point_count(3, n0)
+                      * arith.affine_cycle_point_count(3, n1))
+            if bezout > PCA_BEZOUT_CAP:
+                print(f"({n0},{n1})".rjust(7) + f" skipped: Bezout count "
+                      f"{bezout} per marking exceeds the cap "
+                      f"{PCA_BEZOUT_CAP}")
+                continue
             cc = component_count(PCA3, arith.PeriodTuple((n0, n1)))
             print(f"({n0},{n1})".rjust(7)
                   + f" {cc.bezout:>7} {cc.marked_solutions:>7} {cc.N:>5}"

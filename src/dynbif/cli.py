@@ -145,14 +145,24 @@ def _cache_dir() -> str | None:
 def _cache_key(family: str, periods, tolerance: float) -> str:
     # the solver tag keeps an earlier solver's rows from being served
     blob = json.dumps({"family": family, "periods": list(periods),
-                       "solver": "pca3-cb-chart", "tolerance": tolerance},
+                       "solver": "pca3-cb-jacobian", "tolerance": tolerance},
                       sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _incomplete_warnings(fn, *args):
+    """fn(*args) and its IncompleteEnumerationWarning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IncompleteEnumerationWarning)
+        out = fn(*args)
+    return out, [str(w.message) for w in caught
+                 if issubclass(w.category, IncompleteEnumerationWarning)]
+
+
 def _cached_centers(cfg: RunConfig, spec, periods: tuple[int, ...]
-                    ) -> list[families.CenterPoint]:
-    """Center enumeration through the on-disk cache when enabled."""
+                    ) -> tuple[list[families.CenterPoint], list[str]]:
+    """Center enumeration and its warnings, through the on-disk cache when
+    enabled; an incomplete enumeration is not cached."""
     cdir = None if cfg.no_cache else _cache_dir()
     key = _cache_key(cfg.family, periods, cfg.tolerance)
     if cdir:
@@ -164,9 +174,10 @@ def _cached_centers(cfg: RunConfig, spec, periods: tuple[int, ...]
                 tuple(complex(re, im) for re, im in rec["parameter"]),
                 arith.PeriodTuple(tuple(rec["periods"])),
                 tuple(rec["residuals"]), rec["multiplicity"])
-                for rec in data]
-    centers = _enumerate_centers(spec, periods, cfg.tolerance)
-    if cdir:
+                for rec in data], []
+    centers, warn_msgs = _incomplete_warnings(
+        _enumerate_centers, spec, periods, cfg.tolerance)
+    if cdir and not warn_msgs:
         os.makedirs(cdir, exist_ok=True)
         data = [{"parameter": [[p.real, p.imag] for p in c.parameter],
                  "periods": list(c.periods.periods),
@@ -174,15 +185,14 @@ def _cached_centers(cfg: RunConfig, spec, periods: tuple[int, ...]
                  "multiplicity": c.multiplicity} for c in centers]
         _write_atomic(os.path.join(cdir, f"centers-{key}.json"),
                       json.dumps(data, sort_keys=True).encode())
-    return centers
+    return centers, warn_msgs
 
 
 def _enumerate_centers(spec, periods: tuple[int, ...], tol: float
                        ) -> list[families.CenterPoint]:
     if len(periods) == 1:
         return families.centers_1d(spec, periods[0])
-    n0, n1 = periods
-    return families.marked_centers(spec, n0, n1, tol)
+    return families.marked_centers(spec, *periods, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +250,7 @@ def cmd_centers(cfg: RunConfig) -> tuple[dict, dict]:
     spec = families.family_from_id(cfg.family)
     if not cfg.periods:
         raise PreconditionError("centers needs --periods")
-    warn_msgs = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IncompleteEnumerationWarning)
-        centers = _cached_centers(cfg, spec, cfg.periods)
-        warn_msgs = [str(w.message) for w in caught
-                     if issubclass(w.category, IncompleteEnumerationWarning)]
+    centers, warn_msgs = _cached_centers(cfg, spec, cfg.periods)
     rows = []
     if len(cfg.periods) == 1:
         header = ["re", "im", "period", "residual"]
@@ -271,13 +276,9 @@ def cmd_count(cfg: RunConfig) -> tuple[dict, dict]:
     spec = families.family_from_id(cfg.family)
     if not cfg.periods:
         raise PreconditionError("count needs --periods")
-    warn_msgs = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IncompleteEnumerationWarning)
-        cc = families.component_count(
-            spec, arith.PeriodTuple(cfg.periods), cfg.tolerance)
-        warn_msgs = [str(w.message) for w in caught
-                     if issubclass(w.category, IncompleteEnumerationWarning)]
+    cc, warn_msgs = _incomplete_warnings(
+        families.component_count, spec, arith.PeriodTuple(cfg.periods),
+        cfg.tolerance)
     record = {"N": cc.N, "marked_solutions": cc.marked_solutions,
               "stab": cc.stab, "deficiency": cc.deficiency,
               "merged_solutions": cc.merged_solutions,

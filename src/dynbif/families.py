@@ -34,6 +34,7 @@ from .errors import (
     CountMismatchError,
     CountOverflowError,
     DegenerateMapError,
+    IllConditionedError,
     IncompleteEnumerationWarning,
     NotInComponentError,
     PathLossError,
@@ -45,6 +46,11 @@ from .errors import (
 # checked against the Moebius divisor count).
 QUAD_CENTER_CAP = 14
 PCA_BEZOUT_CAP = 2000
+#: Newton seeds per Bezout solution in round 0 of the pca3 center solve
+SEEDS_PER_ROOT = 60
+#: a (c, b) center is simple below this Jacobian condition number: placed to
+#: MAX_CENTER_COND * eps ~ 2e-10, it stays inside the 1e-9 dedupe radius
+MAX_CENTER_COND = 1e6
 ESCAPE = 1e100
 
 
@@ -260,8 +266,9 @@ class CenterPoint:
     """A postcritically finite parameter with its marked periods.
 
     ``multiplicity`` is the local intersection multiplicity of the defining
-    return system (1 at transverse solutions; period-1 markings produce
-    non-reduced loci and higher values)."""
+    return system in the parameters: 1 at the transversal solutions that
+    the center solves certify, 3 at the marked cubic's a = 0 rows (the
+    critical point 0 fixed), where b = a^3 triples a simple root in b."""
 
     parameter: tuple[complex, ...]
     periods: arith.PeriodTuple
@@ -269,15 +276,15 @@ class CenterPoint:
     multiplicity: int = 1
 
 
-def _first_return(step, z0: complex, n: int, tol: float = 1e-8) -> int:
-    """First return time of z0 to itself under the scalar map ``step``,
-    scanned up to n; 0 if the orbit does not return."""
+def _first_return(bare, q, z0, n: int, tol: float = 1e-8) -> np.ndarray:
+    """First return time of each z0 to itself under bare(., q), arrays
+    broadcast, scanned up to n; 0 where the orbit does not return."""
+    period = np.zeros(np.shape(z0), dtype=np.int64)
     z = z0
     for m in range(1, n + 1):
-        z = step(z)
-        if abs(z - z0) <= tol:
-            return m
-    return 0
+        z = bare(z, q)
+        period[(period == 0) & (np.abs(z - z0) <= tol)] = m
+    return period
 
 
 @lru_cache(maxsize=None)
@@ -311,12 +318,7 @@ def _quad_exact_centers(n: int) -> tuple[complex, ...]:
         raise CountOverflowError(
             "duplicate clusters among centers resist separation")
     roots = _polish_centers(rs.roots, n)
-    # exact period: the first return of the critical orbit, all roots at once
-    period = np.zeros(len(roots), dtype=np.int64)
-    z = np.zeros_like(roots)
-    for m in range(1, n + 1):
-        z = z * z + roots
-        period[(period == 0) & (np.abs(z) <= 1e-8)] = m
+    period = _first_return(_quad_bare, (roots,), np.zeros_like(roots), n)
     counts: dict[int, list[complex]] = {}
     for c, m in zip(roots.tolist(), period.tolist()):
         if m == 0 or n % m != 0:
@@ -344,12 +346,10 @@ def centers_1d(spec: FamilySpec, n: int) -> list[CenterPoint]:
     if n < 1 or n > QUAD_CENTER_CAP:
         raise PreconditionError(f"period must lie in [1, {QUAD_CENTER_CAP}]")
     cs = np.asarray(_quad_exact_centers(n))
-    z = np.zeros_like(cs)
-    for _ in range(n):
-        z = z * z + cs
+    res = np.abs(quad_center_evaluator(n)(cs)[0])
     periods = arith.PeriodTuple((n,))
     return [CenterPoint((c,), periods, (r,))
-            for c, r in zip(cs.tolist(), np.abs(z).tolist())]
+            for c, r in zip(cs.tolist(), res.tolist())]
 
 
 def _polish_centers(roots: np.ndarray, n: int) -> np.ndarray:
@@ -399,12 +399,11 @@ def _pca3_center_system(c, b, n0, n1):
     return (g0, z1 - c), ((g0c, g0b), (z1c - 1.0, z1b))
 
 
-def _pca3_newton(c, b, n0, n1, iters, target=(0.0, 0.0), damped=False):
+def _pca3_newton(c, b, n0, n1, iters):
     """Up to ``iters`` vectorized Newton steps from every seed (c, b) on the
-    return system shifted to ``target`` (with ``damped``, steps cut to
-    length 1).  A seed stops once its step is not finite or |dc| + |db| <=
-    1e-15 (1 + |c| + |b|).  Returns the end points and the residuals
-    |g0 - target0| + |g1 - target1|, inf where a seed did not converge."""
+    return system, each cut to length 1.  A seed stops once its step is not
+    finite or |dc| + |db| <= 1e-15 (1 + |c| + |b|).  Returns the end points
+    and the residuals |g0| + |g1|, inf where a seed did not converge."""
     c, b = np.array(c, dtype=complex), np.array(b, dtype=complex)
     live = np.arange(len(c))
     conv = np.zeros(len(c), dtype=bool)
@@ -413,20 +412,17 @@ def _pca3_newton(c, b, n0, n1, iters, target=(0.0, 0.0), damped=False):
             break
         (g0, g1), ((g0c, g0b), (g1c, g1b)) = \
             _pca3_center_system(c[live], b[live], n0, n1)
-        g0 = g0 - target[0]
-        g1 = g1 - target[1]
         det = g0c * g1b - g0b * g1c
         with np.errstate(divide="ignore", invalid="ignore"):
             step_c = (g0 * g1b - g1 * g0b) / det
             step_b = (g1 * g0c - g0 * g1c) / det
         ok = np.isfinite(step_c) & np.isfinite(step_b)
         live, step_c, step_b = live[ok], step_c[ok], step_b[ok]
-        if damped:
-            # damp long steps to keep seeds from being flung out
-            mag = np.sqrt(np.abs(step_c) ** 2 + np.abs(step_b) ** 2)
-            damp = np.minimum(1.0, 1.0 / np.maximum(mag, 1e-30))
-            step_c = step_c * damp
-            step_b = step_b * damp
+        # damp long steps to keep seeds from being flung out
+        mag = np.sqrt(np.abs(step_c) ** 2 + np.abs(step_b) ** 2)
+        damp = np.minimum(1.0, 1.0 / np.maximum(mag, 1e-30))
+        step_c = step_c * damp
+        step_b = step_b * damp
         c[live] -= step_c
         b[live] -= step_b
         done = (np.abs(step_c) + np.abs(step_b)
@@ -435,7 +431,7 @@ def _pca3_newton(c, b, n0, n1, iters, target=(0.0, 0.0), damped=False):
         live = live[~done]
     res = np.full(len(c), np.inf)
     (g0, g1), _ = _pca3_center_system(c[conv], b[conv], n0, n1)
-    res[conv] = np.abs(g0 - target[0]) + np.abs(g1 - target[1])
+    res[conv] = np.abs(g0) + np.abs(g1)
     return c, b, res
 
 
@@ -464,8 +460,8 @@ def marked_centers(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12
     return [s for m0, m1 in markings for s in centers_2d(spec, m0, m1, tol)]
 
 
-def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
-               seeds_per_root: int = 60, seed: int = 0) -> list[CenterPoint]:
+def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12
+               ) -> list[CenterPoint]:
     """All (c, a) where critical point 0 has exact period n0 and critical
     point c has exact period n1, for the marked cubic family.
 
@@ -473,9 +469,9 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     (c, b = a^3), where a = 0 is no triple root; converged solutions are
     deduped at radius 10*tol.  Each exact-period (c, b) gives the rows of
     the three cube roots a of b, or a = 0 alone when n0 = 1 (P(0) = b).
-    The multiplicity total is certified against the Bezout count
-    D_n0 * D_n1 (an IncompleteEnumerationWarning with the deficit when
-    seeding falls short).
+    Each row has multiplicity 1, or 3 at a = 0 (see _assign_multiplicities),
+    and the total is certified against the Bezout count D_n0 * D_n1 (an
+    IncompleteEnumerationWarning with the deficit when seeding falls short).
     """
     if spec.kind != "PcaPoly" or spec.degree != 3:
         raise PreconditionError("two-parameter centers support the marked "
@@ -493,8 +489,8 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
         for m0 in arith.divisors(n0) for m1 in arith.divisors(n1))
     found = np.empty((0, 2), dtype=complex)
     for round_id in range(5):
-        rng = np.random.default_rng(seed + 7919 * round_id)
-        n_seeds = seeds_per_root * total_target * (1 + round_id)
+        rng = np.random.default_rng(7919 * round_id)
+        n_seeds = SEEDS_PER_ROOT * total_target * (1 + round_id)
         # parameters of interest sit in a bounded bidisk (the connectedness
         # locus of the family is compact); seed generously around it
         spread = 2.2 + 0.6 * round_id
@@ -502,7 +498,7 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
                       + 1j * rng.standard_normal(n_seeds))
         a = (0.73 * spread) * (rng.standard_normal(n_seeds)
                                + 1j * rng.standard_normal(n_seeds))
-        c, b, res = _pca3_newton(c, a**3, n0, n1, 120, damped=True)
+        c, b, res = _pca3_newton(c, a**3, n0, n1, 120)
         ok = res < 1e-8
         before = len(found)
         found = np.concatenate([found, np.stack([c[ok], b[ok]], axis=1)])
@@ -512,16 +508,13 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     if n0 == 1:
         found[:, 1] = 0.0  # P(0) = b
     # drop the divisor-period solutions of the full return system
-    exact = [_first_return(step, 0.0 + 0.0j, n0) == n0
-             and _first_return(step, q[0], n1) == n1
-             for q in found.tolist() for step in [partial(_pca3_bare, q=q)]]
-    found = found[np.array(exact, dtype=bool)]
+    q = (found[:, 0], found[:, 1])
+    zero = np.zeros_like(q[0])
+    found = found[(_first_return(_pca3_bare, q, zero, n0) == n0)
+                  & (_first_return(_pca3_bare, q, q[0], n1) == n1)]
     (g0, g1), _ = _pca3_center_system(found[:, 0], found[:, 1], n0, n1)
     res = list(zip(np.abs(g0).tolist(), np.abs(g1).tolist()))
-    # assign local intersection multiplicities by a perturbation
-    # local-degree count, then certify the multiplicity total against the
-    # Bezout number of the exact-period divisors
-    mult = _assign_multiplicities(found, n0, n1, seed).tolist()
+    mult = _assign_multiplicities(found, n0, n1).tolist()
     periods = arith.PeriodTuple((n0, n1))
     roots = _cube_roots(found[:, 1])[:3 if n0 > 1 else 1]
     out = [CenterPoint((c, a), periods, r, m) for a_k in roots.tolist()
@@ -530,8 +523,7 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     if total < bezout:
         warnings.warn(
             f"found multiplicity total {total} of {bezout} exact-period "
-            f"solutions; increase seeds_per_root",
-            IncompleteEnumerationWarning)
+            f"solutions", IncompleteEnumerationWarning)
     if total > bezout:
         raise CountOverflowError(
             f"multiplicity total {total} exceeds the exact-period Bezout "
@@ -541,34 +533,20 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12,
     return out
 
 
-def _assign_multiplicities(q: np.ndarray, n0: int, n1: int, seed: int
-                           ) -> np.ndarray:
+def _assign_multiplicities(q: np.ndarray, n0: int, n1: int) -> np.ndarray:
     """Multiplicity in (c, a) of the rows over each solution (c, b) of the
-    K x 2 array ``q``: the number of nearby solutions of a generically
-    perturbed system in (c, b), counted within a ball kept clear of the
-    neighbors (one Newton run covers all seeds), times 3 at b = 0 (n0 = 1),
-    where a = 0 is a triple root."""
-    k, n_seed = len(q), 48
-    rng = np.random.default_rng(seed + 1)
-    eps = (1e-9 * np.exp(0.73j), 1e-9 * np.exp(2.11j))
-    # per solution, in turn: n_seed draws each for re c, im c, re b, im b
-    draws = rng.standard_normal((k, 4, n_seed))
-    ball = np.empty(k)
-    for i, p0 in enumerate(q):
-        gaps = np.linalg.norm(q - p0, axis=1)
-        gaps[i] = np.inf
-        ball[i] = min(3e-2, 0.45 * gaps.min())
-    c0, b0, half = q[:, :1], q[:, 1:], 0.5 * ball[:, None]
-    c = c0 + half * (draws[:, 0] + 1j * draws[:, 1])
-    b = b0 + half * (draws[:, 2] + 1j * draws[:, 3])
-    c, b, res = (v.reshape(k, n_seed) for v in _pca3_newton(
-        c.ravel(), b.ravel(), n0, n1, 80, target=eps))
-    near = ((res < 1e-10)
-            & (np.abs(c - c0) + np.abs(b - b0) < ball[:, None]))
-    mult = [max(1, len(_dedupe(np.stack([c[i, near[i]], b[i, near[i]]],
-                                        axis=1), 1e-5)))
-            for i in range(k)]
-    return np.array(mult) * (3 if n0 == 1 else 1)
+    K x 2 array ``q``.  Centers are transversal intersections of the two
+    critical-orbit relations: with every Jacobian condition number below
+    MAX_CENTER_COND each (c, b) is simple, times 3 at b = 0 (n0 = 1), where
+    a = 0 is a triple root of b = a^3; otherwise IllConditionedError."""
+    _, jac = _pca3_center_system(q[:, 0], q[:, 1], n0, n1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.linalg.cond(np.moveaxis(np.array(jac), -1, 0))
+    if not np.all(cond < MAX_CENTER_COND):  # nan fails too
+        raise IllConditionedError(
+            f"({n0}, {n1}) center Jacobian condition number "
+            f"{np.nanmax(cond):.3g} >= {MAX_CENTER_COND:g}")
+    return np.full(len(q), 3 if n0 == 1 else 1)
 
 
 # ---------------------------------------------------------------------------

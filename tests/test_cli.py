@@ -210,6 +210,30 @@ def test_cache_round_trip(tmp_path, monkeypatch, capsys):
     assert not list(cache.glob("centers-*.json"))
 
 
+def test_incomplete_enumeration_is_not_cached(tmp_path, monkeypatch, capsys):
+    # a cached short count would come back with "warnings": []
+    import warnings
+
+    from dynbif import families
+    from dynbif.errors import IncompleteEnumerationWarning
+
+    def short(spec, n0, n1, tol):
+        warnings.warn("found multiplicity total 6 of 9",
+                      IncompleteEnumerationWarning)
+        return families.centers_2d(spec, n0, n1, tol)[:2]
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
+    monkeypatch.setattr(families, "marked_centers", short)
+    for _ in range(2):
+        code, out, _ = run(["centers", "--family", "pca3", "--periods", "1,1",
+                            "--out", "c.csv"], capsys)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["warnings"] == [
+            "found multiplicity total 6 of 9"]
+    assert not list(cache.glob("centers-*.json"))
+
+
 def test_cache_key_names_the_solver():
     # the key of the earlier (c, a) solver hashed no solver tag: its entries
     # hold other rows in another order and must miss
@@ -218,6 +242,11 @@ def test_cache_key_names_the_solver():
     old = hashlib.sha256(blob.encode()).hexdigest()
     key = _cache_key("pca3", (1, 3), 1e-12)
     assert key != old and len(key) == len(old)
+    # nor the rows of the perturbation-count multiplicities
+    blob = json.dumps({"family": "pca3", "periods": [1, 3],
+                       "solver": "pca3-cb-chart", "tolerance": 1e-12},
+                      sort_keys=True)
+    assert key != hashlib.sha256(blob.encode()).hexdigest()
     assert key == _cache_key("pca3", [1, 3], 1e-12)
 
 

@@ -14,6 +14,7 @@ from dynbif import arith
 from dynbif.dynamics import SpherePoint, cycle_multiplier
 from dynbif.errors import (
     DegenerateMapError,
+    IllConditionedError,
     IncompleteEnumerationWarning,
     PathLossError,
     PreconditionError,
@@ -24,10 +25,13 @@ from dynbif.families import (
     QUAD,
     _assign_multiplicities,
     _dedupe,
+    _first_return,
+    _pca3_bare,
     _pca3_cycles_merged,
     _pca3_chart_step,
     _pca3_newton,
     _pca3_step,
+    _quad_bare,
     _quad_exact_centers,
     centers_1d,
     centers_2d,
@@ -305,7 +309,7 @@ def test_pca3_newton_drops_seeds_with_no_finite_step():
     # the orbit of c = 1e200 overflows, so its Newton step is not finite
     c0, b0 = np.array([1e200 + 0j, 0.3 + 0.1j]), np.array([0j, 0.2 + 0j])
     with np.errstate(over="ignore", invalid="ignore"):
-        c, b, res = _pca3_newton(c0, b0, 2, 2, 120, damped=True)
+        c, b, res = _pca3_newton(c0, b0, 2, 2, 120)
     assert c[0] == c0[0] and b[0] == b0[0] and res[0] == np.inf
     assert res[1] < 1e-12
     assert c0[1] == 0.3 + 0.1j  # the seeds are not moved in place
@@ -313,10 +317,10 @@ def test_pca3_newton_drops_seeds_with_no_finite_step():
 
 def test_pca3_newton_keeps_only_converged_seeds():
     c0, b0 = np.array([0.3 + 0.1j]), np.array([0.2 + 0j])
-    *_, res = _pca3_newton(c0, b0, 2, 2, 120, damped=True)
+    *_, res = _pca3_newton(c0, b0, 2, 2, 120)
     assert res[0] < 1e-12
     for iters in (0, 1, 2):
-        *_, res = _pca3_newton(c0, b0, 2, 2, iters, damped=True)
+        *_, res = _pca3_newton(c0, b0, 2, 2, iters)
         assert res[0] == np.inf
 
 
@@ -408,39 +412,48 @@ def test_dedupe_matches_pairwise_loop():
         assert list(_dedupe(pts, radius)) == _dedupe_loop(pts, radius)
 
 
-def _multiplicities_loop(q, n0, n1, seed):
-    """One Newton run in (c, b) per solution, as a reference for the batched
-    run."""
-    rng = np.random.default_rng(seed + 1)
-    eps = (1e-9 * np.exp(0.73j), 1e-9 * np.exp(2.11j))
-    out = []
-    for i, p0 in enumerate(q):
-        gaps = np.linalg.norm(q - p0, axis=1)
-        gaps[i] = np.inf
-        ball = min(3e-2, 0.45 * gaps.min())
-        c = p0[0] + 0.5 * ball * (rng.standard_normal(48)
-                                  + 1j * rng.standard_normal(48))
-        b = p0[1] + 0.5 * ball * (rng.standard_normal(48)
-                                  + 1j * rng.standard_normal(48))
-        c, b, res = _pca3_newton(c, b, n0, n1, 80, target=eps)
-        near = ((res < 1e-10)
-                & (np.abs(c - p0[0]) + np.abs(b - p0[1]) < ball))
-        pts = np.stack([c[near], b[near]], axis=1)
-        # a = 0 is a triple root of b = a^3
-        out.append(max(1, len(_dedupe(pts, 1e-5))) * (3 if n0 == 1 else 1))
-    return out
-
-
 @pytest.mark.parametrize("n0,n1,mult", [(1, 2, 3), (2, 1, 1)])
-def test_batched_multiplicities_match_per_solution_loop(n0, n1, mult):
-    # the distinct solutions (c, b = a^3) under the rows
-    q = np.array([(c, a**3) for c, a in
-                  (s.parameter for s in centers_2d(PCA3, n0, n1))])
-    q = q[_dedupe(q, 1e-9)]
-    for seed in (0, 5):
-        got = _assign_multiplicities(q, n0, n1, seed).tolist()
-        assert got == _multiplicities_loop(q, n0, n1, seed)
-        assert set(got) == {mult}
+def test_pca3_multiplicities_from_the_jacobian(n0, n1, mult):
+    # every (c, b) is simple; a = 0 is a triple root of b = a^3 at n0 = 1
+    sols = centers_2d(PCA3, n0, n1)
+    assert {s.multiplicity for s in sols} == {mult}
+    assert sum(s.multiplicity for s in sols) == 18
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("conj", [False, True])
+def test_pca3_3_4_center_next_to_a_divisor_period_solution_is_simple(
+        sign, conj):
+    # four conjugate (3, 4) centers lie 1.3e-2 from a (3, 2) solution of the
+    # full return system; a perturbation count in a 3e-2 ball gave them
+    # multiplicity 2 and overflowed (3, 4) to 1,740 > 1,728
+    c0, b0 = sign * (2.2999 + 1.1403j), sign * (0.0669 + 1.6455j)
+    if conj:
+        c0, b0 = c0.conjugate(), b0.conjugate()
+    c, b, res = _pca3_newton([c0], [b0], 3, 4, 20)
+    assert res[0] < 1e-12 and abs(c[0] - c0) + abs(b[0] - b0) < 1e-3
+    assert _first_return(_pca3_bare, (c, b), 0 * c, 3)[0] == 3
+    assert _first_return(_pca3_bare, (c, b), c, 4)[0] == 4
+    assert _assign_multiplicities(np.stack([c, b], axis=1), 3, 4).tolist() \
+        == [1]
+
+
+def test_pca3_singular_jacobian_is_not_counted():
+    # at (1, 1) the Jacobian determinant is c^2/2 + 1: zero at c = i sqrt 2,
+    # -2 at the (1, 1) center c = i sqrt 6
+    with pytest.raises(IllConditionedError):
+        _assign_multiplicities(np.array([[1j * np.sqrt(2.0), 0.0]]), 1, 1)
+    q = np.array([[1j * np.sqrt(6.0), 0.0]])
+    assert _assign_multiplicities(q, 1, 1).tolist() == [3]
+
+
+def test_first_return_is_the_exact_period():
+    # z^2 - 1: 0 -> -1 -> 0 has period 2; z^2 + 0: 0 is fixed; z^2 + 1
+    # escapes and never returns
+    q = (np.array([-1.0, 0.0, 1.0], dtype=complex),)
+    z0 = np.zeros(3, dtype=complex)
+    assert _first_return(_quad_bare, q, z0, 4).tolist() == [2, 1, 0]
+    assert _first_return(_quad_bare, q, z0, 1).tolist() == [0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
