@@ -3,7 +3,7 @@
 family with two marked critical points.
 
 For each (n0, n1) pair prints the Bezout bound, the number of marked
-solutions found, the deduplicated component count N, the symmetry
+solutions found, the component count N, the symmetry
 stabilizer, and the deficiency against the cycle-census prediction.
 Pairs whose Bezout count exceeds the solver's cap are listed as skipped.
 Example:

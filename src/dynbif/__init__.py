@@ -11,7 +11,7 @@ counting), ``equidist`` (atomic bifurcation-measure diagnostics) and
 """
 
 from . import arith, cpoly, dynamics, equidist, families, lyapunov
-from .arith import MarkedPeriodTuple, PeriodTuple, m2_mass_series
+from .arith import PeriodTuple, m2_mass_series
 from .dynamics import (
     PeriodicCycle,
     RationalMapLift,
@@ -41,9 +41,7 @@ from .families import (
     quadrat_fixed_normal_form,
 )
 from .lyapunov import (
-    GreenData,
     LyapunovEstimate,
-    convergence_report,
     degeneration_slope,
     green_value,
     lyap_from_spectrum,
@@ -56,10 +54,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomicMeasure", "CenterPoint", "ComponentCount", "FamilySpec",
-    "GreenData", "GridDensity", "LyapunovEstimate", "MarkedPeriodTuple",
-    "PeriodTuple", "PeriodicCycle", "RationalMapLift", "SpherePoint",
-    "Stability", "arith", "binned_distance", "center_measure", "centers_1d",
-    "centers_2d", "component_count", "convergence_report", "cpoly",
+    "GridDensity", "LyapunovEstimate", "PeriodTuple", "PeriodicCycle",
+    "RationalMapLift", "SpherePoint", "Stability", "arith",
+    "binned_distance", "center_measure", "centers_1d", "centers_2d",
+    "component_count", "cpoly",
     "degeneration_slope", "dynamics", "equidist", "equidist_report",
     "exact_cycles", "families", "family_from_id", "green_value",
     "lyap_from_spectrum", "lyap_oracle_backward", "lyap_periodic",

@@ -37,19 +37,6 @@ class PeriodTuple:
         return sum(self.periods)
 
 
-@dataclass(frozen=True)
-class MarkedPeriodTuple:
-    """Ordered tuple of (period, multiplier) pairs."""
-
-    pairs: tuple[tuple[int, complex], ...]
-
-    def __post_init__(self):
-        if len(self.pairs) < 1:
-            raise PreconditionError("marked period tuple must be nonempty")
-        if any((not isinstance(n, int)) or n < 1 for n, _ in self.pairs):
-            raise PreconditionError("periods must be positive integers")
-
-
 def _check_positive(n: int, name: str = "n") -> None:
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"{name} must be a positive integer, got {n!r}")
@@ -135,15 +122,10 @@ def affine_cycle_point_count(d: int, n: int) -> int:
     return sum(moebius(n // m) * d**m for m in divisors(n))
 
 
-def stab_count(t: PeriodTuple | MarkedPeriodTuple | tuple) -> int:
+def stab_count(t: PeriodTuple | tuple) -> int:
     """Number of index permutations fixing the ordered tuple: the product of
     factorials of the multiplicities of its distinct entries."""
-    if isinstance(t, PeriodTuple):
-        entries = t.periods
-    elif isinstance(t, MarkedPeriodTuple):
-        entries = t.pairs
-    else:
-        entries = tuple(t)
+    entries = t.periods if isinstance(t, PeriodTuple) else tuple(t)
     out = 1
     for m in Counter(entries).values():
         out *= math.factorial(m)

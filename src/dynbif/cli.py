@@ -69,15 +69,10 @@ class RunConfig:
     terms: int = 60
     k_moments: int = 4
     ref: int | None = None
-    tolerance: float = 1e-12
     out: str | None = None
     no_cache: bool = False
     window: tuple[float, float, float, float] | None = None
-    resolution: tuple[int, int] = (64, 64)
-
-    def __post_init__(self):
-        if not (0.0 < self.tolerance <= 1e-4):
-            raise PreconditionError("tolerance must lie in (0, 1e-4]")
+    resolution: tuple[int, int] = equidist.DEFAULT_RESOLUTION
 
 
 def _fmt(x: float) -> str:
@@ -142,11 +137,10 @@ def _cache_dir() -> str | None:
     return os.environ.get(CACHE_ENV) or None
 
 
-def _cache_key(family: str, periods, tolerance: float) -> str:
+def _cache_key(family: str, periods) -> str:
     # the solver tag keeps an earlier solver's rows from being served
     blob = json.dumps({"family": family, "periods": list(periods),
-                       "solver": "pca3-cb-jacobian", "tolerance": tolerance},
-                      sort_keys=True)
+                       "solver": "pca3-cb-jacobian"}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -164,7 +158,7 @@ def _cached_centers(cfg: RunConfig, spec, periods: tuple[int, ...]
     """Center enumeration and its warnings, through the on-disk cache when
     enabled; an incomplete enumeration is not cached."""
     cdir = None if cfg.no_cache else _cache_dir()
-    key = _cache_key(cfg.family, periods, cfg.tolerance)
+    key = _cache_key(cfg.family, periods)
     if cdir:
         path = os.path.join(cdir, f"centers-{key}.json")
         if os.path.exists(path):
@@ -176,7 +170,7 @@ def _cached_centers(cfg: RunConfig, spec, periods: tuple[int, ...]
                 tuple(rec["residuals"]), rec["multiplicity"])
                 for rec in data], []
     centers, warn_msgs = _incomplete_warnings(
-        _enumerate_centers, spec, periods, cfg.tolerance)
+        _enumerate_centers, spec, periods)
     if cdir and not warn_msgs:
         os.makedirs(cdir, exist_ok=True)
         data = [{"parameter": [[p.real, p.imag] for p in c.parameter],
@@ -188,11 +182,11 @@ def _cached_centers(cfg: RunConfig, spec, periods: tuple[int, ...]
     return centers, warn_msgs
 
 
-def _enumerate_centers(spec, periods: tuple[int, ...], tol: float
+def _enumerate_centers(spec, periods: tuple[int, ...]
                        ) -> list[families.CenterPoint]:
     if len(periods) == 1:
         return families.centers_1d(spec, periods[0])
-    return families.marked_centers(spec, *periods, tol)
+    return families.marked_centers(spec, *periods)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +271,7 @@ def cmd_count(cfg: RunConfig) -> tuple[dict, dict]:
     if not cfg.periods:
         raise PreconditionError("count needs --periods")
     cc, warn_msgs = _incomplete_warnings(
-        families.component_count, spec, arith.PeriodTuple(cfg.periods),
-        cfg.tolerance)
+        families.component_count, spec, arith.PeriodTuple(cfg.periods))
     record = {"N": cc.N, "marked_solutions": cc.marked_solutions,
               "stab": cc.stab, "deficiency": cc.deficiency,
               "merged_solutions": cc.merged_solutions,
@@ -431,32 +424,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--c", type=str, default=None,
                    help="parameter(s), comma-separated complex")
-    p.add_argument("--params", type=str, default=None)
     p.add_argument("--n", type=str, required=True, help="period or lo..hi")
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--r", type=float)
     common(p)
 
     p = sub.add_parser("centers", help="enumerate component centers")
     p.add_argument("--family", required=True)
     p.add_argument("--periods", type=str, required=True)
-    p.add_argument("--tolerance", type=float, default=None)
     common(p)
 
     p = sub.add_parser("count", help="count hyperbolic components")
     p.add_argument("--family", required=True)
     p.add_argument("--periods", type=str, required=True)
-    p.add_argument("--tolerance", type=float, default=None)
     common(p)
 
     p = sub.add_parser("mass-m2", help="quadratic bifurcation mass series")
-    p.add_argument("--terms", type=int, default=60)
+    p.add_argument("--terms", type=int)
     common(p)
 
     p = sub.add_parser("equidist", help="center-measure convergence report")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=str, required=True)
     p.add_argument("--ref", type=int, required=True)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=int)
     p.add_argument("--window", type=str, default=None,
                    help="x0,x1,y0,y1 for the PGM density")
     p.add_argument("--resolution", type=str, default=None,
@@ -467,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("percurve", help="multiplier level-curve measure")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=str, required=True)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--thetas", type=int, default=64)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--thetas", type=int)
     common(p)
 
     p = sub.add_parser("degenerate", help="Lyapunov degeneration slope")
@@ -496,16 +486,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             f"--out {kw['out']}: the directory does not exist")
     if hasattr(args, "family"):
         kw["family"] = args.family
-    if getattr(args, "tolerance", None) is not None:
-        # only the pca3 center solve reads it; quad centers are solved and
-        # certified at a fixed tolerance
-        if families.family_from_id(args.family).kind != "PcaPoly":
-            raise PreconditionError(
-                f"--tolerance applies to the pca3 family, not {args.family}")
-        kw["tolerance"] = args.tolerance
-    pstr = getattr(args, "params", None) or getattr(args, "c", None)
-    if pstr:
-        kw["params"] = _parse_complex_list(pstr)
+    if getattr(args, "c", None):
+        kw["params"] = _parse_complex_list(args.c)
     if getattr(args, "periods", None) is not None:
         periods = tuple(int(x) for x in args.periods.split(","))
         if len(periods) > 2:

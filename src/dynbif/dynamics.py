@@ -307,41 +307,6 @@ def chordal_derivative(F: RationalMapLift, z: SpherePoint) -> float:
     return float(abs(det)) / (F.degree * n2)
 
 
-def lipschitz_square_bound(F: RationalMapLift, grid_n: int = 48,
-                           refine_steps: int = 60) -> float:
-    """Numeric sup of (f#)^2 by grid maximization plus local ascent.
-    Lower bound only."""
-    if grid_n < 16:
-        raise PreconditionError("grid_n must be >= 16")
-
-    def val(theta, phi):
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        pt = SpherePoint(np.array([c, s * np.exp(1j * phi)]))
-        return chordal_derivative(F, pt)
-
-    best = (0.0, 0.0, -1.0)
-    for theta in np.linspace(0.0, np.pi, grid_n):
-        for phi in np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False):
-            v = val(theta, phi)
-            if v > best[2]:
-                best = (theta, phi, v)
-    theta, phi, v = best
-    step = np.pi / grid_n
-    for _ in range(refine_steps):
-        improved = False
-        for dt, dp in ((step, 0), (-step, 0), (0, step), (0, -step)):
-            t2 = min(max(theta + dt, 0.0), np.pi)
-            v2 = val(t2, phi + dp)
-            if v2 > v:
-                theta, phi, v = t2, phi + dp, v2
-                improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-9:
-                break
-    return v * v
-
-
 # ---------------------------------------------------------------------------
 # the period-n locus
 # ---------------------------------------------------------------------------

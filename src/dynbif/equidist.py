@@ -25,6 +25,9 @@ DEFAULT_RESOLUTION = (64, 64)
 #: highest moment order of the report: quadratic centers lie in |c| < 2, so
 #: |c|^k stays finite in double precision
 MAX_MOMENT_ORDER = 512
+#: an error sequence "decreases" while each value stays within this factor
+#: of the running minimum
+TREND_SLACK = 2.0
 
 
 @dataclass(frozen=True)
@@ -129,21 +132,22 @@ def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
     return CircleMeasure(atoms, int(np.count_nonzero(lost)), recheck_deficit)
 
 
-def moment(m: AtomicMeasure, k: int, coordinate: int = 0) -> complex:
-    """Normalized k-th moment of one parameter coordinate."""
+def moment(m: AtomicMeasure, k: int) -> complex:
+    """Normalized k-th moment of the first parameter coordinate."""
     if k < 0:
         raise PreconditionError("moment order must be >= 0")
     if not m.atoms or m.total_mass <= 0:
         raise EmptyMeasureError("moment of an empty measure")
     s = 0.0 + 0.0j
     for params, w in m.atoms:
-        s += w * params[coordinate] ** k
+        s += w * params[0] ** k
     return s / m.total_mass
 
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Binned mass of an atomic measure over a rectangular window.
+    """Binned mass of an atomic measure's first parameter coordinate over a
+    rectangular window.
 
     ``bins[iy, ix]`` holds the mass in the cell; row 0 is the top of the
     window (largest imaginary part), matching image conventions.
@@ -156,14 +160,13 @@ class GridDensity:
     @staticmethod
     def from_measure(m: AtomicMeasure,
                      window=QUAD_WINDOW,
-                     resolution=DEFAULT_RESOLUTION,
-                     coordinate: int = 0) -> "GridDensity":
+                     resolution=DEFAULT_RESOLUTION) -> "GridDensity":
         (x0, x1), (y0, y1) = window
         nx, ny = resolution
         if not (x1 > x0 and y1 > y0 and nx >= 1 and ny >= 1):
             raise PreconditionError("window must be nondegenerate")
-        xs = np.array([p[coordinate].real for p, _ in m.atoms])
-        ys = np.array([p[coordinate].imag for p, _ in m.atoms])
+        xs = np.array([p[0].real for p, _ in m.atoms])
+        ys = np.array([p[0].imag for p, _ in m.atoms])
         ws = np.array([w for _, w in m.atoms])
         inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
         ix = np.clip(((xs[inside] - x0) / (x1 - x0) * nx).astype(int),
@@ -205,15 +208,15 @@ class EquidistReport:
     reference_n: int
     k_moments: int
     #: per moment order, True when the error sequence decreases within
-    #: factor-2 slack (each value at most twice the running minimum)
+    #: TREND_SLACK (each value at most twice the running minimum)
     moment_trend_ok: tuple[bool, ...]
     grid_trend_ok: bool
 
 
-def _decreasing_with_slack(values, slack: float = 2.0) -> bool:
+def _decreasing_with_slack(values) -> bool:
     running = math.inf
     for v in values:
-        if v > slack * running:
+        if v > TREND_SLACK * running:
             return False
         running = min(running, v)
     return True

@@ -48,9 +48,14 @@ QUAD_CENTER_CAP = 14
 PCA_BEZOUT_CAP = 2000
 #: Newton seeds per Bezout solution in round 0 of the pca3 center solve
 SEEDS_PER_ROOT = 60
+#: converged (c, b) solutions closer than this (Euclidean in C^2) are one
+CENTER_DEDUPE_RADIUS = 1e-9
 #: a (c, b) center is simple below this Jacobian condition number: placed to
-#: MAX_CENTER_COND * eps ~ 2e-10, it stays inside the 1e-9 dedupe radius
+#: MAX_CENTER_COND * eps ~ 2e-10, it stays inside CENTER_DEDUPE_RADIUS
 MAX_CENTER_COND = 1e6
+#: orbit points this close coincide: an orbit closes, or meets a critical
+#: point
+ORBIT_CLOSE_TOL = 1e-8
 ESCAPE = 1e100
 
 
@@ -276,14 +281,14 @@ class CenterPoint:
     multiplicity: int = 1
 
 
-def _first_return(bare, q, z0, n: int, tol: float = 1e-8) -> np.ndarray:
+def _first_return(bare, q, z0, n: int) -> np.ndarray:
     """First return time of each z0 to itself under bare(., q), arrays
     broadcast, scanned up to n; 0 where the orbit does not return."""
     period = np.zeros(np.shape(z0), dtype=np.int64)
     z = z0
     for m in range(1, n + 1):
         z = bare(z, q)
-        period[(period == 0) & (np.abs(z - z0) <= tol)] = m
+        period[(period == 0) & (np.abs(z - z0) <= ORBIT_CLOSE_TOL)] = m
     return period
 
 
@@ -452,26 +457,28 @@ def _dedupe(points: np.ndarray, radius: float) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
-def marked_centers(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12
-                   ) -> list[CenterPoint]:
+def marked_centers(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
     """Centers for the unordered period pair {n0, n1}: both assignments of
     the periods to the marked critical points 0 and c (one when n0 = n1)."""
     markings = [(n0, n1)] if n0 == n1 else [(n0, n1), (n1, n0)]
-    return [s for m0, m1 in markings for s in centers_2d(spec, m0, m1, tol)]
+    return [s for m0, m1 in markings for s in centers_2d(spec, m0, m1)]
 
 
-def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12
-               ) -> list[CenterPoint]:
+def centers_2d(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
     """All (c, a) where critical point 0 has exact period n0 and critical
     point c has exact period n1, for the marked cubic family.
 
     Random-seeded damped Newton on the two return equations in the chart
     (c, b = a^3), where a = 0 is no triple root; converged solutions are
-    deduped at radius 10*tol.  Each exact-period (c, b) gives the rows of
-    the three cube roots a of b, or a = 0 alone when n0 = 1 (P(0) = b).
-    Each row has multiplicity 1, or 3 at a = 0 (see _assign_multiplicities),
-    and the total is certified against the Bezout count D_n0 * D_n1 (an
-    IncompleteEnumerationWarning with the deficit when seeding falls short).
+    deduped at CENTER_DEDUPE_RADIUS.  The full return system (all divisor
+    periods) has 3^(n0+n1-1) solutions in (c, b), its (c, a) Bezout count
+    3^(n0+n1) over the three cube roots: seeding rounds stop once that many
+    are found, and more raise CountOverflowError.  Each exact-period (c, b)
+    gives the rows of the three cube roots a of b, or a = 0 alone when
+    n0 = 1 (P(0) = b).  Each row has multiplicity 1, or 3 at a = 0 (see
+    _assign_multiplicities), and the total is certified against the Bezout
+    count D_n0 * D_n1 (an IncompleteEnumerationWarning with the deficit when
+    seeding falls short).
     """
     if spec.kind != "PcaPoly" or spec.degree != 3:
         raise PreconditionError("two-parameter centers support the marked "
@@ -483,10 +490,8 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12
     if bezout > PCA_BEZOUT_CAP:
         raise PreconditionError(
             f"Bezout count {bezout} exceeds the desk cap {PCA_BEZOUT_CAP}")
-    total_target = sum(
-        arith.affine_cycle_point_count(3, m0)
-        * arith.affine_cycle_point_count(3, m1)
-        for m0 in arith.divisors(n0) for m1 in arith.divisors(n1))
+    total_target = 3 ** (n0 + n1)  # the (c, a) Bezout count of all periods
+    n_solutions = total_target // 3
     found = np.empty((0, 2), dtype=complex)
     for round_id in range(5):
         rng = np.random.default_rng(7919 * round_id)
@@ -500,11 +505,14 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int, tol: float = 1e-12
                                + 1j * rng.standard_normal(n_seeds))
         c, b, res = _pca3_newton(c, a**3, n0, n1, 120)
         ok = res < 1e-8
-        before = len(found)
         found = np.concatenate([found, np.stack([c[ok], b[ok]], axis=1)])
-        found = found[_dedupe(found, 10.0 * max(tol, 1e-10))]
-        if round_id > 0 and len(found) == before:
-            break  # a fresh larger seeding found nothing new
+        found = found[_dedupe(found, CENTER_DEDUPE_RADIUS)]
+        if len(found) >= n_solutions:
+            break
+    if len(found) > n_solutions:
+        raise CountOverflowError(
+            f"{len(found)} solutions of the ({n0}, {n1}) return system "
+            f"exceed its count {n_solutions}")
     if n0 == 1:
         found[:, 1] = 0.0  # P(0) = b
     # drop the divisor-period solutions of the full return system
@@ -588,9 +596,13 @@ def _marked_points(q: list) -> list:
     return [np.zeros_like(q[0])] + list(q[:-1])
 
 
-#: corrector iterations per continuation step; below a step of _MIN_DS in
-#: the path variable a path counts as lost
+#: initial steps of a continuation path in the path variable s in [0, 1]
+_CONTINUATION_STEPS = 20
+#: corrector iterations per continuation step, and the relative Newton step
+#: that converges; below a step of _MIN_DS in the path variable a path counts
+#: as lost
 _CORRECTOR_ITERS = 60
+_CORRECTOR_TOL = 1e-12
 _MIN_DS = 1e-4
 _S_END = 1.0 - 1e-15
 #: paths continued together: bounds the kernel's temporaries, whatever the
@@ -601,8 +613,7 @@ MAX_TARGET_MODULUS = 0.95
 
 
 def multiplier_continuation(spec: FamilySpec, center: CenterPoint,
-                            target_w, steps: int = 20,
-                            tol: float = 1e-12):
+                            target_w):
     """Parameter in the hyperbolic component of ``center`` where the marked
     attracting cycles have the prescribed multipliers: the one path of
     ``continuation`` from ``center`` to ``target_w``, with PATH_LOSS when it
@@ -613,15 +624,14 @@ def multiplier_continuation(spec: FamilySpec, center: CenterPoint,
         raise PreconditionError(f"{spec.family_id} takes one target "
                                 "multiplier per marked cycle, "
                                 f"{spec.parameter_dim} in all")
-    q, lost, _ = continuation(spec, [center], w[None, :], steps, tol)
+    q, lost, _ = continuation(spec, [center], w[None, :])
     if lost[0]:
         raise PathLossError("Newton diverged with minimal step")
     params = tuple(complex(v[0]) for v in q)
     return params if len(params) > 1 else params[0]
 
 
-def continuation(spec: FamilySpec, centers: list[CenterPoint], targets,
-                 steps: int = 20, tol: float = 1e-12
+def continuation(spec: FamilySpec, centers: list[CenterPoint], targets
                  ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Multiplier continuation along every (center, target) path at once,
     center-major and target-minor: from each center, the parameters where
@@ -669,7 +679,7 @@ def continuation(spec: FamilySpec, centers: list[CenterPoint], targets,
     q0 = [start[0]] + [a**3 for a in start[1:]]  # the chart (c, b = a^3)
     x, lost, slope = _continue_paths(
         q0 + _marked_points(q0), np.tile(w, (len(centers), 1)).T,
-        partial(_corrector, step, periods), steps, tol)
+        partial(_corrector, step, periods))
     q = x[:k]
     kept = [v[~lost] for v in q]
     for z, crit, p in zip(x[k:], _marked_points(kept), periods):
@@ -690,7 +700,7 @@ def _nearest_cube_root(b: np.ndarray, a0: np.ndarray) -> np.ndarray:
     return np.choose(np.argmin(np.abs(roots - a0), axis=0), roots)
 
 
-def _continue_paths(x0, w, corrector, steps: int, tol: float
+def _continue_paths(x0, w, corrector
                     ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Predictor-corrector from the states x0 (an array over the paths per
     coordinate: parameters, then a point per marked cycle) to the targets w
@@ -705,7 +715,7 @@ def _continue_paths(x0, w, corrector, steps: int, tol: float
     n = len(x0[0])
     x = [np.array(v, dtype=complex) for v in x0]
     s = np.zeros(n)
-    ds = np.full(n, 1.0 / steps)
+    ds = np.full(n, 1.0 / _CONTINUATION_STEPS)
     s_next = np.minimum(1.0, s + ds)
     x_try = [v.copy() for v in x]
     iters = np.zeros(n, dtype=int)
@@ -725,7 +735,7 @@ def _continue_paths(x0, w, corrector, steps: int, tol: float
                 longest = np.maximum(longest, np.abs(d))
                 scale = scale + np.abs(v[moved])
             iters[moved] += 1
-            conv = longest < tol * scale
+            conv = longest < _CORRECTOR_TOL * scale
             done = moved[conv]
             spent = iters[moved] >= _CORRECTOR_ITERS
             failed = np.concatenate([live[~ok], moved[~conv & spent]])
@@ -805,7 +815,7 @@ def _check_in_component(f, z: np.ndarray, crit: np.ndarray, p: int
     cycle = [z]
     for m in range(1, p):
         cycle.append(f(cycle[-1]))
-        if np.any(np.abs(cycle[-1] - z) <= 1e-8):
+        if np.any(np.abs(cycle[-1] - z) <= ORBIT_CLOSE_TOL):
             raise NotInComponentError(
                 f"continued cycle closed early at step {m} < {p}")
     orbit = crit
@@ -872,8 +882,8 @@ class ComponentCount:
     bezout: int
 
 
-def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
-                    tol: float = 1e-12) -> ComponentCount:
+def component_count(spec: FamilySpec, periods: arith.PeriodTuple
+                    ) -> ComponentCount:
     """Distinct hyperbolic components whose attracting cycles have the given
     exact periods, with the normalized counting deficiency
     1 - stab * N / ((d-1)! * prod d_(n_j)).
@@ -899,7 +909,7 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
         raise PreconditionError("counting supports one quad period or a "
                                 "pair of marked cubic periods")
     n0, n1 = periods.periods
-    sols = marked_centers(spec, n0, n1, tol)
+    sols = marked_centers(spec, n0, n1)
     both = 2 if n0 == n1 else 1  # one run of the system covers both markings
     marked_total = sum(s.multiplicity for s in sols) * both
     merged = 0
@@ -910,8 +920,9 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
         else:
             good.append(s.parameter)
     merged_marked = merged * both
-    # distinct components: good centers deduped across markings
-    N = len(_dedupe(np.array(good, dtype=complex).reshape(-1, 2), 1e-8))
+    # distinct components: centers_2d dedupes within a marking, and the two
+    # markings differ in the exact period of 0
+    N = len(good)
     d_tuple = (arith.exact_cycle_point_count(3, n0)
                * arith.exact_cycle_point_count(3, n1))
     denom = 2 * d_tuple  # (d-1)! = 2
@@ -925,13 +936,13 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple,
         * (1 if n0 == n1 else 2))
 
 
-def _pca3_cycles_merged(c: complex, a: complex, periods: tuple[int, ...],
-                        tol: float = 1e-8) -> bool:
+def _pca3_cycles_merged(c: complex, a: complex, periods: tuple[int, ...]
+                        ) -> bool:
     """Whether the two marked critical orbits lie on one periodic orbit: at
     a center, whether the orbit of 0 passes through c."""
     step, z = partial(_pca3_bare, q=(c, a**3)), 0.0 + 0.0j
     for _ in range(periods[0]):
-        if abs(z - c) <= tol:
+        if abs(z - c) <= ORBIT_CLOSE_TOL:
             return True
         z = step(z)
     return False

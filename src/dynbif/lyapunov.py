@@ -11,7 +11,7 @@ Three independent routes to the same number:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,12 @@ from .errors import (
     PreconditionError,
 )
 
+#: tail bound at which the homogeneous escape sum stops, and its step cap
 GREEN_TOL = 1e-14
+GREEN_MAX_ITER = 600
+#: step cap of the affine escape rate, and the radius past which it is read
+#: off in closed form
+POLY_GREEN_MAX_ITER = 2000
 ESCAPE_RADIUS = 1e150
 
 
@@ -52,13 +57,10 @@ def normalization_shift(F: RationalMapLift) -> float:
     return -float(np.log(abs(F.resultant))) / (2.0 * d * (d - 1))
 
 
-def green_value(F: RationalMapLift, z: SpherePoint, max_iter: int = 600,
-                tol: float = GREEN_TOL) -> float:
+def green_value(F: RationalMapLift, z: SpherePoint) -> float:
     """Homogeneous potential g_F at a unit representative,
     lim d^-k log ||F^k(p)||, by the per-step normalized escape sum
     sum_k u(p_k) / d^(k+1) with u(p) = log ||F(p)|| on unit p."""
-    if max_iter < 1:
-        raise PreconditionError("max_iter must be >= 1")
     d = F.degree
     v = z.vec.copy()
     total = 0.0
@@ -68,7 +70,7 @@ def green_value(F: RationalMapLift, z: SpherePoint, max_iter: int = 600,
     # k steps is bounded by that scale times the remaining geometric weight
     bound = np.log1p(float(max(np.max(np.abs(F.num)), np.max(np.abs(F.den))))
                      * (d + 1))
-    for _ in range(max_iter):
+    for _ in range(GREEN_MAX_ITER):
         w = F.apply_vector(v)
         nrm = float(np.linalg.norm(w))
         if not np.isfinite(nrm) or nrm == 0.0:
@@ -80,40 +82,18 @@ def green_value(F: RationalMapLift, z: SpherePoint, max_iter: int = 600,
         total = t
         v = w / nrm
         weight /= d
-        if bound * weight * d / (d - 1) < tol:
+        if bound * weight * d / (d - 1) < GREEN_TOL:
             return total
-    raise NoConvergenceError(f"escape sum tail above {tol} after {max_iter} steps")
+    raise NoConvergenceError(f"escape sum tail above {GREEN_TOL} after "
+                             f"{GREEN_MAX_ITER} steps")
 
 
-@dataclass(frozen=True)
-class GreenData:
-    """The homogeneous potential of a lift as a callable, with the constant
-    shifting it to the lift-independent normalization."""
-
-    lift: RationalMapLift
-    iterations: int = 600
-    tol: float = GREEN_TOL
-    normalization_shift: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "normalization_shift",
-                           normalization_shift(self.lift))
-
-    def __call__(self, z: SpherePoint) -> float:
-        return green_value(self.lift, z, self.iterations, self.tol)
-
-    def normalized(self, z: SpherePoint) -> float:
-        return self(z) + self.normalization_shift
-
-
-def green_normalized(F: RationalMapLift, z: SpherePoint,
-                     tol: float = GREEN_TOL) -> float:
+def green_normalized(F: RationalMapLift, z: SpherePoint) -> float:
     """Lift-independent potential g_F - log|Res| / (2d(d-1))."""
-    return green_value(F, z, tol=tol) + normalization_shift(F)
+    return green_value(F, z) + normalization_shift(F)
 
 
-def polynomial_green(coeffs: np.ndarray, z: complex, max_iter: int = 2000
-                     ) -> float:
+def polynomial_green(coeffs: np.ndarray, z: complex) -> float:
     """Escape-rate Green's function of an affine polynomial at z: the limit of
     d^-k log+ |p^k(z)|.  Returns 0.0 for bounded orbits."""
     c = np.asarray(coeffs, dtype=np.complex128)
@@ -121,7 +101,7 @@ def polynomial_green(coeffs: np.ndarray, z: complex, max_iter: int = 2000
     if d < 2 or c[-1] == 0:
         raise PreconditionError("polynomial must have degree >= 2")
     w = complex(z)
-    for k in range(max_iter):
+    for k in range(POLY_GREEN_MAX_ITER):
         if abs(w) > ESCAPE_RADIUS:
             # far out, log|p(w)| = d log|w| + log|a_d| + O(1/|w|); summing the
             # geometric corrections gives machine precision immediately
@@ -221,41 +201,6 @@ def lyap_periodic(F: RationalMapLift, n: int, r: float = 1.0
             f"{len(ext.contaminated)} lower-period parabolic orbits make the "
             f"period-{n} spectrum ill defined")
     return lyap_from_spectrum(list(ext.cycles), F.degree, n, r)
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    period: int
-    value: float
-    error: float
-    normalized_error: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    rows: tuple[ConvergenceRow, ...]
-    reference: float
-    violation: bool  # some normalized error exceeds 100x the median
-
-
-def convergence_report(F: RationalMapLift, n_range, r: float = 1.0,
-                       reference: float | None = None) -> ConvergenceReport:
-    """Estimator errors against an oracle reference over a period range, with
-    the rate normalization error * d^n / sigma_2(n) of the known error bound;
-    flags blow-up when a normalized error exceeds 100x the median."""
-    periods = sorted(n_range)
-    if reference is None:
-        raise PreconditionError("convergence report needs an oracle reference")
-    rows = []
-    for n in periods:
-        est = lyap_periodic(F, n, r)
-        err = abs(est.value - reference)
-        rows.append(ConvergenceRow(
-            period=n, value=est.value, error=err,
-            normalized_error=err * F.degree**n / arith.sigma(2, n)))
-    med = float(np.median([row.normalized_error for row in rows]))
-    violation = any(row.normalized_error > 100.0 * med for row in rows)
-    return ConvergenceReport(tuple(rows), float(reference), violation)
 
 
 # ---------------------------------------------------------------------------

@@ -134,13 +134,6 @@ def test_stab_count(entries, expected):
     assert arith.stab_count(entries) == expected
 
 
-def test_stab_count_marked_pairs():
-    t = arith.MarkedPeriodTuple(((2, 0.5 + 0j), (2, 0.5 + 0j), (3, 0j)))
-    assert arith.stab_count(t) == 2
-    t2 = arith.MarkedPeriodTuple(((2, 0.5 + 0j), (2, 0.25 + 0j)))
-    assert arith.stab_count(t2) == 1
-
-
 # ---------------------------------------------------------------------------
 # mass series
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import csv
 import hashlib
 import json
 import os
+import shlex
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import (HealthCheck, example, given, settings,
@@ -217,10 +219,10 @@ def test_incomplete_enumeration_is_not_cached(tmp_path, monkeypatch, capsys):
     from dynbif import families
     from dynbif.errors import IncompleteEnumerationWarning
 
-    def short(spec, n0, n1, tol):
+    def short(spec, n0, n1):
         warnings.warn("found multiplicity total 6 of 9",
                       IncompleteEnumerationWarning)
-        return families.centers_2d(spec, n0, n1, tol)[:2]
+        return families.centers_2d(spec, n0, n1)[:2]
 
     cache = tmp_path / "cache"
     monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
@@ -240,14 +242,39 @@ def test_cache_key_names_the_solver():
     blob = json.dumps({"family": "pca3", "periods": [1, 3],
                        "tolerance": 1e-12}, sort_keys=True)
     old = hashlib.sha256(blob.encode()).hexdigest()
-    key = _cache_key("pca3", (1, 3), 1e-12)
+    key = _cache_key("pca3", (1, 3))
     assert key != old and len(key) == len(old)
     # nor the rows of the perturbation-count multiplicities
     blob = json.dumps({"family": "pca3", "periods": [1, 3],
                        "solver": "pca3-cb-chart", "tolerance": 1e-12},
                       sort_keys=True)
     assert key != hashlib.sha256(blob.encode()).hexdigest()
-    assert key == _cache_key("pca3", [1, 3], 1e-12)
+    # the key is family, periods and the solver tag
+    blob = json.dumps({"family": "pca3", "periods": [1, 3],
+                       "solver": "pca3-cb-jacobian"}, sort_keys=True)
+    assert key == hashlib.sha256(blob.encode()).hexdigest()
+    assert key == _cache_key("pca3", [1, 3])
+
+
+def _readme_commands():
+    """The dynbif command lines of the README's usage block, with their
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command-line usage", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("dynbif ")]
+
+
+def test_readme_commands_succeed(workdir, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        code, out, err = run(argv, capsys)
+        assert code == 0, (argv, err)
+        files = json.loads(out)["files"]
+        assert files and all((workdir / f).is_file() for f in files), argv
 
 
 def test_report_lists_output_hashes(capsys):
@@ -280,36 +307,6 @@ def test_unknown_family_exit_code(capsys):
                        capsys)
     assert code == 2
     assert json.loads(err)["error"] == "PRECONDITION"
-
-
-def test_tolerance_range_enforced(capsys):
-    code, _, err = run(["centers", "--family", "quad", "--periods", "3",
-                        "--tolerance", "1e-3"], capsys)
-    assert code == 2
-    code, _, err = run(["centers", "--family", "quad", "--periods", "3",
-                        "--tolerance", "0"], capsys)
-    assert code == 2
-    for tol in ("1e-3", "0"):
-        code, _, err = run(["centers", "--family", "pca3", "--periods",
-                            "1,1", "--tolerance", tol], capsys)
-        assert code == 2
-        assert "(0, 1e-4]" in json.loads(err)["message"]
-
-
-@pytest.mark.parametrize("sub", ["centers", "count"])
-def test_quad_rejects_tolerance(sub, workdir, capsys):
-    # quad centers are solved at a fixed tolerance: the flag would be ignored
-    code, out, err = run([sub, "--family", "quad", "--periods", "3",
-                          "--tolerance", "1e-10", "--out", "o"], capsys)
-    assert code == 2
-    assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "PRECONDITION"
-    assert out == "" and not (workdir / "o").exists()
-    # pca3 reads it, at the same default
-    code, out, err = run([sub, "--family", "pca3", "--periods", "1,1",
-                          "--tolerance", "1e-10", "--out", "o"], capsys)
-    assert code == 0, err
-    assert json.loads(out)["config"]["tolerance"] == 1e-10
 
 
 def test_degenerate_family_required(capsys):
@@ -350,20 +347,24 @@ def assert_precondition_line(code, out, err, words):
     assert words in record["message"]
 
 
-@pytest.mark.parametrize("option", ["--seed", "--threads", "--tolerance"])
-def test_removed_options_rejected(option, workdir, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["mass-m2", option, "1"], id=option)
+    for option in ("--seed", "--threads", "--tolerance")
+] + [
+    # --tolerance only moved a dedupe radius that no artifact saw
+    pytest.param([sub, "--family", "pca3", "--periods", "1,1",
+                   "--tolerance", "1e-10"], id=f"{sub}:--tolerance")
+    for sub in ("centers", "count")
+] + [
+    # --params spelled --c a second time
+    pytest.param(["lyap", "--family", "quad", "--n", "6", "--params", "1.0"],
+                 id="lyap:--params"),
+])
+def test_removed_options_rejected(argv, workdir, capsys):
     # nothing read these options, so they are no longer accepted
-    code, out, err = run(["mass-m2", option, "1", "--out", "m.json"], capsys)
+    code, out, err = run(argv + ["--out", "o"], capsys)
     assert_precondition_line(code, out, err, "unrecognized arguments")
-    assert not (workdir / "m.json").exists()
-
-
-def test_lyap_rejects_tolerance(capsys):
-    # the period-n solve runs at a fixed floor: only centers and count
-    # read --tolerance
-    code, out, err = run(["lyap", "--family", "quad", "--c", "1.0", "--n",
-                          "6", "--tolerance", "1e-10"], capsys)
-    assert_precondition_line(code, out, err, "unrecognized arguments")
+    assert not (workdir / "o").exists()
 
 
 @pytest.mark.parametrize("argv, words", [
@@ -565,7 +566,7 @@ def test_lyap_fuzz_ends_in_csv_or_one_error_line(member, n, r, capsys):
     family, params = member
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "lyap.csv")
-        code, stdout, err = run(["lyap", "--family", family, "--params",
+        code, stdout, err = run(["lyap", "--family", family, "--c",
                                  params, "--n", str(n), "--r", r,
                                  "--out", out], capsys)
         rows = assert_csv_or_one_error_line(code, stdout, err, out)
@@ -583,29 +584,20 @@ FUZZ_PERIODS = st.one_of(
     st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
         lambda t: f"{t[0]},{t[1]}"),
     st.sampled_from(["", "1,2,3", "x", "2.5"]))
-FUZZ_TOLERANCES = [None, "1e-10", "1e-3"]
-
-
-def _period_run(cmd, family, periods, tolerance, out, capsys):
-    argv = [cmd, "--family", family, f"--periods={periods}", "--out", out]
-    if tolerance is not None:
-        argv += ["--tolerance", tolerance]
-    return run(argv, capsys)
 
 
 @settings(deadline=None, max_examples=25,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(family=st.sampled_from(FUZZ_FAMILIES), periods=FUZZ_PERIODS,
-       tolerance=st.sampled_from(FUZZ_TOLERANCES))
-@example(family="pca3", periods="2,2", tolerance=None)
-@example(family="pca3", periods="1,2", tolerance="1e-10")
-@example(family="quad", periods="6", tolerance=None)
-def test_centers_fuzz_ends_in_csv_or_one_error_line(family, periods,
-                                                    tolerance, capsys):
+@given(family=st.sampled_from(FUZZ_FAMILIES), periods=FUZZ_PERIODS)
+@example(family="pca3", periods="2,2")
+@example(family="pca3", periods="1,2")
+@example(family="quad", periods="6")
+def test_centers_fuzz_ends_in_csv_or_one_error_line(family, periods, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "centers.csv")
-        code, stdout, err = _period_run("centers", family, periods,
-                                        tolerance, out, capsys)
+        code, stdout, err = run(["centers", "--family", family,
+                                 f"--periods={periods}", "--out", out],
+                                capsys)
         rows = assert_csv_or_one_error_line(code, stdout, err, out)
         if rows is not None:
             assert rows[0][:2] == ["re", "im"]
@@ -614,17 +606,16 @@ def test_centers_fuzz_ends_in_csv_or_one_error_line(family, periods,
 
 @settings(deadline=None, max_examples=25,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(family=st.sampled_from(FUZZ_FAMILIES), periods=FUZZ_PERIODS,
-       tolerance=st.sampled_from(FUZZ_TOLERANCES))
-@example(family="pca3", periods="2,2", tolerance=None)
-@example(family="quad", periods="6", tolerance=None)
-@example(family="quad", periods="1,1", tolerance=None)
-def test_count_fuzz_ends_in_json_or_one_error_line(family, periods,
-                                                   tolerance, capsys):
+@given(family=st.sampled_from(FUZZ_FAMILIES), periods=FUZZ_PERIODS)
+@example(family="pca3", periods="2,2")
+@example(family="quad", periods="6")
+@example(family="quad", periods="1,1")
+def test_count_fuzz_ends_in_json_or_one_error_line(family, periods, capsys):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "count.json")
-        code, stdout, err = _period_run("count", family, periods, tolerance,
-                                        out, capsys)
+        code, stdout, err = run(["count", "--family", family,
+                                 f"--periods={periods}", "--out", out],
+                                capsys)
         if assert_file_or_one_error_line(code, stdout, err, out):
             with open(out) as fh:
                 record = json.load(fh)

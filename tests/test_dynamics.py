@@ -25,7 +25,6 @@ from dynbif.dynamics import (
     exact_cycles,
     form_eval,
     homogeneous_resultant,
-    lipschitz_square_bound,
     period_wedge_evaluator,
 )
 from dynbif.errors import (
@@ -204,21 +203,6 @@ def test_chordal_derivative_of_square():
         pytest.approx(0.0, abs=1e-12))
     assert chordal_derivative(F, SpherePoint.infinity()) == (
         pytest.approx(0.0, abs=1e-12))
-
-
-def test_lipschitz_square_bound_for_square():
-    F = power_lift(2)
-    bound = lipschitz_square_bound(F)
-    # the true sup of the chordal derivative of z^2 is 2 -> squared bound 4
-    assert 4.0 <= bound <= 4.8
-
-
-def test_lipschitz_bound_dominates_samples(rng):
-    F = random_quadratic_rational(rng)
-    bound = lipschitz_square_bound(F)
-    for _ in range(200):
-        z = SpherePoint(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        assert chordal_derivative(F, z) ** 2 <= bound * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from dynbif import arith
+from dynbif import arith, families
 from dynbif.dynamics import SpherePoint, cycle_multiplier
 from dynbif.errors import (
     DegenerateMapError,
@@ -266,6 +266,21 @@ def test_pca3_centers_2_2_distinct():
     assert sum(s.multiplicity for s in sols) == 36
     for s in sols:
         assert max(s.residuals) < 1e-8
+
+
+def test_pca3_seeding_stops_at_the_solution_count(monkeypatch):
+    # round 0 finds all 3^(2+2-1) = 27 solutions of the full (2, 2) return
+    # system, so no second round is seeded to confirm them
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _pca3_newton(*args)
+
+    monkeypatch.setattr(families, "_pca3_newton", counted)
+    sols = centers_2d(PCA3, 2, 2)
+    assert sum(s.multiplicity for s in sols) == 36
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n0,n1,bezout", [(2, 4, 432), (3, 3, 576)])

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from dynbif.dynamics import SpherePoint
 from dynbif.errors import IllConditionedError, PreconditionError
 from dynbif.lyapunov import (
-    GreenData,
-    convergence_report,
     degeneration_slope,
     green_normalized,
     lyap_from_spectrum,
@@ -85,13 +83,6 @@ def test_normalized_green_scaling_invariance():
             base, abs=1e-8)
 
 
-def test_green_data_callable():
-    F = quad_lift(0.0)
-    g = GreenData(F)
-    z = SpherePoint.from_affine(3.0)
-    assert g.normalized(z) == pytest.approx(green_normalized(F, z), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # periodic averages
 # ---------------------------------------------------------------------------
@@ -139,22 +130,6 @@ def test_basilica_periodic_near_log2():
     errs = [abs(lyap_periodic(F, n, r=1.0).value - ref) for n in (4, 6, 8)]
     assert errs[2] <= errs[0] + 1e-12
     assert max(errs) < 1e-10
-
-
-def test_convergence_report_shapes():
-    F = quad_lift(-1.0)
-    rep = convergence_report(F, range(3, 7), reference=np.log(2.0))
-    assert [row.period for row in rep.rows] == [3, 4, 5, 6]
-    for row in rep.rows:
-        assert row.normalized_error == pytest.approx(
-            row.error * 2.0**row.period / sum(
-                d * d for d in _divisors(row.period)), rel=1e-12)
-    with pytest.raises(PreconditionError):
-        convergence_report(F, range(3, 5), reference=None)
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 # ---------------------------------------------------------------------------
