@@ -26,7 +26,6 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,26 +54,6 @@ EXIT_CODES = {
 }
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    family: str | None = None
-    params: tuple[float, ...] = ()  # interleaved re, im pairs
-    periods: tuple[int, ...] = ()
-    n_lo: int | None = None
-    n_hi: int | None = None
-    r: float = 1.0
-    rho: float = 0.5
-    thetas: int = 64
-    terms: int = 60
-    k_moments: int = 4
-    ref: int | None = None
-    out: str | None = None
-    no_cache: bool = False
-    window: tuple[float, float, float, float] | None = None
-    resolution: tuple[int, int] = equidist.DEFAULT_RESOLUTION
-
-
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal for a float."""
     return repr(float(x))
@@ -94,6 +73,10 @@ def _write_atomic(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -153,12 +136,12 @@ def _incomplete_warnings(fn, *args):
                  if issubclass(w.category, IncompleteEnumerationWarning)]
 
 
-def _cached_centers(cfg: RunConfig, spec, periods: tuple[int, ...]
+def _cached_centers(args: argparse.Namespace, spec
                     ) -> tuple[list[families.CenterPoint], list[str]]:
     """Center enumeration and its warnings, through the on-disk cache when
     enabled; an incomplete enumeration is not cached."""
-    cdir = None if cfg.no_cache else _cache_dir()
-    key = _cache_key(cfg.family, periods)
+    cdir = None if args.no_cache else _cache_dir()
+    key = _cache_key(args.family, args.periods)
     if cdir:
         path = os.path.join(cdir, f"centers-{key}.json")
         if os.path.exists(path):
@@ -170,7 +153,7 @@ def _cached_centers(cfg: RunConfig, spec, periods: tuple[int, ...]
                 tuple(rec["residuals"]), rec["multiplicity"])
                 for rec in data], []
     centers, warn_msgs = _incomplete_warnings(
-        _enumerate_centers, spec, periods)
+        _enumerate_centers, spec, args.periods)
     if cdir and not warn_msgs:
         os.makedirs(cdir, exist_ok=True)
         data = [{"parameter": [[p.real, p.imag] for p in c.parameter],
@@ -194,59 +177,38 @@ def _enumerate_centers(spec, periods: tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def _family_map(cfg: RunConfig):
-    spec = families.family_from_id(cfg.family)
-    p = [complex(cfg.params[i], cfg.params[i + 1])
-         for i in range(0, len(cfg.params), 2)]
-    if len(p) != spec.parameter_dim:
+def cmd_lyap(args: argparse.Namespace) -> tuple[dict, dict]:
+    spec = families.family_from_id(args.family)
+    if len(args.c) != spec.parameter_dim:
         raise PreconditionError(
-            f"family {cfg.family} takes {spec.parameter_dim} parameters, "
-            f"got {len(p)}")
-    return spec, p, families.map_at(spec, p)
-
-
-def cmd_lyap(cfg: RunConfig) -> tuple[dict, dict]:
-    spec, p, F = _family_map(cfg)
-    if cfg.n_lo is None:
-        raise PreconditionError("lyap needs --n")
-    ns = list(range(cfg.n_lo, (cfg.n_hi or cfg.n_lo) + 1))
-    d = F.degree
-    coeffs = families.poly_coeffs(spec, p)
+            f"family {args.family} takes {spec.parameter_dim} parameters, "
+            f"got {len(args.c)}")
+    F = families.map_at(spec, args.c)
+    coeffs = families.poly_coeffs(spec, args.c)
     reference = lyapunov.lyap_poly_closed_form(coeffs) \
         if coeffs is not None else None
-    pm = families.power_map_degree(F)
     rows = []
-    for n in ns:
-        if pm is not None:
-            est = lyapunov.lyap_from_spectrum(
-                families.power_map_spectrum(pm, n), pm, n, r=cfg.r)
-        else:
-            est = lyapunov.lyap_periodic(F, n, r=cfg.r)
+    for n in args.n:
+        est = lyapunov.lyap_periodic(F, n, r=args.r)
         if reference is not None:
             err = abs(est.value - reference)
-            norm = err * d**n / arith.sigma(2, n)
+            norm = err * F.degree**n / arith.sigma(2, n)
         else:
             err = float("nan")
             norm = float("nan")
         rows.append([n, est.value,
                      reference if reference is not None else float("nan"),
                      err, norm])
-    out = cfg.out or "lyap.csv"
-    write_csv(out, ["n", "L_n_r", "reference", "error", "normalized_error"],
-              rows)
-    diag = {"periods": ns, "r": cfg.r,
-            "power_map": pm is not None,
-            "reference": reference}
-    return diag, {out: _sha256(out)}
+    write_csv(args.out, ["n", "L_n_r", "reference", "error",
+                         "normalized_error"], rows)
+    return {"reference": reference}, {args.out: _sha256(args.out)}
 
 
-def cmd_centers(cfg: RunConfig) -> tuple[dict, dict]:
-    spec = families.family_from_id(cfg.family)
-    if not cfg.periods:
-        raise PreconditionError("centers needs --periods")
-    centers, warn_msgs = _cached_centers(cfg, spec, cfg.periods)
+def cmd_centers(args: argparse.Namespace) -> tuple[dict, dict]:
+    spec = families.family_from_id(args.family)
+    centers, warn_msgs = _cached_centers(args, spec)
     rows = []
-    if len(cfg.periods) == 1:
+    if len(args.periods) == 1:
         header = ["re", "im", "period", "residual"]
         for c in centers:
             rows.append([c.parameter[0].real, c.parameter[0].imag,
@@ -258,68 +220,68 @@ def cmd_centers(cfg: RunConfig) -> tuple[dict, dict]:
                          c.parameter[1].real, c.parameter[1].imag,
                          c.periods.periods[0], c.periods.periods[1],
                          max(c.residuals)])
-    out = cfg.out or "centers.csv"
-    write_csv(out, header, rows)
+    write_csv(args.out, header, rows)
     diag = {"count": len(centers),
             "multiplicity_total": sum(c.multiplicity for c in centers),
             "warnings": warn_msgs}
-    return diag, {out: _sha256(out)}
+    return diag, {args.out: _sha256(args.out)}
 
 
-def cmd_count(cfg: RunConfig) -> tuple[dict, dict]:
-    spec = families.family_from_id(cfg.family)
-    if not cfg.periods:
-        raise PreconditionError("count needs --periods")
+def _write_json(path: str, record: dict) -> dict:
+    _write_atomic(path, (json.dumps(record, sort_keys=True, indent=2)
+                         + "\n").encode())
+    return {path: _sha256(path)}
+
+
+def cmd_count(args: argparse.Namespace) -> tuple[dict, dict]:
+    spec = families.family_from_id(args.family)
     cc, warn_msgs = _incomplete_warnings(
-        families.component_count, spec, arith.PeriodTuple(cfg.periods))
+        families.component_count, spec, arith.PeriodTuple(args.periods))
     record = {"N": cc.N, "marked_solutions": cc.marked_solutions,
               "stab": cc.stab, "deficiency": cc.deficiency,
               "merged_solutions": cc.merged_solutions,
               "merged_fraction": cc.merged_fraction,
               "bezout": cc.bezout, "warnings": warn_msgs}
-    out = cfg.out or "count.json"
-    _write_atomic(out, (json.dumps(record, sort_keys=True, indent=2)
-                        + "\n").encode())
-    return record, {out: _sha256(out)}
+    return record, _write_json(args.out, record)
 
 
-def cmd_mass_m2(cfg: RunConfig) -> tuple[dict, dict]:
-    res = arith.m2_mass_series(cfg.terms)
+def cmd_mass_m2(args: argparse.Namespace) -> tuple[dict, dict]:
+    res = arith.m2_mass_series(args.terms)
     record = {"terms": res.terms, "partial_sum": res.value,
               "tail_bound": res.tail_bound}
-    out = cfg.out or "mass-m2.json"
-    _write_atomic(out, (json.dumps(record, sort_keys=True, indent=2)
-                        + "\n").encode())
-    return record, {out: _sha256(out)}
+    return record, _write_json(args.out, record)
 
 
-def cmd_equidist(cfg: RunConfig) -> tuple[dict, dict]:
-    spec = families.family_from_id(cfg.family)
-    if cfg.n_lo is None or cfg.ref is None:
-        raise PreconditionError("equidist needs --n and --ref")
-    ns = range(cfg.n_lo, (cfg.n_hi or cfg.n_lo) + 1)
-    report = equidist.equidist_report(spec, ns, cfg.k_moments, cfg.ref)
+def cmd_equidist(args: argparse.Namespace) -> tuple[dict, dict]:
+    spec = families.family_from_id(args.family)
+    pgm = os.path.splitext(args.out)[0] + ".pgm"
+    if args.window is None and args.resolution is not None:
+        raise PreconditionError("--resolution sizes the --window PGM; "
+                                "it needs --window")
+    if args.window is not None and pgm == args.out:
+        raise PreconditionError(f"--out {args.out} is the path of the "
+                                "--window PGM; give the CSV another name")
+    report = equidist.equidist_report(spec, args.n, args.k, args.ref)
     grid = None
-    if cfg.window is not None:
-        x0, x1, y0, y1 = cfg.window
+    if args.window is not None:
+        x0, x1, y0, y1 = args.window
         mu_ref = equidist.center_measure(
-            spec, arith.PeriodTuple((cfg.ref,)))
+            spec, arith.PeriodTuple((args.ref,)))
         grid = equidist.GridDensity.from_measure(
-            mu_ref, ((x0, x1), (y0, y1)), cfg.resolution)
+            mu_ref, ((x0, x1), (y0, y1)),
+            args.resolution or equidist.DEFAULT_RESOLUTION)
         if grid.mass <= 0.0:
             raise EmptyMeasureError(
-                f"no period-{cfg.ref} center lies inside --window")
+                f"no period-{args.ref} center lies inside --window")
     rows = []
     for row in report.rows:
         rows.append([row.n, *row.moment_errors, row.grid_distance])
     header = (["n"]
-              + [f"moment_error_{k}" for k in range(1, cfg.k_moments + 1)]
+              + [f"moment_error_{k}" for k in range(1, args.k + 1)]
               + ["grid_tv"])
-    out = cfg.out or "equidist.csv"
-    write_csv(out, header, rows)
-    files = {out: _sha256(out)}
+    write_csv(args.out, header, rows)
+    files = {args.out: _sha256(args.out)}
     if grid is not None:
-        pgm = os.path.splitext(out)[0] + ".pgm"
         write_pgm(pgm, grid)
         files[pgm] = _sha256(pgm)
     diag = {"reference_n": report.reference_n,
@@ -328,23 +290,20 @@ def cmd_equidist(cfg: RunConfig) -> tuple[dict, dict]:
     return diag, files
 
 
-def cmd_percurve(cfg: RunConfig) -> tuple[dict, dict]:
-    spec = families.family_from_id(cfg.family)
-    if cfg.n_lo is None:
-        raise PreconditionError("percurve needs --n")
-    cm = equidist.pern_circle_measure(spec, cfg.n_lo, cfg.rho, cfg.thetas)
+def cmd_percurve(args: argparse.Namespace) -> tuple[dict, dict]:
+    spec = families.family_from_id(args.family)
+    cm = equidist.pern_circle_measure(spec, args.n, args.rho, args.thetas)
     rows = [[p[0].real, p[0].imag, w] for p, w in cm.measure.atoms]
-    out = cfg.out or "percurve.csv"
-    write_csv(out, ["re", "im", "weight"], rows)
+    write_csv(args.out, ["re", "im", "weight"], rows)
     diag = {"atoms": len(cm.measure.atoms),
             "total_mass": cm.measure.total_mass,
             "path_loss_deficit": cm.path_loss_deficit,
             "recheck_deficit": cm.recheck_deficit}
-    return diag, {out: _sha256(out)}
+    return diag, {args.out: _sha256(args.out)}
 
 
-def cmd_degenerate(cfg: RunConfig) -> tuple[dict, dict]:
-    spec = families.family_from_id(cfg.family)
+def cmd_degenerate(args: argparse.Namespace) -> tuple[dict, dict]:
+    spec = families.family_from_id(args.family)
     if spec.kind != "MeromorphicDisk":
         raise PreconditionError("degenerate needs a degen:<id> family")
     moduli = np.logspace(-6, -3, 10)
@@ -359,10 +318,7 @@ def cmd_degenerate(cfg: RunConfig) -> tuple[dict, dict]:
                                          fit.slope + delta],
               "method": "regression", "residual": fit.residual,
               "samples": fit.samples}
-    out = cfg.out or "degenerate.json"
-    _write_atomic(out, (json.dumps(record, sort_keys=True, indent=2)
-                        + "\n").encode())
-    return record, {out: _sha256(out)}
+    return record, _write_json(args.out, record)
 
 
 COMMANDS = {
@@ -377,23 +333,53 @@ COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: each type= converter raises PreconditionError for a value
+# out of range, and argparse turns a malformed one into a usage error
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(s: str) -> tuple[int, int]:
-    if ".." in s:
-        lo, hi = s.split("..", 1)
-        return int(lo), int(hi)
-    return int(s), int(s)
+def _range(s: str) -> list[int]:
+    """``n`` or ``lo..hi`` as the list of periods lo..hi."""
+    lo, sep, hi = s.partition("..")
+    lo = int(lo)
+    hi = int(hi) if sep else lo
+    if lo > hi:
+        raise PreconditionError("--n lo..hi needs lo <= hi")
+    return list(range(lo, hi + 1))
 
 
-def _parse_complex_list(s: str) -> tuple[float, ...]:
-    out = []
-    for tok in s.split(","):
-        z = complex(tok.replace(" ", ""))
-        out.extend([z.real, z.imag])
-    return tuple(out)
+def _complex_list(s: str) -> tuple[complex, ...]:
+    return tuple(complex(tok.replace(" ", "")) for tok in s.split(","))
+
+
+def _periods(s: str) -> tuple[int, ...]:
+    periods = tuple(int(x) for x in s.split(","))
+    if len(periods) > 2:
+        raise PreconditionError("--periods takes one period or a pair")
+    return periods
+
+
+def _window(s: str) -> tuple[float, float, float, float]:
+    vals = tuple(float(x) for x in s.split(","))
+    if (len(vals) != 4 or not np.all(np.isfinite(vals))
+            or vals[0] >= vals[1] or vals[2] >= vals[3]):
+        raise PreconditionError("--window must be finite x0,x1,y0,y1 "
+                                "with x0 < x1 and y0 < y1")
+    return vals
+
+
+def _resolution(s: str) -> tuple[int, int]:
+    nx, ny = (int(x) for x in s.split(","))
+    if not (1 <= nx <= MAX_RESOLUTION and 1 <= ny <= MAX_RESOLUTION):
+        raise PreconditionError(
+            f"--resolution sides must lie in [1, {MAX_RESOLUTION}]")
+    return nx, ny
+
+
+def _out(s: str) -> str:
+    if not os.path.isdir(os.path.dirname(os.path.abspath(s))):
+        raise PreconditionError(f"--out {s}: the directory does not exist")
+    return s
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,118 +402,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="quantitative bifurcation diagnostics for rational maps")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--out", type=str, default=None)
+    def command(name, help, out):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", type=_out, default=out)
         p.add_argument("--no-cache", action="store_true")
+        return p
 
-    p = sub.add_parser("lyap", help="periodic-point Lyapunov estimates")
+    p = command("lyap", "periodic-point Lyapunov estimates", "lyap.csv")
     p.add_argument("--family", required=True)
-    p.add_argument("--c", type=str, default=None,
+    p.add_argument("--c", type=_complex_list, default=(),
                    help="parameter(s), comma-separated complex")
-    p.add_argument("--n", type=str, required=True, help="period or lo..hi")
-    p.add_argument("--r", type=float)
-    common(p)
+    p.add_argument("--n", type=_range, required=True, help="period or lo..hi")
+    p.add_argument("--r", type=float, default=1.0)
 
-    p = sub.add_parser("centers", help="enumerate component centers")
+    p = command("centers", "enumerate component centers", "centers.csv")
     p.add_argument("--family", required=True)
-    p.add_argument("--periods", type=str, required=True)
-    common(p)
+    p.add_argument("--periods", type=_periods, required=True)
 
-    p = sub.add_parser("count", help="count hyperbolic components")
+    p = command("count", "count hyperbolic components", "count.json")
     p.add_argument("--family", required=True)
-    p.add_argument("--periods", type=str, required=True)
-    common(p)
+    p.add_argument("--periods", type=_periods, required=True)
 
-    p = sub.add_parser("mass-m2", help="quadratic bifurcation mass series")
-    p.add_argument("--terms", type=int)
-    common(p)
+    p = command("mass-m2", "quadratic bifurcation mass series", "mass-m2.json")
+    p.add_argument("--terms", type=int, default=60)
 
-    p = sub.add_parser("equidist", help="center-measure convergence report")
+    p = command("equidist", "center-measure convergence report",
+                "equidist.csv")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=str, required=True)
+    p.add_argument("--n", type=_range, required=True, help="period or lo..hi")
     p.add_argument("--ref", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--window", type=str, default=None,
-                   help="x0,x1,y0,y1 for the PGM density")
-    p.add_argument("--resolution", type=str, default=None,
+    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--window", type=_window,
+                   help="x0,x1,y0,y1 for the PGM density, written next to "
+                        "--out with the suffix .pgm")
+    p.add_argument("--resolution", type=_resolution,
                    help="nx,ny of the PGM density (default 64,64); "
                         "needs --window")
-    common(p)
 
-    p = sub.add_parser("percurve", help="multiplier level-curve measure")
+    p = command("percurve", "multiplier level-curve measure", "percurve.csv")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=str, required=True)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--thetas", type=int)
-    common(p)
+    p.add_argument("--n", type=int, required=True, help="period")
+    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--thetas", type=int, default=64)
 
-    p = sub.add_parser("degenerate", help="Lyapunov degeneration slope")
+    p = command("degenerate", "Lyapunov degeneration slope",
+                "degenerate.json")
     p.add_argument("--family", required=True)
-    common(p)
     return ap
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run configuration; a malformed option raises PreconditionError
-    before any work is done."""
-    try:
-        return _config_from_args(args)
-    except ValueError as exc:
-        raise PreconditionError(f"malformed option value: {exc}") from None
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kw = dict(subcommand=args.subcommand,
-              out=getattr(args, "out", None),
-              no_cache=getattr(args, "no_cache", False))
-    if kw["out"] is not None and not os.path.isdir(
-            os.path.dirname(os.path.abspath(kw["out"]))):
-        raise PreconditionError(
-            f"--out {kw['out']}: the directory does not exist")
-    if hasattr(args, "family"):
-        kw["family"] = args.family
-    if getattr(args, "c", None):
-        kw["params"] = _parse_complex_list(args.c)
-    if getattr(args, "periods", None) is not None:
-        periods = tuple(int(x) for x in args.periods.split(","))
-        if len(periods) > 2:
-            raise PreconditionError("--periods takes one period or a pair")
-        kw["periods"] = periods
-    if getattr(args, "n", None):
-        kw["n_lo"], kw["n_hi"] = _parse_range(args.n)
-        if kw["n_lo"] > kw["n_hi"]:
-            raise PreconditionError("--n lo..hi needs lo <= hi")
-    for name in ("r", "rho", "thetas", "terms", "ref"):
-        if getattr(args, name, None) is not None:
-            kw[name] = getattr(args, name)
-    if getattr(args, "k", None) is not None:
-        kw["k_moments"] = args.k
-    if getattr(args, "window", None):
-        vals = tuple(float(x) for x in args.window.split(","))
-        if (len(vals) != 4 or not np.all(np.isfinite(vals))
-                or vals[0] >= vals[1] or vals[2] >= vals[3]):
-            raise PreconditionError("--window must be finite x0,x1,y0,y1 "
-                                    "with x0 < x1 and y0 < y1")
-        kw["window"] = vals
-    if getattr(args, "resolution", None) is not None:
-        if not getattr(args, "window", None):
-            raise PreconditionError("--resolution sizes the --window PGM; "
-                                    "it needs --window")
-        nx, ny = (int(x) for x in args.resolution.split(","))
-        if not (1 <= nx <= MAX_RESOLUTION and 1 <= ny <= MAX_RESOLUTION):
-            raise PreconditionError(
-                f"--resolution sides must lie in [1, {MAX_RESOLUTION}]")
-        kw["resolution"] = (nx, ny)
-    return RunConfig(**kw)
 
 
 def main(argv=None) -> int:
     try:
-        cfg = config_from_args(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
-        diag, files = COMMANDS[cfg.subcommand](cfg)
+        diag, files = COMMANDS[args.subcommand](args)
         wall = time.perf_counter() - t0
-        report = {"config": asdict(cfg), "wall_time_s": wall,
+        report = {"config": vars(args), "wall_time_s": wall,
                   "diagnostics": diag, "files": files}
         print(json.dumps(report, sort_keys=True, indent=2, default=str))
         return 0

@@ -202,20 +202,6 @@ def quadrat_fixed_normal_form(mu1: complex, mu2: complex
 # ---------------------------------------------------------------------------
 
 
-def power_map_degree(F: RationalMapLift) -> int | None:
-    """Degree d if F is affinely alpha * z^d (hence linearly conjugate to
-    z^d), else None."""
-    num, den = F.num, F.den
-    scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
-    if abs(den[0]) == 0:
-        return None
-    if np.max(np.abs(den[1:])) > 1e-15 * scale:
-        return None
-    if np.max(np.abs(num[:-1])) > 1e-15 * scale or num[-1] == 0:
-        return None
-    return F.degree
-
-
 def power_map_spectrum(d: int, n: int) -> list[tuple[complex, int]]:
     """Exact multiplier spectrum of z^d at period n as (multiplier,
     cycle count) pairs: every exact-period-n cycle has multiplier d^n, plus

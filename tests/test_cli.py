@@ -4,6 +4,7 @@ codes."""
 import csv
 import hashlib
 import json
+import math
 import os
 import shlex
 import tempfile
@@ -42,18 +43,29 @@ def workdir(tmp_path, monkeypatch):
 
 
 def test_lyap_power_map(capsys):
-    code, out, _ = run(["lyap", "--family", "quad", "--c", "0",
-                        "--n", "1..4", "--out", "lyap.csv"], capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert report["diagnostics"]["power_map"] is True
-    rows = read_csv("lyap.csv")
-    assert rows[0] == ["n", "L_n_r", "reference", "error", "normalized_error"]
-    assert len(rows) == 5
-    # periods >= 2 recover log 2 exactly
-    import math
-    for row in rows[2:]:
-        assert abs(float(row[1]) - math.log(2.0)) < 1e-12
+    # z^d has every period-n multiplier d^n: the general solver gives log d
+    for family, c, d in [("quad", "0", 2), ("pca3", "0,0", 3),
+                         ("quadrat", "0,0", 2)]:
+        code, out, err = run(["lyap", "--family", family, "--c", c,
+                              "--n", "2..4", "--out", "lyap.csv"], capsys)
+        assert code == 0, err
+        rows = read_csv("lyap.csv")
+        assert rows[0] == ["n", "L_n_r", "reference", "error",
+                           "normalized_error"]
+        assert [row[0] for row in rows[1:]] == ["2", "3", "4"]
+        for row in rows[1:]:
+            assert abs(float(row[1]) - math.log(d)) < 1e-12, family
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["lyap", "--family", "quad", "--c", "1.0", "--n", "3"],
+     {"c", "family", "n", "no_cache", "out", "r", "subcommand"}),
+    (["mass-m2"], {"no_cache", "out", "subcommand", "terms"}),
+])
+def test_report_config_is_the_subcommand_options(argv, keys, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert set(json.loads(out)["config"]) == keys
 
 
 def test_lyap_period_12_at_default_tolerance(capsys):
@@ -373,6 +385,8 @@ def test_removed_options_rejected(argv, workdir, capsys):
     (["centers", "--periods", "3"], "required: --family"),
     ([], "required: subcommand"),
     (["bogus"], "invalid choice"),
+    # percurve measures one period; a range is not a period
+    (["percurve", "--family", "quad", "--n", "3..5"], "invalid int value"),
 ])
 def test_usage_errors_end_in_one_json_line(argv, words, capsys):
     code, out, err = run(argv, capsys)
@@ -438,6 +452,26 @@ def test_out_in_missing_directory(workdir, capsys):
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "PRECONDITION"
     assert not (workdir / "missing").exists()
+
+
+def test_equidist_out_may_not_be_the_pgm_path(workdir, capsys):
+    # the PGM is written next to --out with the suffix .pgm and would
+    # overwrite the CSV
+    code, out, err = run(["equidist", "--family", "quad", "--n", "3..4",
+                          "--ref", "6", "--window=-2.1,0.6,-1.3,1.3",
+                          "--out", "eq.pgm"], capsys)
+    assert_precondition_line(code, out, err, "--window PGM")
+    assert not list(workdir.iterdir())
+
+
+def test_artifacts_follow_the_umask(workdir, capsys):
+    old = os.umask(0o022)
+    try:
+        code, _, err = run(["mass-m2", "--out", "m.json"], capsys)
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    assert (workdir / "m.json").stat().st_mode & 0o777 == 0o644
 
 
 def assert_file_or_one_error_line(code, stdout, err, out, *more):

@@ -44,7 +44,6 @@ from dynbif.families import (
     multiplier_continuation,
     pca_map,
     pca3_cycle_multiplier,
-    power_map_degree,
     power_map_spectrum,
     quad_center_evaluator,
     quad_cycle_multiplier,
@@ -134,8 +133,6 @@ def test_quadrat_normal_form_index_relation():
 
 
 def test_power_map_detection():
-    assert power_map_degree(map_at(QUAD, [0.0])) == 2
-    assert power_map_degree(map_at(QUAD, [-1.0])) is None
     spec1 = dict(power_map_spectrum(2, 1))
     assert spec1 == {0.0 + 0.0j: 2, 2.0 + 0.0j: 1}
     spec3 = power_map_spectrum(2, 3)
