@@ -5,8 +5,10 @@ over a 1-d numpy array, where the pair at z_i depends on z_i alone.  p and
 dp may share an arbitrary per-point scaling since only the Newton ratio
 enters.  Each sweep evaluates only the points still moving: a point whose
 correction fell below the tolerance is frozen and never evaluated again.
-The O(n^2) pairwise repulsion sum is the hot loop; it runs in real float64
-arithmetic over row blocks small enough to stay in cache.
+Newton sweeps without repulsion place most roots first, at O(n) cost, so
+the O(n^2) pairwise repulsion sum runs only on the seeds left over.  It is
+the hot loop; it runs in real float64 arithmetic over row blocks small
+enough to stay in cache.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from .errors import NoConvergenceError, PreconditionError
 
 # elements per temporary of the repulsion kernel (~0.5 MB of float64)
 REPULSION_BLOCK = 1 << 16
+# repulsion-free Newton sweeps from the seeds before the Aberth iteration
+NEWTON_SWEEPS = 8
 
 
 def pairwise_sums(z: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -107,54 +111,92 @@ def initial_points_on_circle(degree: int, radius: float) -> np.ndarray:
     return radius * stagger * np.exp(1j * theta)
 
 
+def close_points(z: np.ndarray, rho: float) -> np.ndarray:
+    """Mask of the points with another point within rho (1 + |z|), |z|
+    the larger modulus of the pair: in real-part order, each point is
+    compared with its k-th successor for k = 1, 2, ... while any of them
+    lies within the largest radius in real part."""
+    order = np.argsort(z.real, kind="stable")
+    zs = z[order]
+    reach = rho * (1.0 + np.abs(zs))
+    span = float(np.max(reach, initial=0.0))
+    hit = np.zeros(len(z), dtype=np.bool_)
+    for k in range(1, len(z)):
+        near = zs.real[k:] - zs.real[:-k] <= span
+        if not np.any(near):
+            break
+        near &= np.abs(zs[k:] - zs[:-k]) <= np.maximum(reach[k:], reach[:-k])
+        hit[k:] |= near
+        hit[:-k] |= near
+    return hit[np.argsort(order)]
+
+
+def _sweep(eval_fn, z, active, tol, repulse):
+    """One Aberth sweep (a Newton sweep without ``repulse``) over the active
+    points, in place; returns the worst relative correction of the points
+    still moving (0 if none)."""
+    idx = np.flatnonzero(active)
+    za = z[idx]
+    p, dp = eval_fn(za)
+    p = np.asarray(p, dtype=np.complex128)
+    dp = np.asarray(dp, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = p / dp
+    bad = ~np.isfinite(w)
+    if np.any(bad):
+        w[bad] = 0.02 * (1.0 + np.abs(za[bad]))
+    s = pairwise_sums(z, active)[idx] if repulse else 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        corr = w / (1.0 - w * s)
+    bad = ~np.isfinite(corr)
+    if np.any(bad):
+        corr[bad] = w[bad]
+    # damp absurd steps (far-field points with huge Newton ratios)
+    mag = np.abs(corr)
+    limit = 0.5 * (1.0 + np.abs(za))
+    big = mag > limit
+    if np.any(big):
+        corr[big] *= limit[big] / mag[big]
+    za = za - corr
+    z[idx] = za
+    rel = np.abs(corr) / (1.0 + np.abs(za))
+    moving = rel > tol
+    active[idx] = moving
+    return float(np.max(rel[moving], initial=0.0))
+
+
 def aberth_solve(eval_fn, init: np.ndarray, tol: float, max_iter: int
                  ) -> np.ndarray:
-    """Run the Ehrlich-Aberth iteration from ``init``.
+    """Run NEWTON_SWEEPS Newton sweeps, then the Ehrlich-Aberth iteration,
+    from ``init``.
 
     A point freezes once its correction drops below tol * (1 + |z|); each
     sweep calls ``eval_fn`` on the points not yet frozen only, so the
-    evaluator must be pointwise (see the module docstring).  Multiple
-    roots converge only linearly and bottom out at the double-precision
-    cluster radius (~eps**(1/m)), so the loop also exits when the worst active
+    evaluator must be pointwise (see the module docstring).  The points
+    Newton left moving, and both points of any frozen pair within
+    sqrt(tol) * (1 + |z|) (two seeds on one root), restart from their seeds
+    in the Aberth iteration, repelled by all points.  Multiple roots
+    converge only linearly and bottom out at the double-precision cluster
+    radius (~eps**(1/m)), so the loop also exits when the worst active
     correction has stopped improving at a sub-sqrt(tol) level; the cluster
     post-processing in cpoly then assigns multiplicities.
     """
-    z = np.array(init, dtype=np.complex128)
+    init = np.asarray(init, dtype=np.complex128)
+    z = init.copy()
     n = len(z)
     active = np.ones(n, dtype=np.bool_)
+    for _ in range(NEWTON_SWEEPS):
+        if not np.any(active):
+            break
+        _sweep(eval_fn, z, active, tol, repulse=False)
+    active[~active] = close_points(z[~active], tol**0.5)
+    z[active] = init[active]
     best = np.inf
     stagnant = 0
     for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        za = z[idx]
-        p, dp = eval_fn(za)
-        p = np.asarray(p, dtype=np.complex128)
-        dp = np.asarray(dp, dtype=np.complex128)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = p / dp
-        bad = ~np.isfinite(w)
-        if np.any(bad):
-            w[bad] = 0.02 * (1.0 + np.abs(za[bad]))
-        s = pairwise_sums(z, active)[idx]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            corr = w / (1.0 - w * s)
-        bad = ~np.isfinite(corr)
-        if np.any(bad):
-            corr[bad] = w[bad]
-        # damp absurd steps (far-field points with huge Newton ratios)
-        mag = np.abs(corr)
-        limit = 0.5 * (1.0 + np.abs(za))
-        big = mag > limit
-        if np.any(big):
-            corr[big] *= limit[big] / mag[big]
-        za = za - corr
-        z[idx] = za
-        rel = np.abs(corr) / (1.0 + np.abs(za))
-        moving = rel > tol
-        active[idx] = moving
-        if not np.any(moving):
+        if not np.any(active):
             return z
-        worst = float(np.max(rel[moving]))
+        worst = _sweep(eval_fn, z, active, tol, repulse=True)
         if worst < 0.9 * best:
             best = worst
             stagnant = 0

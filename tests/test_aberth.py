@@ -1,11 +1,16 @@
-"""The Aberth repulsion kernel against a direct double loop, and the
-solver's active-only evaluation against a sweep that evaluates every point."""
+"""The Aberth repulsion kernel and the collision check against direct
+double loops, the solver's active-only evaluation against sweeps that
+evaluate every point, and the Newton phase's share of the work."""
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
-from dynbif import aberth
-from dynbif.aberth import REPULSION_BLOCK, aberth_solve, pairwise_sums
+from conftest import quad_lift
+from dynbif import aberth, families
+from dynbif.aberth import (NEWTON_SWEEPS, REPULSION_BLOCK, aberth_solve,
+                           close_points, pairwise_sums)
+from dynbif.dynamics import exact_cycles
 
 
 def _loop(z, active):
@@ -68,42 +73,83 @@ def _horner_pair(coeffs):
     return eval_fn
 
 
+def _step(eval_fn, z, active, s):
+    """The damped correction of every point, zero at the frozen ones."""
+    p, dp = eval_fn(z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = p / dp
+    bad = ~np.isfinite(w)
+    w[bad] = 0.02 * (1.0 + np.abs(z[bad]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        corr = w / (1.0 - w * s)
+    bad = ~np.isfinite(corr)
+    corr[bad] = w[bad]
+    mag = np.abs(corr)
+    limit = 0.5 * (1.0 + np.abs(z))
+    big = mag > limit
+    corr[big] *= limit[big] / mag[big]
+    corr[~active] = 0.0
+    return corr
+
+
+def _close_pairs_loop(z, rho):
+    """Points with another point within rho (1 + max |z|), pair by pair."""
+    hit = np.zeros(len(z), dtype=bool)
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            if abs(z[i] - z[j]) <= rho * (1.0 + max(abs(z[i]), abs(z[j]))):
+                hit[i] = hit[j] = True
+    return hit
+
+
 def _aberth_every_point(eval_fn, init, tol, max_iter):
-    """The Aberth sweep as it ran before the evaluation was restricted to
-    the active points: every point is evaluated, and the frozen points'
-    corrections are zeroed afterwards."""
+    """The solve as it ran before the evaluation was restricted to the
+    active points: every point is evaluated in every sweep and the frozen
+    points' corrections are zeroed afterwards.  NEWTON_SWEEPS sweeps
+    without repulsion come first; the points still moving, and every
+    frozen point with a frozen neighbour within sqrt(tol) (1 + |z|), then
+    restart from their seeds.  Returns the roots and the restart mask."""
     z = np.array(init, dtype=np.complex128)
     active = np.ones(len(z), dtype=bool)
+    for _ in range(NEWTON_SWEEPS):
+        if not np.any(active):
+            break
+        corr = _step(eval_fn, z, active, 0.0)
+        z = z - corr
+        active &= np.abs(corr) / (1.0 + np.abs(z)) > tol
+    restart = active.copy()
+    frozen = np.flatnonzero(~active)
+    restart[frozen] = _close_pairs_loop(z[frozen], tol**0.5)
+    z = np.where(restart, init, z)
+    active = restart.copy()
     best, stagnant = np.inf, 0
     for _ in range(max_iter):
-        p, dp = eval_fn(z)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = p / dp
-        bad = ~np.isfinite(w)
-        w[bad] = 0.02 * (1.0 + np.abs(z[bad]))
-        s = pairwise_sums(z, active)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            corr = w / (1.0 - w * s)
-        bad = ~np.isfinite(corr)
-        corr[bad] = w[bad]
-        mag = np.abs(corr)
-        limit = 0.5 * (1.0 + np.abs(z))
-        big = mag > limit
-        corr[big] *= limit[big] / mag[big]
-        corr[~active] = 0.0
+        if not np.any(active):
+            return z, restart
+        corr = _step(eval_fn, z, active, pairwise_sums(z, active))
         z = z - corr
         rel = np.abs(corr) / (1.0 + np.abs(z))
         active &= rel > tol
-        if not np.any(active):
-            return z
-        worst = float(np.max(rel[active]))
+        worst = float(np.max(rel[active], initial=0.0))
         if worst < 0.9 * best:
             best, stagnant = worst, 0
         else:
             stagnant += 1
             if stagnant >= 15 and best < tol**0.5:
-                return z
+                return z, restart
     raise AssertionError("the reference sweep did not converge")
+
+
+def _recording(monkeypatch):
+    """Record each pairwise_sums call's points and active mask."""
+    sweeps = []
+
+    def recording_sums(z, active):
+        sweeps.append((z.copy(), active.copy()))
+        return pairwise_sums(z, active)
+
+    monkeypatch.setattr(aberth, "pairwise_sums", recording_sums)
+    return sweeps
 
 
 @pytest.mark.parametrize("degree, seed", [(64, 0), (96, 1)])
@@ -114,30 +160,92 @@ def test_frozen_points_are_not_evaluated(degree, seed, monkeypatch):
     init = aberth.initial_points_from_coeffs(coeffs)
     tol = 1e-12
     eval_fn = _horner_pair(coeffs)
-    want = _aberth_every_point(eval_fn, init, tol, 300)
+    want, restart = _aberth_every_point(eval_fn, init, tol, 300)
 
-    calls, sweeps = [], []
+    calls = []
 
     def recording(z):
         calls.append(z.copy())
         return eval_fn(z)
 
-    def recording_sums(z, active):
-        sweeps.append((z.copy(), active.copy()))
-        return pairwise_sums(z, active)
-
-    monkeypatch.setattr(aberth, "pairwise_sums", recording_sums)
+    sweeps = _recording(monkeypatch)
     got = aberth_solve(recording, init, tol, 300)
     assert np.array_equal(got, want)  # bit for bit
 
-    assert len(calls) == len(sweeps) > 1
-    assert len(calls[-1]) < len(calls[0]) == degree
-    frozen = np.zeros(degree, dtype=bool)
+    # the Newton sweeps evaluate a shrinking set and never call the kernel
+    newton = calls[:len(calls) - len(sweeps)]
+    assert len(newton) == NEWTON_SWEEPS and len(newton[0]) == degree
+    assert all(len(b) <= len(a) for a, b in zip(newton, newton[1:]))
+    assert len(sweeps) > 1
+    assert np.array_equal(sweeps[0][1], restart)
+    assert np.array_equal(sweeps[0][0][restart], init[restart])
+    frozen = ~restart
     for k, (z, active) in enumerate(sweeps):
-        # each sweep evaluates exactly the points still moving
+        # each Aberth sweep evaluates exactly the points still moving
         assert np.array_equal(active, ~frozen)
-        assert np.array_equal(calls[k], z[active])
+        assert np.array_equal(calls[len(newton) + k], z[active])
         after = sweeps[k + 1][0] if k + 1 < len(sweeps) else got
         rel = np.abs(z - after) / (1.0 + np.abs(after))
         assert np.all(rel[frozen] == 0)
         frozen |= rel <= tol
+
+
+@pytest.mark.parametrize("n, rho, seed", [
+    (400, 1e-6, 0),   # only the planted pairs are close
+    (300, 3e-2, 1),   # many chance pairs as well
+    (50, 1.0, 2),     # nearly every point has a neighbour
+])
+def test_close_points_matches_pair_loop(n, rho, seed):
+    rng = np.random.default_rng(seed)
+    z = _cloud(n, seed) * rng.choice([0.1, 1.0, 10.0], n)
+    i = rng.choice(n, 30, replace=False)
+    turn = np.exp(2j * np.pi * rng.random(10))
+    turn[:3] = 1j  # a vertical offset: equal real parts
+    for k, f in enumerate((0.5, 2.0)):
+        src, dst = i[10 * k:10 * k + 5], i[10 * k + 5:10 * k + 10]
+        z[dst] = z[src] + f * rho * (1.0 + np.abs(z[src])) * turn[:5]
+    z[i[20:25]] = z[i[25:30]]  # exact coincidences
+    z[i[25]] = -0.0 + 0.0j
+    z[i[20]] = 0.0 - 0.0j
+    got = close_points(z, rho)
+    assert np.array_equal(got, _close_pairs_loop(z, rho))
+    if rho < 1e-3:
+        assert got[i[:5]].all() and got[i[5:10]].all()
+        assert not got[i[10:20]].any()
+        assert got[i[20:30]].all()
+
+
+def test_close_points_of_few_points():
+    assert close_points(np.array([], dtype=complex), 1e-6).shape == (0,)
+    assert not close_points(np.array([1.0 + 0j]), 1e-6).any()
+    assert close_points(np.array([1.0 + 0j, 1.0 + 0j]), 1e-6).all()
+    # the radius is taken at the larger modulus: 0.1 (1 + 11.15) > 1.15
+    assert close_points(np.array([10.0 + 0j, 11.15 + 0j]), 0.1).all()
+    assert not close_points(np.array([10.0 + 0j, 11.25 + 0j]), 0.1).any()
+
+
+def test_two_seeds_on_one_root_restart(monkeypatch):
+    roots = np.array([0.0, 1.0, -1.0, 2.0])
+    eval_fn = _horner_pair(P.polyfromroots(roots).astype(complex))
+    init = np.array([0.0, 1e-3, 1.1 + 0.05j, -0.9 - 0.05j])
+    sweeps = _recording(monkeypatch)
+    got = aberth_solve(eval_fn, init, 1e-12, 100)
+    assert np.allclose(np.sort_complex(got), np.sort_complex(roots),
+                       rtol=0, atol=1e-12)
+    # Newton drives both first seeds onto 0; only they go to the Aberth
+    # phase, and the seed exactly on 0 freezes in its first sweep
+    assert np.array_equal(sweeps[0][1], [True, True, False, False])
+    assert all(np.array_equal(a, [False, True, False, False])
+               for _, a in sweeps[1:])
+
+
+def test_newton_places_the_seeded_roots(monkeypatch):
+    sweeps = _recording(monkeypatch)
+    exact_cycles(quad_lift(1.0), 10)
+    assert sweeps == []
+    families._quad_exact_centers.cache_clear()
+    families._quad_exact_centers(12)
+    # the solves of n = 8..12; below, a few restarts are a large share
+    # (3 of the 4 points at n = 3)
+    big = [a.mean() for z, a in sweeps if len(z) >= 128]
+    assert len(big) > 5 and max(big) <= 0.25
