@@ -21,6 +21,8 @@ from .errors import NoConvergenceError, PreconditionError
 REPULSION_BLOCK = 1 << 16
 # repulsion-free Newton sweeps from the seeds before the Aberth iteration
 NEWTON_SWEEPS = 8
+# relative widening of a slab_pairs slab, far above rounding
+SLAB_SLACK = 1e-12
 
 
 def pairwise_sums(z: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -111,24 +113,33 @@ def initial_points_on_circle(degree: int, radius: float) -> np.ndarray:
     return radius * stagger * np.exp(1j * theta)
 
 
+def slab_pairs(key: np.ndarray, query: np.ndarray, width: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of a proximity search along one real key: index
+    arrays (q, p), grouped by q, of every query q and point p with
+    |query_q - key_p| <= width_q (widened by SLAB_SLACK), cut from one sort
+    of the keys by two searchsorted calls on the sorted queries.  Callers
+    test their own exact predicate on them."""
+    order = np.argsort(key, kind="stable")
+    qo = np.argsort(query, kind="stable")
+    sk, w = key[order], width[qo] * (1.0 + SLAB_SLACK)
+    lo = np.searchsorted(sk, query[qo] - w, side="left")
+    count = np.searchsorted(sk, query[qo] + w, side="right") - lo
+    q = np.repeat(qo, count)
+    pos = np.arange(len(q)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    return q, order[pos]
+
+
 def close_points(z: np.ndarray, rho: float) -> np.ndarray:
     """Mask of the points with another point within rho (1 + |z|), |z|
-    the larger modulus of the pair: in real-part order, each point is
-    compared with its k-th successor for k = 1, 2, ... while any of them
-    lies within the largest radius in real part."""
-    order = np.argsort(z.real, kind="stable")
-    zs = z[order]
-    reach = rho * (1.0 + np.abs(zs))
-    span = float(np.max(reach, initial=0.0))
+    the larger modulus of the pair (candidates: real-part slabs)."""
+    reach = rho * (1.0 + np.abs(z))
+    q, p = slab_pairs(z.real, z.real, reach)
+    near = (q != p) & (np.abs(z[q] - z[p]) <= np.maximum(reach[q], reach[p]))
     hit = np.zeros(len(z), dtype=np.bool_)
-    for k in range(1, len(z)):
-        near = zs.real[k:] - zs.real[:-k] <= span
-        if not np.any(near):
-            break
-        near &= np.abs(zs[k:] - zs[:-k]) <= np.maximum(reach[k:], reach[:-k])
-        hit[k:] |= near
-        hit[:-k] |= near
-    return hit[np.argsort(order)]
+    hit[q[near]] = True
+    hit[p[near]] = True
+    return hit
 
 
 def _sweep(eval_fn, z, active, tol, repulse):

@@ -87,8 +87,8 @@ def _cluster(roots: np.ndarray, tol: float, newton_ratio: np.ndarray | None = No
     Two points join a cluster when their distance is at most a few times the
     sum of their Newton ratios |p/p'| plus the tolerance floor: a converged
     simple root has ratio ~ machine epsilon, while a member of an m-fold
-    cluster of radius e keeps ratio ~ e/m.  Candidate pairs come from a
-    real-part sort, so simple-root inputs cost O(n log n).
+    cluster of radius e keeps ratio ~ e/m.  Candidate pairs come from
+    real-part slabs (``aberth.slab_pairs``): O(n log n) on simple roots.
     """
     n = len(roots)
     scale = 1.0 + np.abs(roots)
@@ -97,7 +97,8 @@ def _cluster(roots: np.ndarray, tol: float, newton_ratio: np.ndarray | None = No
     w = np.minimum(np.abs(newton_ratio), 1e-3 * scale)
     w = np.where(np.isfinite(w), w, 1e-3 * scale)
     thresh = 8.0 * w + tol * scale
-    order = np.argsort(roots.real, kind="stable")
+    q, p = aberth.slab_pairs(roots.real, roots.real, 2.0 * thresh)
+    join = (q != p) & (np.abs(roots[q] - roots[p]) <= thresh[q] + thresh[p])
     parent = np.arange(n)
 
     def find(i):
@@ -106,20 +107,12 @@ def _cluster(roots: np.ndarray, tol: float, newton_ratio: np.ndarray | None = No
             i = parent[i]
         return i
 
-    re_sorted = roots.real[order]
-    smax = 2.0 * float(np.max(thresh)) if n else 0.0
-    for a in range(n):
-        i = order[a]
-        b = a + 1
-        while b < n and re_sorted[b] - re_sorted[a] <= smax:
-            j = order[b]
-            if abs(roots[i] - roots[j]) <= thresh[i] + thresh[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-            b += 1
-    # flatten the forest; a root is its group's first member, so the groups
-    # come in first-member order
+    for i, j in zip(q[join].tolist(), p[join].tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    # flatten the forest; a root is its group's lowest index (in any pair
+    # order), so the groups come in first-member order
     while not np.array_equal(parent[parent], parent):
         parent = parent[parent]
     _, gid, mults = np.unique(parent, return_inverse=True, return_counts=True)

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import arith
+from . import aberth, arith
 from .cpoly import roots_blackbox
 from .errors import (
     DegenerateMapError,
@@ -33,8 +33,6 @@ INFINITY_RETURN_TOL = 1e-9
 PERIOD_SOLVER_TOL = 1e-14
 # an image may sit this many times its propagated root error from its root
 MATCH_FACTOR = 100.0
-# elements per temporary in the nearest-root match
-MATCH_BLOCK = 2**16
 # generic start points of the period-n seed tree, tried in turn, and the
 # relative gap below which two preimages of one parent count as one
 CLOUD_STARTS = (0.3 + 0.2j, -0.41 + 0.17j, 0.13 - 0.37j)
@@ -175,6 +173,12 @@ class SpherePoint:
         if norm == 0:
             raise PreconditionError("zero vector does not project")
         object.__setattr__(self, "vec", v / norm)
+
+    @classmethod
+    def _unit(cls, vec: np.ndarray) -> "SpherePoint":
+        p = object.__new__(cls)  # a pair already checked and normalized
+        object.__setattr__(p, "vec", vec)
+        return p
 
     @staticmethod
     def from_affine(z: complex) -> "SpherePoint":
@@ -440,17 +444,25 @@ def cycle_multiplier(F: RationalMapLift, points: list[SpherePoint]) -> complex:
     return complex(np.prod(factors))
 
 
-def _nearest_root(x: np.ndarray, v: np.ndarray
+def _nearest_root(x: np.ndarray, v: np.ndarray, reach: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the chordally nearest column of v for every unit column of
-    x, and that distance."""
-    rows = max(1, MATCH_BLOCK // v.shape[1])
-    idx = np.empty(x.shape[1], dtype=np.intp)
-    for a in range(0, x.shape[1], rows):
-        wedge = np.multiply.outer(x[0, a:a + rows], v[1])
-        wedge -= np.multiply.outer(x[1, a:a + rows], v[0])
-        idx[a:a + rows] = np.argmin(wedge.real**2 + wedge.imag**2, axis=1)
-    return idx, np.abs(x[0] * v[1, idx] - x[1] * v[0, idx])
+    """Index of the chordally nearest column of v (the lowest on ties) for
+    each unit column of x with one within chordal distance reach, and that
+    distance; -1 and inf elsewhere.  Candidates share a slab of the sphere
+    coordinate 2 Re(a conj b) of the columns (a, b), which moves at most
+    twice the chordal distance; PERIOD_SOLVER_TOL covers its rounding."""
+    key = [2.0 * (u[0].real * u[1].real + u[0].imag * u[1].imag)
+           for u in (v, x)]
+    q, p = aberth.slab_pairs(*key, 2.0 * reach + PERIOD_SOLVER_TOL)
+    wedge = x[0, q] * v[1, p] - x[1, q] * v[0, p]
+    d2 = wedge.real**2 + wedge.imag**2
+    s = np.flatnonzero(np.diff(q, prepend=-1))  # each query's first pair
+    tie = d2 == np.minimum.reduceat(d2, s).repeat(np.diff(s, append=q.size))
+    hit, j = q[s], np.minimum.reduceat(np.where(tie, p, v.shape[1]), s)
+    idx, dist = np.full(x.shape[1], -1), np.full(x.shape[1], np.inf)
+    idx[hit] = j
+    dist[hit] = np.abs(x[0, hit] * v[1, j] - x[1, hit] * v[0, j])
+    return idx, dist
 
 
 def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
@@ -462,7 +474,9 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
     root, the matches must form a permutation, and its cycles are the
     orbits.  A match may lie no farther than the image error the root error
     can explain (the cluster radius, expanded by the local chordal |f'|), so
-    a root the solver left out raises a mismatch.  Lower-period orbits whose
+    a root the solver left out raises a mismatch.  The roots stay one array
+    of unit columns; the match is a sorted sweep over a slab of one sphere
+    coordinate, so it costs O(N log N).  Lower-period orbits whose
     multiplier is an (n/m)-th root of unity sit inside the period-n dynatomic
     divisor (parabolic contamination); they are returned separately and
     excluded from the exact-period list.
@@ -477,30 +491,37 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
     init = backward_cloud(F, target_deg)
     rs = roots_blackbox(period_wedge_evaluator(F, n), target_deg,
                         PERIOD_SOLVER_TOL, max_iter=3000, init=init)
-    points = [SpherePoint.from_affine(z) for z in rs.roots]
+    v = np.stack([rs.roots, np.ones_like(rs.roots)])
     mults = rs.multiplicities
     if has_inf:
-        points.append(SpherePoint.infinity())
+        v = np.append(v, [[1.0], [0.0]], axis=1)
         mults = np.append(mults, 1)
-    v = np.array([p.vec for p in points]).T  # (2, N) unit columns
+    # np.linalg.norm's summation order: each column is SpherePoint's
+    re, im = v.real**2, v.imag**2
+    norm = np.sqrt((re[0] + re[1]) + (im[0] + im[1]))
+    if not np.all(np.isfinite(norm)):
+        raise PreconditionError("sphere point needs a finite pair")
+    v = v / norm
     w = F.apply_vector(v)
     det = _jacobian_det(F, v[0], v[1])
     w_norm2 = np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2
-    sigma, dist = _nearest_root(w / np.sqrt(w_norm2), v)
     expansion = np.abs(det) / (F.degree * w_norm2)
     bound = (MATCH_FACTOR * (1.0 + expansion)
              * (rs.cluster_radius + PERIOD_SOLVER_TOL))
-    miss = dist > bound
+    sigma, dist = _nearest_root(w / np.sqrt(w_norm2), v, bound)
+    miss = ~(dist <= bound)
     if np.any(miss):
         raise OrbitMismatchError(
-            f"orbit left the root set (distance {dist[miss].max():.3e})")
-    if np.any(np.bincount(sigma, minlength=len(points)) != 1):
+            f"{np.count_nonzero(miss)} of {len(dist)} images have no root "
+            f"within their match bound (at most {bound[miss].max():.3e})")
+    if np.any(np.bincount(sigma, minlength=v.shape[1]) != 1):
         raise OrbitMismatchError("orbit collision between root groups")
     factors = _step_factors(F.degree, det, w, v[:, sigma])
-    seen = np.zeros(len(points), dtype=bool)
+    cols = np.ascontiguousarray(v.T)
+    seen = np.zeros(len(cols), dtype=bool)
     cycles: list[PeriodicCycle] = []
     contaminated: list[PeriodicCycle] = []
-    for start in range(len(points)):
+    for start in range(len(cols)):
         if seen[start]:
             continue
         orbit = [start]
@@ -511,14 +532,16 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
         if n % period != 0:
             raise OrbitMismatchError("orbit period does not divide n")
         mult_p = complex(np.prod(factors[orbit]))
-        cyc = PeriodicCycle(period, tuple(points[i] for i in orbit), mult_p)
         if period == n:
             # root multiplicity > 1 only at parabolic exact-n cycles, where
             # the dynatomic divisor counts them with that multiplicity
-            cycles.extend([cyc] * int(mults[orbit].min()))
+            out, copies = cycles, int(mults[orbit].min())
         elif abs(mult_p ** (n // period) - 1.0) <= PARABOLIC_ROOT_OF_UNITY_TOL:
-            contaminated.append(cyc)
-        # other lower-period orbits belong to smaller dynatomic divisors only
+            out, copies = contaminated, 1
+        else:
+            continue  # belongs to a smaller dynatomic divisor only
+        pts = tuple(SpherePoint._unit(cols[i]) for i in orbit)
+        out.extend([PeriodicCycle(period, pts, mult_p)] * copies)
     if not contaminated:
         d_n = arith.exact_cycle_point_count(F.degree, n)
         found = n * len(cycles)

@@ -1,6 +1,7 @@
-"""The Aberth repulsion kernel and the collision check against direct
-double loops, the solver's active-only evaluation against sweeps that
-evaluate every point, and the Newton phase's share of the work."""
+"""The Aberth repulsion kernel, the sorted-sweep pair search and the
+collision check against direct double loops, the solver's active-only
+evaluation against sweeps that evaluate every point, and the Newton
+phase's share of the work."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.polynomial import polynomial as P
 from conftest import quad_lift
 from dynbif import aberth, families
 from dynbif.aberth import (NEWTON_SWEEPS, REPULSION_BLOCK, aberth_solve,
-                           close_points, pairwise_sums)
+                           close_points, pairwise_sums, slab_pairs)
 from dynbif.dynamics import exact_cycles
 
 
@@ -249,3 +250,49 @@ def test_newton_places_the_seeded_roots(monkeypatch):
     # (3 of the 4 points at n = 3)
     big = [a.mean() for z, a in sweeps if len(z) >= 128]
     assert len(big) > 5 and max(big) <= 0.25
+
+
+def _slab_loop(key, query, width):
+    """Pairs (q, p) with |query_q - key_p| <= width_q, pair by pair."""
+    return [(q, p) for q in range(len(query)) for p in range(len(key))
+            if abs(query[q] - key[p]) <= width[q]]
+
+
+@pytest.mark.parametrize("n, seed", [(300, 0), (120, 1), (40, 2)])
+def test_slab_pairs_match_pair_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    z = _cloud(n, seed)
+    z[n // 2:] = np.conj(z[:n - n // 2])  # conjugates: equal real parts
+    key = z.real * rng.choice([0.1, 1.0, 10.0], n)
+    width = rng.choice([1e-9, 1e-3, 3e-2], n)  # per-query widths
+    query = key.copy()  # every query finds itself
+    i = rng.choice(n, 30, replace=False)
+    for k, f in enumerate((0.5, 2.0)):
+        src, dst = i[10 * k:10 * k + 5], i[10 * k + 5:10 * k + 10]
+        query[dst] = key[src] + f * width[dst] * rng.choice([-1, 1], 5)
+    query[i[20:25]] = key[i[25:30]]  # exact coincidences
+    q, p = slab_pairs(key, query, width)
+    assert len(set(q.tolist())) == 1 + np.count_nonzero(np.diff(q))  # grouped
+    got = list(zip(q.tolist(), p.tolist()))
+    assert sorted(got) == _slab_loop(key, query, width)
+    assert len(set(got)) == len(got)
+    assert all((d, s) in got for d, s in zip(i[5:10], i[:5]))
+    assert not any((d, s) in got for d, s in zip(i[15:20], i[10:15]))
+
+
+def test_slab_pairs_of_few_points():
+    none = np.array([])
+    for key, query in ((none, none), (none, np.array([1.0])),
+                       (np.array([1.0]), none)):
+        q, p = slab_pairs(key, query, np.ones(len(query)))
+        assert q.shape == p.shape == (0,)
+    q, p = slab_pairs(np.array([2.0]), np.array([2.0, 2.5, 4.0]),
+                      np.array([0.0, 0.5, 1.0]))
+    assert q.tolist() == [0, 1] and p.tolist() == [0, 0]
+    # a difference that rounds to the width is inside the slab, although
+    # query - width rounds to above the key
+    key, query = np.array([345.584192064786]), np.array([1690.5623474542465])
+    width = query - key
+    assert query - width > key
+    q, _ = slab_pairs(key, query, width)
+    assert q.tolist() == [0]

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dynbif import arith
-from dynbif.cpoly import roots_blackbox
+from dynbif import arith, dynamics
+from dynbif.cpoly import RootSet, roots_blackbox
 from dynbif.dynamics import (
     CLOUD_STARTS,
     RationalMapLift,
@@ -29,6 +29,7 @@ from dynbif.dynamics import (
 )
 from dynbif.errors import (
     DegenerateMapError,
+    OrbitMismatchError,
     ParabolicContaminationError,
     PreconditionError,
 )
@@ -375,3 +376,78 @@ def test_period_solve_draws_no_random_numbers():
     for x, y in zip(a.cycles, b.cycles):
         assert all(np.array_equal(p.vec, q.vec)
                    for p, q in zip(x.points, y.points))
+
+
+# ---------------------------------------------------------------------------
+# the image-to-root match
+# ---------------------------------------------------------------------------
+
+
+def _dense_nearest_root(x, v):
+    """The match as a dense search: for every unit column of x, the first
+    index of the chordally nearest column of v, and that distance."""
+    wedge = np.multiply.outer(x[0], v[1]) - np.multiply.outer(x[1], v[0])
+    idx = np.argmin(wedge.real**2 + wedge.imag**2, axis=1)
+    return idx, np.abs(x[0] * v[1, idx] - x[1] * v[0, idx])
+
+
+@pytest.mark.parametrize("family, c, n", [
+    (None, 1.0, 10),               # with the column of infinity
+    (None, 0.3 + 0.2j, 8),
+    (QUADRAT, [0.5, 0.3], 8),
+])
+def test_match_equals_the_dense_search(monkeypatch, family, c, n):
+    F = quad_lift(c) if family is None else map_at(family, c)
+    seen = []
+    sweep = dynamics._nearest_root
+
+    def recording(x, v, reach):
+        seen.append((x, v, sweep(x, v, reach)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(dynamics, "_nearest_root", recording)
+    exact_cycles(F, n)
+    (x, v, (idx, dist)), = seen
+    want_idx, want_dist = _dense_nearest_root(x, v)
+    assert np.array_equal(idx, want_idx)
+    assert dist.tobytes() == want_dist.tobytes()
+
+
+def test_match_takes_the_lowest_index_on_ties():
+    # z = 0.1 and z = -0.1 are equally far from 0; -0.1 comes first along
+    # the sphere coordinate, but the match takes the lower index
+    x = SpherePoint.from_affine(0.0).vec[:, None]
+    for roots in ([0.1, -0.1, 5.0], [-0.1, 0.1, 5.0], [5.0, 0.1, 0.1]):
+        v = np.array([SpherePoint.from_affine(z).vec for z in roots]).T
+        idx, dist = dynamics._nearest_root(x, v, np.array([0.5]))
+        assert idx.tolist() == [int(np.argmin(np.abs(roots)))]
+        assert dist[0] == _dense_nearest_root(x, v)[1][0]
+    # nothing within reach: no index, infinite distance
+    idx, dist = dynamics._nearest_root(x, v, np.array([1e-3]))
+    assert idx.tolist() == [-1] and dist.tolist() == [np.inf]
+
+
+def _altered_solve(monkeypatch, alter):
+    solve = dynamics.roots_blackbox
+
+    def altered(*args, **kwargs):
+        rs = solve(*args, **kwargs)
+        roots, mults = alter(rs.roots, rs.multiplicities)
+        return RootSet(roots, mults, rs.residual, rs.cluster_radius)
+
+    monkeypatch.setattr(dynamics, "roots_blackbox", altered)
+
+
+def test_a_missing_root_names_the_match_bound(monkeypatch):
+    _altered_solve(monkeypatch, lambda r, m: (r[1:], m[1:]))
+    with pytest.raises(OrbitMismatchError,
+                       match=r"^1 of 64 images have no root within their "
+                             r"match bound \(at most \d\.\d{3}e-\d+\)$"):
+        exact_cycles(quad_lift(1.0), 6)
+
+
+def test_a_doubled_root_is_an_orbit_collision(monkeypatch):
+    _altered_solve(monkeypatch, lambda r, m: (np.append(r, r[3]),
+                                              np.append(m, m[3])))
+    with pytest.raises(OrbitMismatchError, match="orbit collision"):
+        exact_cycles(quad_lift(1.0), 6)
