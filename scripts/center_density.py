@@ -13,6 +13,8 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
 from dynbif import arith
 from dynbif.cli import write_pgm
 from dynbif.equidist import QUAD_WINDOW, AtomicMeasure, GridDensity, \
@@ -30,25 +32,26 @@ def main() -> int:
     args = ap.parse_args()
     nx, ny = (int(x) for x in args.resolution.split(","))
 
-    atoms = []
+    params, weights = [], []
     for n in range(1, args.max_n + 1):
         mu = center_measure(QUAD, arith.PeriodTuple((n,)))
-        scale = 1.0 / mu.total_mass
-        atoms.extend((p, w * scale) for p, w in mu.atoms)
-        print(f"n={n:>2}: {len(mu.atoms):>5} centers, "
+        params.append(mu.params)
+        weights.append(mu.weights * (1.0 / mu.total_mass))
+        print(f"n={n:>2}: {len(mu.weights):>5} centers, "
               f"mass {mu.total_mass:.6f}")
-    combined = AtomicMeasure.from_atoms(atoms)
+    combined = AtomicMeasure(np.concatenate(params), np.concatenate(weights))
     grid = GridDensity.from_measure(combined, QUAD_WINDOW, (nx, ny))
     write_pgm(args.out, grid)
-    print(f"wrote {args.out} ({nx}x{ny}, {len(atoms)} atoms, "
+    print(f"wrote {args.out} ({nx}x{ny}, {len(combined.weights)} atoms, "
           f"{grid.mass:.4f} mass inside the window)")
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["re", "im", "weight"])
-            for p, wt in combined.atoms:
-                w.writerow([repr(p[0].real), repr(p[0].imag), repr(wt)])
+            c = combined.params[:, 0]
+            for x, y, wt in zip(c.real, c.imag, combined.weights):
+                w.writerow([repr(float(x)), repr(float(y)), repr(float(wt))])
         print(f"wrote {args.csv}")
     return 0
 

@@ -293,10 +293,12 @@ def cmd_equidist(args: argparse.Namespace) -> tuple[dict, dict]:
 def cmd_percurve(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = families.family_from_id(args.family)
     cm = equidist.pern_circle_measure(spec, args.n, args.rho, args.thetas)
-    rows = [[p[0].real, p[0].imag, w] for p, w in cm.measure.atoms]
+    m = cm.measure
+    c = m.params[:, 0]
+    rows = np.column_stack([c.real, c.imag, m.weights])
     write_csv(args.out, ["re", "im", "weight"], rows)
-    diag = {"atoms": len(cm.measure.atoms),
-            "total_mass": cm.measure.total_mass,
+    diag = {"atoms": len(m.weights),
+            "total_mass": m.total_mass,
             "path_loss_deficit": cm.path_loss_deficit,
             "recheck_deficit": cm.recheck_deficit}
     return diag, {args.out: _sha256(args.out)}

@@ -1,11 +1,13 @@
 """Atomic parameter-space measures, moments, grid densities and the
 equidistribution report."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynbif import arith
+from dynbif import arith, families
 from dynbif.equidist import (
     QUAD_WINDOW,
     AtomicMeasure,
@@ -16,7 +18,7 @@ from dynbif.equidist import (
     moment,
     pern_circle_measure,
 )
-from dynbif.errors import PreconditionError
+from dynbif.errors import EmptyMeasureError, PreconditionError
 from dynbif.families import PCA3, QUAD
 
 
@@ -26,17 +28,39 @@ from dynbif.families import PCA3, QUAD
 
 
 def test_atomic_measure_invariants():
-    m = AtomicMeasure.from_atoms([((0.0 + 0.0j,), 0.25),
-                                  ((1.0 + 0.0j,), 0.25)])
+    m = AtomicMeasure(np.array([[0.0 + 0.0j], [1.0 + 0.0j]]),
+                      np.array([0.25, 0.25]))
     assert m.total_mass == pytest.approx(0.5)
-    with pytest.raises(PreconditionError):
-        AtomicMeasure.from_atoms([((0.0 + 0.0j,), -0.1)])
+    for params, weights in [([[0.0 + 0.0j]], [-0.1]),
+                            ([[complex(np.nan, 0.0)]], [0.1]),
+                            ([[0.0 + 0.0j]], [0.0]),
+                            ([[0.0 + 0.0j]], [np.inf])]:
+        with pytest.raises(PreconditionError):
+            AtomicMeasure(np.array(params), np.array(weights))
+
+
+def test_empty_measure_keeps_its_shape_and_has_no_moments(monkeypatch):
+    monkeypatch.setattr(families, "marked_centers", lambda *args: [])
+    m = center_measure(PCA3, arith.PeriodTuple((1, 2)))
+    assert m.params.shape == (0, 2) and m.weights.shape == (0,)
+    assert m.total_mass == 0.0
+    with pytest.raises(EmptyMeasureError):
+        moment(m, 1)
+
+
+def test_binned_distance_needs_mass_inside_the_window():
+    inside = AtomicMeasure(np.array([[-1.0 + 0.0j]]), np.array([1.0]))
+    outside = AtomicMeasure(np.array([[99.0 + 0.0j]]), np.array([1.0]))
+    with pytest.raises(EmptyMeasureError):
+        binned_distance(inside, outside)
+    with pytest.raises(EmptyMeasureError):
+        binned_distance(outside, inside)
 
 
 def test_center_measure_period1():
     mu = center_measure(QUAD, arith.PeriodTuple((1,)))
-    assert len(mu.atoms) == 1
-    (param, weight), = mu.atoms
+    assert mu.params.shape == (1, 1)
+    (param,), (weight,) = mu.params, mu.weights
     assert param[0] == 0.0 + 0.0j
     # one fixed critical cycle among d_1 = 3 fixed points: weight 1/3
     assert weight == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -44,8 +68,8 @@ def test_center_measure_period1():
 
 def test_center_measure_period3():
     mu = center_measure(QUAD, arith.PeriodTuple((3,)))
-    assert len(mu.atoms) == 3
-    for _, w in mu.atoms:
+    assert mu.params.shape == (3, 1)
+    for w in mu.weights:
         assert w == pytest.approx(1.0 / 6.0, abs=1e-15)
     assert mu.total_mass == pytest.approx(0.5)
     # first moment: the three centers are the roots of c^3 + 2c^2 + c + 1,
@@ -58,17 +82,18 @@ def test_center_measure_integer_structure():
     for n in (2, 3, 4, 5):
         mu = center_measure(QUAD, arith.PeriodTuple((n,)))
         d_n = arith.exact_cycle_point_count(2, n)
-        assert mu.total_mass * d_n == pytest.approx(len(mu.atoms), abs=1e-9)
+        assert mu.total_mass * d_n == pytest.approx(len(mu.weights),
+                                                    abs=1e-9)
 
 
 def test_center_measure_pca3_counts_multiplicity():
     mu = center_measure(PCA3, arith.PeriodTuple((1, 2)))
     # both markings contribute: 6 multiplicity-3 solutions with the period-1
     # cycle marked at the unicritical point, 18 simple ones the other way
-    assert len(mu.atoms) == 24
+    assert mu.params.shape == (24, 2)
     base = 1.0 / 48.0  # stab / (2! * d_1 * d_2)
     counts = {1: 0, 3: 0}
-    for _, w in mu.atoms:
+    for w in mu.weights:
         mult = round(w / base)
         counts[mult] += 1
         assert w == pytest.approx(mult * base, abs=1e-15)
@@ -90,8 +115,28 @@ def test_moment_order_zero_is_one():
 @settings(deadline=None, max_examples=20)
 def test_moment_matches_direct_sum(k, n):
     mu = center_measure(QUAD, arith.PeriodTuple((n,)))
-    want = sum(w * p[0] ** k for p, w in mu.atoms) / mu.total_mass
+    want = sum(float(w) * complex(p[0]) ** k
+               for p, w in zip(mu.params, mu.weights))
+    want /= sum(float(w) for w in mu.weights)
     assert moment(mu, k) == pytest.approx(want, abs=1e-13)
+
+
+def test_first_moment_is_the_exact_center_mean():
+    # f_c^n(0) = c^(2^(n-1)) + 2^(n-2) c^(2^(n-1)-1) + ... has the centers
+    # of every period m | n as its simple roots, so their sums S(m) satisfy
+    # sum_{m | n} S(m) = -2^(n-2) (n >= 2) and S(1) = 0; Moebius inversion
+    # gives S(n), and the mean divides it by the exact-period center count
+    def root_sum(m):
+        return 0 if m == 1 else -2 ** (m - 2)
+
+    for n in range(2, 15):
+        divs = arith.divisors(n)
+        s_n = sum(arith.moebius(n // m) * root_sum(m) for m in divs)
+        count = sum(arith.moebius(n // m) * 2 ** (m - 1) for m in divs)
+        mu = center_measure(QUAD, arith.PeriodTuple((n,)))
+        assert len(mu.weights) == count
+        exact = float(Fraction(s_n, count))
+        assert abs(moment(mu, 1) - exact) <= 1e-15, n
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +145,9 @@ def test_moment_matches_direct_sum(k, n):
 
 
 def test_grid_density_binning():
-    mu = AtomicMeasure.from_atoms([((-2.0 + 1.0j,), 1.0),
-                                   ((0.5 - 1.0j,), 2.0),
-                                   ((99.0 + 0.0j,), 7.0)])  # outside window
+    mu = AtomicMeasure(np.array([[-2.0 + 1.0j], [0.5 - 1.0j],
+                                 [99.0 + 0.0j]]),  # the last lies outside
+                       np.array([1.0, 2.0, 7.0]))
     g = GridDensity.from_measure(mu, QUAD_WINDOW, (8, 8))
     assert g.mass == pytest.approx(3.0)
     # row 0 is the top of the window: the atom at im = +1 lands high
@@ -117,9 +162,7 @@ def test_binned_distance_metric_properties():
         r = np.random.default_rng(seed)
         pts = (-1.0 + r.standard_normal(10) * 0.4
                + 1j * r.standard_normal(10) * 0.4)
-        return AtomicMeasure.from_atoms(
-            [((complex(p),), float(w)) for p, w in
-             zip(pts, r.random(10) + 0.1)])
+        return AtomicMeasure(pts[:, None], r.random(10) + 0.1)
 
     a, b, c = (random_measure(s) for s in (1, 2, 3))
     dab = binned_distance(a, b, QUAD_WINDOW, (16, 16))
@@ -142,8 +185,8 @@ def test_circle_measure_rho_zero_is_center_measure():
     cm = pern_circle_measure(QUAD, 3, 0.0, 1)
     mu = center_measure(QUAD, arith.PeriodTuple((3,)))
     assert (cm.path_loss_deficit, cm.recheck_deficit) == (0, 0)
-    got = sorted((p[0].real, p[0].imag) for p, _ in cm.measure.atoms)
-    want = sorted((p[0].real, p[0].imag) for p, _ in mu.atoms)
+    got = sorted((p.real, p.imag) for p in cm.measure.params[:, 0])
+    want = sorted((p.real, p.imag) for p in mu.params[:, 0])
     for g, w in zip(got, want):
         assert g == pytest.approx(w, abs=1e-9)
 
@@ -152,11 +195,11 @@ def test_circle_measure_masses():
     cm = pern_circle_measure(QUAD, 2, 0.5, 8)
     assert cm.measure.total_mass == pytest.approx(
         1.0 / arith.exact_cycle_point_count(2, 2), abs=1e-12)
-    assert len(cm.measure.atoms) == 8
+    assert cm.measure.params.shape == (8, 1)
     # every atom sits on the curve |multiplier| = 0.5: recheck one directly
     from dynbif.families import quad_cycle_multiplier
-    for p, _ in cm.measure.atoms:
-        assert abs(quad_cycle_multiplier(complex(p[0]), 2)) == pytest.approx(
+    for p in cm.measure.params[:, 0]:
+        assert abs(quad_cycle_multiplier(complex(p), 2)) == pytest.approx(
             0.5, abs=1e-8)
 
 
@@ -167,11 +210,11 @@ def test_circle_measure_keeps_ill_conditioned_atoms():
     n, rho, thetas = 6, 0.5, 32
     cm = pern_circle_measure(QUAD, n, rho, thetas)
     assert (cm.path_loss_deficit, cm.recheck_deficit) == (0, 0)
-    assert len(cm.measure.atoms) == 27 * thetas
+    assert cm.measure.params.shape == (27 * thetas, 1)
     # independent multipliers from the critical orbit, against the grid
     # target of each atom (center-major, angle-minor)
-    for i, (p, _) in enumerate(cm.measure.atoms):
-        c, z = complex(p[0]), 0.0 + 0.0j
+    for i, p in enumerate(cm.measure.params[:, 0]):
+        c, z = complex(p), 0.0 + 0.0j
         for _ in range(400 * n):
             z = z * z + c
         lam = 1.0 + 0.0j
@@ -189,7 +232,7 @@ def test_circle_measure_period_one_near_max_modulus(rho):
     # for its 1e-10 bound at n = 1 too
     cm = pern_circle_measure(QUAD, 1, rho, 16)
     assert (cm.path_loss_deficit, cm.recheck_deficit) == (0, 0)
-    assert len(cm.measure.atoms) == 16
+    assert cm.measure.params.shape == (16, 1)
 
 
 def test_circle_measure_thetas_validation():
