@@ -123,7 +123,7 @@ def _cache_dir() -> str | None:
 def _cache_key(family: str, periods) -> str:
     # the solver tag keeps an earlier solver's rows from being served
     blob = json.dumps({"family": family, "periods": list(periods),
-                       "solver": "pca3-cb-jacobian"}, sort_keys=True)
+                       "solver": "pca3-cb-involution"}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -28,6 +28,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import arith
+from .aberth import slab_pairs
 from .cpoly import roots_blackbox
 from .dynamics import RationalMapLift
 from .errors import (
@@ -390,16 +391,17 @@ def _pca3_center_system(c, b, n0, n1):
     return (g0, z1 - c), ((g0c, g0b), (z1c - 1.0, z1b))
 
 
-def _pca3_newton(c, b, n0, n1, iters):
+def _pca3_newton(c, b, n0, n1, iters, found):
     """Up to ``iters`` vectorized Newton steps from every seed (c, b) on the
     return system, each cut to length 1.  A seed stops once its step is not
-    finite or |dc| + |db| <= 1e-15 (1 + |c| + |b|).  Returns the end points
-    and the residuals |g0| + |g1|, inf where a seed did not converge."""
+    finite or |dc| + |db| <= 1e-15 (1 + |c| + |b|), and joins the K x 2 set
+    ``found`` if then |g0| + |g1| < 1e-8.  All stop once the set holds the
+    3^(n0+n1-1) solutions of the system; more raise CountOverflowError."""
+    n_solutions = 3 ** (n0 + n1 - 1)
     c, b = np.array(c, dtype=complex), np.array(b, dtype=complex)
     live = np.arange(len(c))
-    conv = np.zeros(len(c), dtype=bool)
     for _ in range(iters):
-        if not live.size:
+        if not live.size or len(found) >= n_solutions:
             break
         (g0, g1), ((g0c, g0b), (g1c, g1b)) = \
             _pca3_center_system(c[live], b[live], n0, n1)
@@ -412,18 +414,19 @@ def _pca3_newton(c, b, n0, n1, iters):
         # damp long steps to keep seeds from being flung out
         mag = np.sqrt(np.abs(step_c) ** 2 + np.abs(step_b) ** 2)
         damp = np.minimum(1.0, 1.0 / np.maximum(mag, 1e-30))
-        step_c = step_c * damp
-        step_b = step_b * damp
+        step_c, step_b = step_c * damp, step_b * damp
         c[live] -= step_c
         b[live] -= step_b
         done = (np.abs(step_c) + np.abs(step_b)
                 <= 1e-15 * (1.0 + np.abs(c[live]) + np.abs(b[live])))
-        conv[live[done]] = True
-        live = live[~done]
-    res = np.full(len(c), np.inf)
-    (g0, g1), _ = _pca3_center_system(c[conv], b[conv], n0, n1)
-    res[conv] = np.abs(g0) + np.abs(g1)
-    return c, b, res
+        new, live = live[done], live[~done]
+        (g0, g1), _ = _pca3_center_system(c[new], b[new], n0, n1)
+        new = np.stack([c[new], b[new]], 1)[np.abs(g0) + np.abs(g1) < 1e-8]
+        found = _merge(found, new)
+    if len(found) > n_solutions:
+        raise CountOverflowError(f"{len(found)} solutions of the ({n0}, {n1})"
+                                 f" return system exceed {n_solutions}")
+    return found
 
 
 def _dedupe(points: np.ndarray, radius: float) -> np.ndarray:
@@ -443,9 +446,51 @@ def _dedupe(points: np.ndarray, radius: float) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
+def _merge(found: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The rows _dedupe keeps of found + new, found being rows it kept: new
+    rows near found go first (slab search on Re c), then _dedupe the rest."""
+    r, key = CENTER_DEDUPE_RADIUS, new[:, 0].real
+    q, p = slab_pairs(found[:, 0].real, key, np.full(len(key), r))
+    new = np.delete(new, q[np.linalg.norm(new[q] - found[p], axis=1) <= r],
+                    axis=0)
+    return np.concatenate([found, new[_dedupe(new, r)]])
+
+
+def _swap_marking(q: np.ndarray) -> np.ndarray:
+    """(c, b) -> (c, c + c^3/6 - b): z -> c - z swaps the critical points."""
+    return np.stack([q[:, 0], q[:, 0] + q[:, 0]**3 / 6.0 - q[:, 1]], axis=1)
+
+
+@lru_cache(maxsize=None)
+def _pca3_solutions(n0: int, n1: int) -> np.ndarray:
+    """Read-only K x 2 solutions (c, b) of the full (n0, n1) return system;
+    a full n0 = n1 set must be closed under _swap_marking (CountMismatch)."""
+    n_solutions = 3 ** (n0 + n1 - 1)
+    found = np.empty((0, 2), dtype=complex)
+    for round_id in range(5):
+        if len(found) == n_solutions:
+            break
+        rng = np.random.default_rng(7919 * round_id)
+        n_seeds = SEEDS_PER_ROOT * 3 * n_solutions * (1 + round_id)
+        # parameters of interest sit in a bounded bidisk (the connectedness
+        # locus of the family is compact); seed generously around it
+        spread = 2.2 + 0.6 * round_id
+        c = spread * (rng.standard_normal(n_seeds)
+                      + 1j * rng.standard_normal(n_seeds))
+        a = (0.73 * spread) * (rng.standard_normal(n_seeds)
+                               + 1j * rng.standard_normal(n_seeds))
+        found = _pca3_newton(c, a**3, n0, n1, 120, found)
+    _assign_multiplicities(found, n0, n1)  # duplicates are ill-conditioned
+    if n0 == n1 and len(_merge(found, _swap_marking(found))) \
+            > len(found) == n_solutions:
+        raise CountMismatchError(f"({n0}, {n1}) not closed under z -> c - z")
+    found.flags.writeable = False
+    return found
+
+
 def marked_centers(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
-    """Centers for the unordered period pair {n0, n1}: both assignments of
-    the periods to the marked critical points 0 and c (one when n0 = n1)."""
+    """Centers for the unordered period pair {n0, n1}: both markings of the
+    critical points 0 and c (one when n0 = n1), from one solve (centers_2d)."""
     markings = [(n0, n1)] if n0 == n1 else [(n0, n1), (n1, n0)]
     return [s for m0, m1 in markings for s in centers_2d(spec, m0, m1)]
 
@@ -458,13 +503,13 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
     (c, b = a^3), where a = 0 is no triple root; converged solutions are
     deduped at CENTER_DEDUPE_RADIUS.  The full return system (all divisor
     periods) has 3^(n0+n1-1) solutions in (c, b), its (c, a) Bezout count
-    3^(n0+n1) over the three cube roots: seeding rounds stop once that many
-    are found, and more raise CountOverflowError.  Each exact-period (c, b)
-    gives the rows of the three cube roots a of b, or a = 0 alone when
-    n0 = 1 (P(0) = b).  Each row has multiplicity 1, or 3 at a = 0 (see
-    _assign_multiplicities), and the total is certified against the Bezout
-    count D_n0 * D_n1 (an IncompleteEnumerationWarning with the deficit when
-    seeding falls short).
+    3^(n0+n1) over the three cube roots: seeds stop once that many are
+    found, more raise CountOverflowError; n0 < n1 maps the (n1, n0) solve
+    by _swap_marking.  Each exact-period (c, b) gives the rows of the three
+    cube roots a of b, or a = 0 alone when n0 = 1 (P(0) = b).  Each row has
+    multiplicity 1, or 3 at a = 0 (see _assign_multiplicities), and the
+    total is certified against the Bezout count D_n0 * D_n1 (an
+    IncompleteEnumerationWarning with the deficit when seeding falls short).
     """
     if spec.kind != "PcaPoly" or spec.degree != 3:
         raise PreconditionError("two-parameter centers support the marked "
@@ -476,29 +521,8 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
     if bezout > PCA_BEZOUT_CAP:
         raise PreconditionError(
             f"Bezout count {bezout} exceeds the desk cap {PCA_BEZOUT_CAP}")
-    total_target = 3 ** (n0 + n1)  # the (c, a) Bezout count of all periods
-    n_solutions = total_target // 3
-    found = np.empty((0, 2), dtype=complex)
-    for round_id in range(5):
-        rng = np.random.default_rng(7919 * round_id)
-        n_seeds = SEEDS_PER_ROOT * total_target * (1 + round_id)
-        # parameters of interest sit in a bounded bidisk (the connectedness
-        # locus of the family is compact); seed generously around it
-        spread = 2.2 + 0.6 * round_id
-        c = spread * (rng.standard_normal(n_seeds)
-                      + 1j * rng.standard_normal(n_seeds))
-        a = (0.73 * spread) * (rng.standard_normal(n_seeds)
-                               + 1j * rng.standard_normal(n_seeds))
-        c, b, res = _pca3_newton(c, a**3, n0, n1, 120)
-        ok = res < 1e-8
-        found = np.concatenate([found, np.stack([c[ok], b[ok]], axis=1)])
-        found = found[_dedupe(found, CENTER_DEDUPE_RADIUS)]
-        if len(found) >= n_solutions:
-            break
-    if len(found) > n_solutions:
-        raise CountOverflowError(
-            f"{len(found)} solutions of the ({n0}, {n1}) return system "
-            f"exceed its count {n_solutions}")
+    found = (_pca3_solutions(n0, n1).copy() if n0 >= n1
+             else _swap_marking(_pca3_solutions(n1, n0)))
     if n0 == 1:
         found[:, 1] = 0.0  # P(0) = b
     # drop the divisor-period solutions of the full return system
@@ -522,8 +546,9 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
         raise CountOverflowError(
             f"multiplicity total {total} exceeds the exact-period Bezout "
             f"count {bezout}")
-    out.sort(key=lambda p: (p.parameter[0].real, p.parameter[0].imag,
-                            p.parameter[1].real, p.parameter[1].imag))
+    # conjugate rows tie up to rounding: rounded keys keep their order
+    out.sort(key=lambda p: [round(x, 10) for z in p.parameter
+                            for x in (z.real, z.imag)])
     return out
 
 

@@ -261,9 +261,14 @@ def test_cache_key_names_the_solver():
                        "solver": "pca3-cb-chart", "tolerance": 1e-12},
                       sort_keys=True)
     assert key != hashlib.sha256(blob.encode()).hexdigest()
-    # the key is family, periods and the solver tag
+    # nor the rows of the solver that solved both markings, sorted on raw
+    # floats
     blob = json.dumps({"family": "pca3", "periods": [1, 3],
                        "solver": "pca3-cb-jacobian"}, sort_keys=True)
+    assert key != hashlib.sha256(blob.encode()).hexdigest()
+    # the key is family, periods and the solver tag
+    blob = json.dumps({"family": "pca3", "periods": [1, 3],
+                       "solver": "pca3-cb-involution"}, sort_keys=True)
     assert key == hashlib.sha256(blob.encode()).hexdigest()
     assert key == _cache_key("pca3", [1, 3])
 

@@ -13,6 +13,8 @@ import pytest
 from dynbif import arith, families
 from dynbif.dynamics import SpherePoint, cycle_multiplier
 from dynbif.errors import (
+    CountMismatchError,
+    CountOverflowError,
     DegenerateMapError,
     IllConditionedError,
     IncompleteEnumerationWarning,
@@ -26,13 +28,16 @@ from dynbif.families import (
     _assign_multiplicities,
     _dedupe,
     _first_return,
+    _merge,
     _pca3_bare,
     _pca3_cycles_merged,
     _pca3_chart_step,
     _pca3_newton,
+    _pca3_solutions,
     _pca3_step,
     _quad_bare,
     _quad_exact_centers,
+    _swap_marking,
     centers_1d,
     centers_2d,
     component_count,
@@ -265,7 +270,25 @@ def test_pca3_centers_2_2_distinct():
         assert max(s.residuals) < 1e-8
 
 
-def test_pca3_seeding_stops_at_the_solution_count(monkeypatch):
+@pytest.fixture
+def fresh_pca3_solutions():
+    """An empty solve cache, and none of a test's patched solves left in
+    it afterwards."""
+    _pca3_solutions.cache_clear()
+    yield
+    _pca3_solutions.cache_clear()
+
+
+NO_ROWS = np.empty((0, 2), dtype=complex)
+
+
+def _residuals(q, n0, n1):
+    (g0, g1), _ = families._pca3_center_system(q[:, 0], q[:, 1], n0, n1)
+    return np.abs(g0) + np.abs(g1)
+
+
+def test_pca3_seeding_stops_at_the_solution_count(monkeypatch,
+                                                   fresh_pca3_solutions):
     # round 0 finds all 3^(2+2-1) = 27 solutions of the full (2, 2) return
     # system, so no second round is seeded to confirm them
     calls = []
@@ -278,6 +301,124 @@ def test_pca3_seeding_stops_at_the_solution_count(monkeypatch):
     sols = centers_2d(PCA3, 2, 2)
     assert sum(s.multiplicity for s in sols) == 36
     assert len(calls) == 1
+
+
+def test_pca3_newton_stops_every_seed_at_the_solution_count(
+        monkeypatch, fresh_pca3_solutions):
+    # some of the 4,860 round-0 seeds never converge; they used to iterate
+    # to the 120-step cap after round 0 had found all 27 (2, 2) solutions
+    # by step 16.  One system call per step moves the live seeds.
+    moved = []
+
+    def counted(c, b, n0, n1):
+        moved.append(len(c))
+        return families_system(c, b, n0, n1)
+
+    families_system = families._pca3_center_system
+    monkeypatch.setattr(families, "_pca3_center_system", counted)
+    found = _pca3_solutions(2, 2)
+    assert len(found) == 27
+    steps = moved[0::2]  # each step then tests its converged seeds
+    assert steps[0] == 4860 and len(steps) < 40
+
+
+def test_pca3_newton_steps_no_seed_once_the_set_is_full():
+    # a set already holding the 3 (1, 1) rows stops every seed before its
+    # first step, even a seed that would converge to a row not in it
+    full = np.array([[5.0, 5.0], [6.0, 6.0], [7.0, 7.0]], dtype=complex)
+    got = _pca3_newton([0.3 + 0.1j], [0.2 + 0j], 1, 1, 120, full)
+    assert np.array_equal(got, full)
+    assert len(_pca3_newton([0.3 + 0.1j], [0.2 + 0j], 1, 1, 120,
+                            full[:2])) == 3
+
+
+@pytest.mark.parametrize("n0,n1", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_pca3_swapped_marking_matches_a_direct_solve(n0, n1):
+    # z -> c - z trades the critical points: the (n0, n1) solutions map
+    # onto the (n1, n0) ones, which centers_2d no longer solves itself
+    mapped = _swap_marking(_pca3_solutions(n0, n1))
+    direct = _pca3_solutions(n1, n0)
+    assert len(mapped) == len(direct) == 3 ** (n0 + n1 - 1)
+    dist = np.linalg.norm(mapped[:, None] - direct[None], axis=2)
+    nearest = dist.argmin(axis=1)
+    assert np.all(dist[np.arange(len(mapped)), nearest] <= 1e-13)
+    assert len(set(nearest.tolist())) == len(mapped)
+
+
+def test_pca3_solutions_are_read_only():
+    # both markings share one cached set: centers_2d zeroes b at n0 = 1 on
+    # its own copy
+    found = _pca3_solutions(1, 1)
+    before = found.copy()
+    with pytest.raises(ValueError):
+        found[0, 1] = 0.0
+    assert sum(s.multiplicity for s in centers_2d(PCA3, 1, 1)) == 9
+    assert np.array_equal(found, before, equal_nan=True)
+
+
+def test_pca3_equal_periods_must_be_closed_under_the_swap(
+        monkeypatch, fresh_pca3_solutions):
+    # one (2, 2) row moved by 1e-6 has no image among the others
+    def perturbed(*args):
+        found = _pca3_newton(*args).copy()
+        found[5, 1] += 1e-6
+        return found
+
+    monkeypatch.setattr(families, "_pca3_newton", perturbed)
+    with pytest.raises(CountMismatchError):
+        centers_2d(PCA3, 2, 2)
+
+
+def test_pca3_ill_conditioned_divisor_period_row_is_rejected(
+        monkeypatch, fresh_pca3_solutions):
+    # a spurious row can hold the slot of a missed solution once the set is
+    # full.  (i sqrt 2, 0), where the (1, 1) Jacobian is singular, stands in
+    # for one: its critical point 0 is fixed, so the exact-period (2, 1)
+    # read-off would drop it without a check on the whole set
+    def spurious(*args):
+        found = _pca3_newton(*args).copy()
+        found[np.argmin(np.abs(found[:, 1]))] = [1j * np.sqrt(2.0), 0.0]
+        return found
+
+    monkeypatch.setattr(families, "_pca3_newton", spurious)
+    with pytest.raises(IllConditionedError):
+        centers_2d(PCA3, 2, 1)
+    with pytest.raises(IllConditionedError):
+        centers_2d(PCA3, 1, 2)
+
+
+def test_pca3_overflow_is_raised_under_the_early_stop(monkeypatch,
+                                                      fresh_pca3_solutions):
+    # at radius 0 seeds that meet one solution a bit apart count twice, and
+    # the set passes 27 within one Newton step
+    monkeypatch.setattr(families, "CENTER_DEDUPE_RADIUS", 0.0)
+    with pytest.raises(CountOverflowError):
+        centers_2d(PCA3, 2, 2)
+
+
+def _one_ulp(x, rng):
+    """x moved by one ulp up or down, at random, in each real and imaginary
+    part."""
+    def nudge(v):
+        return np.nextafter(v, np.where(rng.random(v.shape) < 0.5, -np.inf,
+                                        np.inf))
+    return nudge(x.real) + 1j * nudge(x.imag)
+
+
+@pytest.mark.parametrize("n0,n1", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_pca3_row_order_survives_last_bit_changes(n0, n1, monkeypatch):
+    # conjugate rows share Re c up to rounding: a raw sort key let one ulp
+    # swap them
+    rows = centers_2d(PCA3, n0, n1)
+    solve = families._pca3_solutions
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(families, "_pca3_solutions",
+                            lambda m0, m1: _one_ulp(solve(m0, m1), rng))
+        moved = centers_2d(PCA3, n0, n1)
+        assert len(moved) == len(rows)
+        for s, t in zip(rows, moved):
+            assert np.allclose(s.parameter, t.parameter, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n0,n1,bezout", [(2, 4, 432), (3, 3, 576)])
@@ -317,23 +458,36 @@ def test_pca3_period_one_rows_sit_at_a_zero(n1):
     assert len({s.parameter[0] for s in sols}) == len(sols)
 
 
-def test_pca3_newton_drops_seeds_with_no_finite_step():
-    # the orbit of c = 1e200 overflows, so its Newton step is not finite
+def test_pca3_newton_drops_seeds_with_no_finite_step(monkeypatch):
+    # the orbit of c = 1e200 overflows, so its Newton step is not finite:
+    # that seed stops where it is, is never stepped again and joins no set
+    seen = []
+
+    def recorded(c, b, n0, n1):
+        seen.append(np.array(c))
+        return families_system(c, b, n0, n1)
+
+    families_system = families._pca3_center_system
+    monkeypatch.setattr(families, "_pca3_center_system", recorded)
     c0, b0 = np.array([1e200 + 0j, 0.3 + 0.1j]), np.array([0j, 0.2 + 0j])
     with np.errstate(over="ignore", invalid="ignore"):
-        c, b, res = _pca3_newton(c0, b0, 2, 2, 120)
-    assert c[0] == c0[0] and b[0] == b0[0] and res[0] == np.inf
-    assert res[1] < 1e-12
+        found = _pca3_newton(c0, b0, 2, 2, 120, NO_ROWS)
+    steps = seen[0::2]  # each step then tests its converged seeds
+    assert steps[0].tolist() == c0.tolist()
+    assert len(steps) > 2 and all(len(s) == 1 for s in steps[1:])
+    later = np.concatenate(seen[1:])
+    assert np.all(np.isfinite(later)) and np.all(np.abs(later) < 10)
+    assert found.shape == (1, 2) and abs(found[0, 0]) < 10
+    assert _residuals(found, 2, 2)[0] < 1e-12
     assert c0[1] == 0.3 + 0.1j  # the seeds are not moved in place
 
 
 def test_pca3_newton_keeps_only_converged_seeds():
     c0, b0 = np.array([0.3 + 0.1j]), np.array([0.2 + 0j])
-    *_, res = _pca3_newton(c0, b0, 2, 2, 120)
-    assert res[0] < 1e-12
+    found = _pca3_newton(c0, b0, 2, 2, 120, NO_ROWS)
+    assert found.shape == (1, 2) and _residuals(found, 2, 2)[0] < 1e-12
     for iters in (0, 1, 2):
-        *_, res = _pca3_newton(c0, b0, 2, 2, iters)
-        assert res[0] == np.inf
+        assert _pca3_newton(c0, b0, 2, 2, iters, NO_ROWS).shape == (0, 2)
 
 
 def test_pca3_step_matches_horner_and_finite_differences():
@@ -424,6 +578,23 @@ def test_dedupe_matches_pairwise_loop():
         assert list(_dedupe(pts, radius)) == _dedupe_loop(pts, radius)
 
 
+@pytest.mark.parametrize("radius", [1e-4, 3e-3, 0.5])
+def test_merge_matches_dedupe_of_the_concatenation(radius, monkeypatch):
+    # _merge takes the rows of an earlier _dedupe as kept and only dedupes
+    # what is new; _dedupe of the whole concatenation is the reference
+    monkeypatch.setattr(families, "CENTER_DEDUPE_RADIUS", radius)
+    rng = np.random.default_rng(3)
+    centers = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+    pts = centers[rng.integers(0, 30, 400)]
+    pts = pts + 1e-3 * (rng.standard_normal(pts.shape)
+                        + 1j * rng.standard_normal(pts.shape))
+    found = pts[:150][_dedupe(pts[:150], radius)]
+    for new in (pts[150:], pts[150:151], pts[:0], np.conj(found)):
+        both = np.concatenate([found, new])
+        assert np.array_equal(_merge(found, new), both[_dedupe(both, radius)])
+    assert np.array_equal(_merge(found[:0], pts), pts[_dedupe(pts, radius)])
+
+
 @pytest.mark.parametrize("n0,n1,mult", [(1, 2, 3), (2, 1, 1)])
 def test_pca3_multiplicities_from_the_jacobian(n0, n1, mult):
     # every (c, b) is simple; a = 0 is a triple root of b = a^3 at n0 = 1
@@ -442,8 +613,10 @@ def test_pca3_3_4_center_next_to_a_divisor_period_solution_is_simple(
     c0, b0 = sign * (2.2999 + 1.1403j), sign * (0.0669 + 1.6455j)
     if conj:
         c0, b0 = c0.conjugate(), b0.conjugate()
-    c, b, res = _pca3_newton([c0], [b0], 3, 4, 20)
-    assert res[0] < 1e-12 and abs(c[0] - c0) + abs(b[0] - b0) < 1e-3
+    found = _pca3_newton([c0], [b0], 3, 4, 20, NO_ROWS)
+    c, b = found[:, 0], found[:, 1]
+    assert found.shape == (1, 2) and _residuals(found, 3, 4)[0] < 1e-12
+    assert abs(c[0] - c0) + abs(b[0] - b0) < 1e-3
     assert _first_return(_pca3_bare, (c, b), 0 * c, 3)[0] == 3
     assert _first_return(_pca3_bare, (c, b), c, 4)[0] == 4
     assert _assign_multiplicities(np.stack([c, b], axis=1), 3, 4).tolist() \
