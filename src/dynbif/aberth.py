@@ -5,10 +5,10 @@ over a 1-d numpy array, where the pair at z_i depends on z_i alone.  p and
 dp may share an arbitrary per-point scaling since only the Newton ratio
 enters.  Each sweep evaluates only the points still moving: a point whose
 correction fell below the tolerance is frozen and never evaluated again.
-Newton sweeps without repulsion place most roots first, at O(n) cost, so
-the O(n^2) pairwise repulsion sum runs only on the seeds left over.  It is
-the hot loop; it runs in real float64 arithmetic over row blocks small
-enough to stay in cache.
+Newton sweeps without repulsion place most roots first, at O(n) cost, and
+run while they pay, so the O(n^2) pairwise repulsion sum runs only on the
+seeds left over.  It is the hot loop; it runs in real float64 arithmetic
+over row blocks small enough to stay in cache.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .errors import NoConvergenceError, PreconditionError
 REPULSION_BLOCK = 1 << 16
 # repulsion-free Newton sweeps from the seeds before the Aberth iteration
 NEWTON_SWEEPS = 8
+# then more while the last one froze this share of the points it moved, so
+# the phase ends within NEWTON_SWEEPS + ln n / -ln(1 - NEWTON_YIELD) sweeps
+NEWTON_YIELD = 1 / 8
 # relative widening of a slab_pairs slab, far above rounding
 SLAB_SLACK = 1e-12
 
@@ -130,15 +133,16 @@ def slab_pairs(key: np.ndarray, query: np.ndarray, width: np.ndarray
     return q, order[pos]
 
 
-def close_points(z: np.ndarray, rho: float) -> np.ndarray:
-    """Mask of the points with another point within rho (1 + |z|), |z|
-    the larger modulus of the pair (candidates: real-part slabs)."""
+def close_points(z: np.ndarray, rho: float, rank: np.ndarray) -> np.ndarray:
+    """Mask of the points with a point of lower rank (ties: lower index)
+    within rho (1 + |z|), |z| the larger modulus of the pair."""
     reach = rho * (1.0 + np.abs(z))
     q, p = slab_pairs(z.real, z.real, reach)
     near = (q != p) & (np.abs(z[q] - z[p]) <= np.maximum(reach[q], reach[p]))
+    # mark the higher-ranked point of each pair, found from either side
+    p_first = (rank[p] < rank[q]) | ((rank[p] == rank[q]) & (p < q))
     hit = np.zeros(len(z), dtype=np.bool_)
-    hit[q[near]] = True
-    hit[p[near]] = True
+    hit[np.where(p_first, q, p)[near]] = True
     return hit
 
 
@@ -178,29 +182,34 @@ def _sweep(eval_fn, z, active, tol, repulse):
 
 def aberth_solve(eval_fn, init: np.ndarray, tol: float, max_iter: int
                  ) -> np.ndarray:
-    """Run NEWTON_SWEEPS Newton sweeps, then the Ehrlich-Aberth iteration,
-    from ``init``.
+    """Run Newton sweeps, then the Ehrlich-Aberth iteration, from ``init``.
 
     A point freezes once its correction drops below tol * (1 + |z|); each
     sweep calls ``eval_fn`` on the points not yet frozen only, so the
-    evaluator must be pointwise (see the module docstring).  The points
-    Newton left moving, and both points of any frozen pair within
-    sqrt(tol) * (1 + |z|) (two seeds on one root), restart from their seeds
-    in the Aberth iteration, repelled by all points.  Multiple roots
-    converge only linearly and bottom out at the double-precision cluster
-    radius (~eps**(1/m)), so the loop also exits when the worst active
-    correction has stopped improving at a sub-sqrt(tol) level; the cluster
-    post-processing in cpoly then assigns multiplicities.
+    evaluator must be pointwise (see the module docstring).  The points the
+    Newton sweeps left moving restart from their seeds in the Aberth
+    iteration, repelled by all points; so does every frozen point with a
+    frozen point within sqrt(tol) * (1 + |z|) whose seed lay nearer (ties:
+    lower index), the nearest seed keeping each collided root.  Multiple
+    roots converge only linearly and bottom out at the double-precision
+    cluster radius (~eps**(1/m)), so the loop also exits when the worst
+    active correction has stopped improving at a sub-sqrt(tol) level; the
+    cluster post-processing in cpoly then assigns multiplicities.
     """
     init = np.asarray(init, dtype=np.complex128)
     z = init.copy()
     n = len(z)
     active = np.ones(n, dtype=np.bool_)
-    for _ in range(NEWTON_SWEEPS):
-        if not np.any(active):
-            break
+    moved, sweeps = n, 0
+    while moved:
         _sweep(eval_fn, z, active, tol, repulse=False)
-    active[~active] = close_points(z[~active], tol**0.5)
+        sweeps += 1
+        left = np.count_nonzero(active)
+        if sweeps >= NEWTON_SWEEPS and moved - left < NEWTON_YIELD * moved:
+            break
+        moved = left
+    active[~active] = close_points(z[~active], tol**0.5,
+                                   np.abs(z - init)[~active])
     z[active] = init[active]
     best = np.inf
     stagnant = 0

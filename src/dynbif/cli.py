@@ -122,8 +122,9 @@ def _cache_dir() -> str | None:
 
 def _cache_key(family: str, periods) -> str:
     # the solver tag keeps an earlier solver's rows from being served
+    tag = "pca3-cb-involution" if family == "pca3" else "quad-newton-step"
     blob = json.dumps({"family": family, "periods": list(periods),
-                       "solver": "pca3-cb-involution"}, sort_keys=True)
+                       "solver": tag}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -67,14 +67,15 @@ def center_measure(spec: families.FamilySpec,
     w = stab / norm
     if spec.kind == "QuadraticPoly":
         (n,) = periods.periods
-        centers = families.centers_1d(spec, n)
+        params = families.quad_centers(n)
+        mult = np.ones(params.size)
     elif spec.kind == "PcaPoly":
         n0, n1 = periods.periods
         centers = families.marked_centers(spec, n0, n1)
+        params = np.array([c.parameter for c in centers], dtype=complex)
+        mult = np.array([c.multiplicity for c in centers], dtype=float)
     else:
         raise PreconditionError(f"no center measure for {spec.kind}")
-    params = np.array([c.parameter for c in centers], dtype=complex)
-    mult = np.array([c.multiplicity for c in centers], dtype=float)
     return AtomicMeasure(params.reshape(-1, spec.parameter_dim), w * mult)
 
 

@@ -232,22 +232,22 @@ def quad_center_evaluator(n: int):
 
     def eval_fn(c: np.ndarray):
         c = np.asarray(c, dtype=np.complex128)
-        z = np.zeros_like(c)
-        dz = np.zeros_like(c)
         p = np.empty_like(c)
         dp = np.ones_like(c)
-        alive = np.ones(c.shape, dtype=bool)
+        live = np.arange(c.size)
+        cl, z, dz = c, np.zeros_like(c), np.zeros_like(c)
         for k in range(n):
-            dz[alive] = 2.0 * z[alive] * dz[alive] + 1.0
-            z[alive] = z[alive] ** 2 + c[alive]
-            esc = alive & (np.abs(z) > ESCAPE)
+            dz = 2.0 * z * dz + 1.0
+            z = z ** 2 + cl
+            esc = np.abs(z) > ESCAPE
             if np.any(esc):
                 # remaining steps only halve the Newton ratio
-                p[esc] = (z[esc] / dz[esc]) * 0.5 ** (n - 1 - k)
-                dp[esc] = 1.0
-                alive &= ~esc
-        p[alive] = z[alive]
-        dp[alive] = dz[alive]
+                p[live[esc]] = (z[esc] / dz[esc]) * 0.5 ** (n - 1 - k)
+                dp[live[esc]] = 1.0
+                keep = ~esc
+                live, cl, z, dz = live[keep], cl[keep], z[keep], dz[keep]
+        p[live] = z
+        dp[live] = dz
         return p, dp
 
     return eval_fn
@@ -311,34 +311,38 @@ def _quad_exact_centers(n: int) -> tuple[complex, ...]:
             "duplicate clusters among centers resist separation")
     roots = _polish_centers(rs.roots, n)
     period = _first_return(_quad_bare, (roots,), np.zeros_like(roots), n)
-    counts: dict[int, list[complex]] = {}
-    for c, m in zip(roots.tolist(), period.tolist()):
-        if m == 0 or n % m != 0:
-            raise CountMismatchError(
-                f"root {c} has no divisor period up to {n}")
-        counts.setdefault(m, []).append(c)
+    stray = (period == 0) | (n % np.maximum(period, 1) != 0)
+    if np.any(stray):
+        raise CountMismatchError(f"root {complex(roots[stray][0])} has no "
+                                 f"divisor period up to {n}")
     for m in arith.divisors(n):
         expected = arith.affine_cycle_point_count(2, m) // 2
-        got = len(counts.get(m, ()))
+        got = np.count_nonzero(period == m)
         if got != expected:
             raise CountMismatchError(
                 f"period {m}: found {got} centers, expected {expected}")
     # a conjugate pair's real parts differ only by rounding: round them so
     # each pair keeps the order (-im, +im) under last-bit changes
-    return tuple(sorted(counts[n], key=lambda z: (round(z.real, 10), z.imag)))
+    cs = roots[period == n]
+    return tuple(cs[np.lexsort((cs.imag, np.round(cs.real, 10)))].tolist())
+
+
+def quad_centers(n: int) -> np.ndarray:
+    """The certified exact-period-n centers of z^2 + c as a sorted array."""
+    if n < 1 or n > QUAD_CENTER_CAP:
+        raise PreconditionError(f"period must lie in [1, {QUAD_CENTER_CAP}]")
+    return np.asarray(_quad_exact_centers(n))
 
 
 def centers_1d(spec: FamilySpec, n: int) -> list[CenterPoint]:
     """All parameters of a one-parameter family where the marked critical
     point has exact period n, certified complete against the Moebius divisor
-    count."""
+    count; each residual is the Newton step |p_n / p_n'| (a distance in c)."""
     if spec.kind != "QuadraticPoly":
         raise PreconditionError("center enumeration supports the quadratic "
                                 "family in one parameter")
-    if n < 1 or n > QUAD_CENTER_CAP:
-        raise PreconditionError(f"period must lie in [1, {QUAD_CENTER_CAP}]")
-    cs = np.asarray(_quad_exact_centers(n))
-    res = np.abs(quad_center_evaluator(n)(cs)[0])
+    cs = quad_centers(n)
+    res = np.abs(np.divide(*quad_center_evaluator(n)(cs)))
     periods = arith.PeriodTuple((n,))
     return [CenterPoint((c,), periods, (r,))
             for c, r in zip(cs.tolist(), res.tolist())]

@@ -1,7 +1,7 @@
 """The Aberth repulsion kernel, the sorted-sweep pair search and the
-collision check against direct double loops, the solver's active-only
-evaluation against sweeps that evaluate every point, and the Newton
-phase's share of the work."""
+ranked collision check against direct double loops, the solver's
+active-only evaluation against sweeps that evaluate every point, and the
+Newton phase's share of the work."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,9 @@ from numpy.polynomial import polynomial as P
 
 from conftest import quad_lift
 from dynbif import aberth, families
-from dynbif.aberth import (NEWTON_SWEEPS, REPULSION_BLOCK, aberth_solve,
-                           close_points, pairwise_sums, slab_pairs)
+from dynbif.aberth import (NEWTON_SWEEPS, NEWTON_YIELD, REPULSION_BLOCK,
+                           aberth_solve, close_points, pairwise_sums,
+                           slab_pairs)
 from dynbif.dynamics import exact_cycles
 
 
@@ -93,40 +94,49 @@ def _step(eval_fn, z, active, s):
     return corr
 
 
-def _close_pairs_loop(z, rho):
-    """Points with another point within rho (1 + max |z|), pair by pair."""
+def _close_pairs_loop(z, rho, rank):
+    """Points with a point of lower rank (ties: lower index) within
+    rho (1 + max |z|), pair by pair."""
     hit = np.zeros(len(z), dtype=bool)
     for i in range(len(z)):
         for j in range(i + 1, len(z)):
             if abs(z[i] - z[j]) <= rho * (1.0 + max(abs(z[i]), abs(z[j]))):
-                hit[i] = hit[j] = True
+                hit[max((rank[i], i), (rank[j], j))[1]] = True
     return hit
 
 
 def _aberth_every_point(eval_fn, init, tol, max_iter):
     """The solve as it ran before the evaluation was restricted to the
     active points: every point is evaluated in every sweep and the frozen
-    points' corrections are zeroed afterwards.  NEWTON_SWEEPS sweeps
-    without repulsion come first; the points still moving, and every
-    frozen point with a frozen neighbour within sqrt(tol) (1 + |z|), then
-    restart from their seeds.  Returns the roots and the restart mask."""
+    points' corrections are zeroed afterwards.  Sweeps without repulsion
+    come first, NEWTON_SWEEPS of them and then more while the last one
+    froze at least NEWTON_YIELD of the points it moved.  The points still
+    moving, and every frozen point with a frozen neighbour within
+    sqrt(tol) (1 + |z|) whose seed lay nearer its point (ties: lower
+    index), then restart from their seeds.  Returns the roots, the restart
+    mask and the number of Newton sweeps."""
     z = np.array(init, dtype=np.complex128)
     active = np.ones(len(z), dtype=bool)
-    for _ in range(NEWTON_SWEEPS):
-        if not np.any(active):
-            break
+    moved, sweeps = len(z), 0
+    while moved:
         corr = _step(eval_fn, z, active, 0.0)
         z = z - corr
         active &= np.abs(corr) / (1.0 + np.abs(z)) > tol
+        sweeps += 1
+        left = np.count_nonzero(active)
+        if sweeps >= NEWTON_SWEEPS and moved - left < NEWTON_YIELD * moved:
+            break
+        moved = left
     restart = active.copy()
     frozen = np.flatnonzero(~active)
-    restart[frozen] = _close_pairs_loop(z[frozen], tol**0.5)
+    restart[frozen] = _close_pairs_loop(z[frozen], tol**0.5,
+                                        np.abs(z - init)[frozen])
     z = np.where(restart, init, z)
     active = restart.copy()
     best, stagnant = np.inf, 0
     for _ in range(max_iter):
         if not np.any(active):
-            return z, restart
+            return z, restart, sweeps
         corr = _step(eval_fn, z, active, pairwise_sums(z, active))
         z = z - corr
         rel = np.abs(corr) / (1.0 + np.abs(z))
@@ -137,7 +147,7 @@ def _aberth_every_point(eval_fn, init, tol, max_iter):
         else:
             stagnant += 1
             if stagnant >= 15 and best < tol**0.5:
-                return z, restart
+                return z, restart, sweeps
     raise AssertionError("the reference sweep did not converge")
 
 
@@ -161,7 +171,8 @@ def test_frozen_points_are_not_evaluated(degree, seed, monkeypatch):
     init = aberth.initial_points_from_coeffs(coeffs)
     tol = 1e-12
     eval_fn = _horner_pair(coeffs)
-    want, restart = _aberth_every_point(eval_fn, init, tol, 300)
+    want, restart, newton_sweeps = _aberth_every_point(eval_fn, init, tol,
+                                                       300)
 
     calls = []
 
@@ -175,7 +186,8 @@ def test_frozen_points_are_not_evaluated(degree, seed, monkeypatch):
 
     # the Newton sweeps evaluate a shrinking set and never call the kernel
     newton = calls[:len(calls) - len(sweeps)]
-    assert len(newton) == NEWTON_SWEEPS and len(newton[0]) == degree
+    assert len(newton) == newton_sweeps >= NEWTON_SWEEPS
+    assert len(newton[0]) == degree
     assert all(len(b) <= len(a) for a, b in zip(newton, newton[1:]))
     assert len(sweeps) > 1
     assert np.array_equal(sweeps[0][1], restart)
@@ -199,6 +211,7 @@ def test_frozen_points_are_not_evaluated(degree, seed, monkeypatch):
 def test_close_points_matches_pair_loop(n, rho, seed):
     rng = np.random.default_rng(seed)
     z = _cloud(n, seed) * rng.choice([0.1, 1.0, 10.0], n)
+    rank = rng.choice([0.0, 1.0, 2.0], n)  # many ties
     i = rng.choice(n, 30, replace=False)
     turn = np.exp(2j * np.pi * rng.random(10))
     turn[:3] = 1j  # a vertical offset: equal real parts
@@ -208,21 +221,29 @@ def test_close_points_matches_pair_loop(n, rho, seed):
     z[i[20:25]] = z[i[25:30]]  # exact coincidences
     z[i[25]] = -0.0 + 0.0j
     z[i[20]] = 0.0 - 0.0j
-    got = close_points(z, rho)
-    assert np.array_equal(got, _close_pairs_loop(z, rho))
+    got = close_points(z, rho, rank)
+    assert np.array_equal(got, _close_pairs_loop(z, rho, rank))
     if rho < 1e-3:
-        assert got[i[:5]].all() and got[i[5:10]].all()
+        # one point of each close pair is marked, the other keeps its place
+        assert np.all(got[i[:5]] != got[i[5:10]])
         assert not got[i[10:20]].any()
-        assert got[i[20:30]].all()
+        assert np.all(got[i[20:25]] != got[i[25:30]])
 
 
 def test_close_points_of_few_points():
-    assert close_points(np.array([], dtype=complex), 1e-6).shape == (0,)
-    assert not close_points(np.array([1.0 + 0j]), 1e-6).any()
-    assert close_points(np.array([1.0 + 0j, 1.0 + 0j]), 1e-6).all()
+    none = np.array([], dtype=complex)
+    assert close_points(none, 1e-6, none.real).shape == (0,)
+    assert not close_points(np.array([1.0 + 0j]), 1e-6, np.zeros(1)).any()
+    # the lower rank keeps its place; at equal rank, the lower index
+    two = np.array([1.0 + 0j, 1.0 + 0j])
+    assert close_points(two, 1e-6, np.zeros(2)).tolist() == [False, True]
+    assert close_points(two, 1e-6, np.array([1.0, 0.5])).tolist() == [
+        True, False]
     # the radius is taken at the larger modulus: 0.1 (1 + 11.15) > 1.15
-    assert close_points(np.array([10.0 + 0j, 11.15 + 0j]), 0.1).all()
-    assert not close_points(np.array([10.0 + 0j, 11.25 + 0j]), 0.1).any()
+    far = np.array([10.0 + 0j, 11.15 + 0j])
+    assert close_points(far, 0.1, np.zeros(2)).tolist() == [False, True]
+    far[1] = 11.25
+    assert not close_points(far, 0.1, np.zeros(2)).any()
 
 
 def test_two_seeds_on_one_root_restart(monkeypatch):
@@ -233,11 +254,30 @@ def test_two_seeds_on_one_root_restart(monkeypatch):
     got = aberth_solve(eval_fn, init, 1e-12, 100)
     assert np.allclose(np.sort_complex(got), np.sort_complex(roots),
                        rtol=0, atol=1e-12)
-    # Newton drives both first seeds onto 0; only they go to the Aberth
-    # phase, and the seed exactly on 0 freezes in its first sweep
-    assert np.array_equal(sweeps[0][1], [True, True, False, False])
+    # Newton drives both first seeds onto 0; the seed exactly on 0 keeps
+    # it, and only the other goes to the Aberth phase
+    assert got[0] == 0.0
     assert all(np.array_equal(a, [False, True, False, False])
-               for _, a in sweeps[1:])
+               for _, a in sweeps)
+    assert sweeps and np.array_equal(sweeps[0][0][1], init[1])
+
+
+def test_newton_runs_while_it_freezes_points(monkeypatch):
+    # Newton on e^z - 1 moves a seed at Re z >> 1 by about 1 per sweep: the
+    # seed 2 + k + 2 pi i k freezes at sweep 8 + k, so each sweep from
+    # NEWTON_SWEEPS on freezes one of the points it moves and Newton places
+    # every root, with no Aberth sweep
+    def eval_fn(z):  # e^z - 1, scaled by e^-z
+        calls.append(len(z))
+        return 1.0 - np.exp(-z), np.ones_like(z)
+
+    calls = []
+    k = np.arange(6)
+    sweeps = _recording(monkeypatch)
+    got = aberth_solve(eval_fn, 2.0 + k + 2j * np.pi * k, 1e-12, 100)
+    assert calls == [6] * 8 + [5, 4, 3, 2, 1]
+    assert len(calls) > NEWTON_SWEEPS and sweeps == []
+    assert np.allclose(got, 2j * np.pi * k, rtol=0, atol=1e-12)
 
 
 def test_newton_places_the_seeded_roots(monkeypatch):

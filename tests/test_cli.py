@@ -273,6 +273,15 @@ def test_cache_key_names_the_solver():
     assert key == _cache_key("pca3", [1, 3])
 
 
+def test_quad_cache_key_names_the_residual():
+    # quad rows cached under the pca3 solver tag carry the |f_c^n(0)|
+    # residual column, not the Newton step: they must miss
+    blob = json.dumps({"family": "quad", "periods": [6],
+                       "solver": "pca3-cb-involution"}, sort_keys=True)
+    assert _cache_key("quad", (6,)) != hashlib.sha256(
+        blob.encode()).hexdigest()
+
+
 def _readme_commands():
     """The dynbif command lines of the README's usage block, with their
     backslash continuations joined."""

@@ -86,6 +86,16 @@ def test_center_measure_integer_structure():
                                                     abs=1e-9)
 
 
+def test_center_measure_reads_the_certified_quad_centers():
+    # the atoms are the cached centers in their order; the period cap holds
+    mu = center_measure(QUAD, arith.PeriodTuple((6,)))
+    want = [c.parameter[0] for c in families.centers_1d(QUAD, 6)]
+    assert np.array_equal(mu.params[:, 0], want)
+    too_high = families.QUAD_CENTER_CAP + 1
+    with pytest.raises(PreconditionError):
+        center_measure(QUAD, arith.PeriodTuple((too_high,)))
+
+
 def test_center_measure_pca3_counts_multiplicity():
     mu = center_measure(PCA3, arith.PeriodTuple((1, 2)))
     # both markings contribute: 6 multiplicity-3 solutions with the period-1

@@ -172,6 +172,20 @@ def test_center_evaluator_matches_orbit():
         assert fd == pytest.approx(dv, rel=1e-5)
 
 
+@pytest.mark.parametrize("n", [1, 5, 14])
+def test_center_evaluator_batch_equals_one_point_calls(n):
+    # the points escape at different steps (1e200 at the first), so the
+    # batch compresses its live set while the one-point calls do not
+    cs = np.array([0.3 + 0.2j, 1e200, -1.1, 2.0 - 1.0j, -2.0, 0.25, 5j,
+                   -1.75 + 0j, 0.5 + 0.5j, 1e-300j])
+    ev = quad_center_evaluator(n)
+    p, dp = ev(cs)
+    one = [ev(cs[i:i + 1]) for i in range(len(cs))]
+    assert np.array_equal(p, np.concatenate([q for q, _ in one]))
+    assert np.array_equal(dp, np.concatenate([d for _, d in one]))
+    assert dp[1] == 1.0 and np.isfinite(p).all()
+
+
 def test_quad_centers_small_periods():
     assert [c.parameter[0] for c in centers_1d(QUAD, 1)] == [0.0 + 0.0j]
     _match([c.parameter[0] for c in centers_1d(QUAD, 2)], [-1.0], 1e-10)
@@ -192,6 +206,18 @@ def test_quad_centers_have_exact_period_and_small_residual():
                 z = z * z + c.parameter[0]
                 assert abs(z) > 1e-6
             assert abs(z * z + c.parameter[0]) < 1e-8
+
+
+def test_quad_center_residual_is_the_newton_step():
+    # |p_n / p_n'| at the center, a distance in c that the evaluator's
+    # per-point scaling cannot change: rounding level after the polish
+    for n in (3, 10):
+        cs = centers_1d(QUAD, n)
+        p, dp = quad_center_evaluator(n)(
+            np.array([c.parameter[0] for c in cs]))
+        assert [c.residuals for c in cs] == [
+            (r,) for r in np.abs(p / dp).tolist()]
+        assert max(c.residuals[0] for c in cs) < 1e-14
 
 
 @pytest.mark.parametrize("n", [6, 8])
