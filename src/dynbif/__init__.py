@@ -29,7 +29,7 @@ from .equidist import (
     pern_circle_measure,
 )
 from .families import (
-    CenterPoint,
+    CenterSet,
     ComponentCount,
     FamilySpec,
     centers_1d,
@@ -53,7 +53,7 @@ from .lyapunov import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMeasure", "CenterPoint", "ComponentCount", "FamilySpec",
+    "AtomicMeasure", "CenterSet", "ComponentCount", "FamilySpec",
     "GridDensity", "LyapunovEstimate", "PeriodTuple", "PeriodicCycle",
     "RationalMapLift", "SpherePoint", "Stability", "arith",
     "binned_distance", "center_measure", "centers_1d", "centers_2d",

@@ -121,8 +121,8 @@ def _cache_dir() -> str | None:
 
 
 def _cache_key(family: str, periods) -> str:
-    # the solver tag keeps an earlier solver's rows from being served
-    tag = "pca3-cb-involution" if family == "pca3" else "quad-newton-step"
+    # the tag keeps earlier solvers' rows and entry formats from being served
+    tag = "pca3-cb-involution-set" if family == "pca3" else "quad-newton-set"
     blob = json.dumps({"family": family, "periods": list(periods),
                        "solver": tag}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -137,40 +137,52 @@ def _incomplete_warnings(fn, *args):
                  if issubclass(w.category, IncompleteEnumerationWarning)]
 
 
+def _read_centers(path: str, dim: int) -> families.CenterSet | None:
+    """The set in a cache entry: ``re``, ``im`` and ``periods`` K x dim,
+    ``residual`` and ``multiplicity`` K, K >= 1.  None when the entry does
+    not parse, lacks a key or holds arrays of other shapes."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        # (re, im) pairs viewed as complex: re + 1j im turns -0.0 into 0.0
+        reim = np.array([data["re"], data["im"]], dtype=float)
+        centers = families.CenterSet(
+            np.moveaxis(reim, 0, -1).copy().view(complex)[..., 0],
+            np.array(data["periods"], dtype=int),
+            np.array(data["residual"], dtype=float),
+            np.array(data["multiplicity"], dtype=int))
+        k = len(centers)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError):
+        return None
+    ok = (k and centers.params.shape == centers.periods.shape == (k, dim)
+          and centers.residual.shape == centers.multiplicity.shape == (k,))
+    return centers if ok else None
+
+
 def _cached_centers(args: argparse.Namespace, spec
-                    ) -> tuple[list[families.CenterPoint], list[str]]:
-    """Center enumeration and its warnings, through the on-disk cache when
-    enabled; an incomplete enumeration is not cached."""
+                    ) -> tuple[families.CenterSet, list[str], str]:
+    """Center enumeration, its warnings and the cache use ("hit", "miss" or
+    "off"), through the on-disk cache when enabled; an unreadable entry is
+    recomputed and overwritten, an incomplete enumeration is not cached."""
     cdir = None if args.no_cache else _cache_dir()
-    key = _cache_key(args.family, args.periods)
     if cdir:
-        path = os.path.join(cdir, f"centers-{key}.json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            return [families.CenterPoint(
-                tuple(complex(re, im) for re, im in rec["parameter"]),
-                arith.PeriodTuple(tuple(rec["periods"])),
-                tuple(rec["residuals"]), rec["multiplicity"])
-                for rec in data], []
-    centers, warn_msgs = _incomplete_warnings(
-        _enumerate_centers, spec, args.periods)
+        path = os.path.join(
+            cdir, f"centers-{_cache_key(args.family, args.periods)}.json")
+        centers = _read_centers(path, len(args.periods))
+        if centers is not None:
+            return centers, [], "hit"
+    solve = (families.centers_1d if len(args.periods) == 1
+             else families.marked_centers)
+    centers, warn_msgs = _incomplete_warnings(solve, spec, *args.periods)
     if cdir and not warn_msgs:
         os.makedirs(cdir, exist_ok=True)
-        data = [{"parameter": [[p.real, p.imag] for p in c.parameter],
-                 "periods": list(c.periods.periods),
-                 "residuals": list(c.residuals),
-                 "multiplicity": c.multiplicity} for c in centers]
-        _write_atomic(os.path.join(cdir, f"centers-{key}.json"),
-                      json.dumps(data, sort_keys=True).encode())
-    return centers, warn_msgs
-
-
-def _enumerate_centers(spec, periods: tuple[int, ...]
-                       ) -> list[families.CenterPoint]:
-    if len(periods) == 1:
-        return families.centers_1d(spec, periods[0])
-    return families.marked_centers(spec, *periods)
+        data = {"re": centers.params.real.tolist(),
+                "im": centers.params.imag.tolist(),
+                "periods": centers.periods.tolist(),
+                "residual": centers.residual.tolist(),
+                "multiplicity": centers.multiplicity.tolist()}
+        _write_atomic(path, json.dumps(data, sort_keys=True).encode())
+    return centers, warn_msgs, "miss" if cdir else "off"
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +219,15 @@ def cmd_lyap(args: argparse.Namespace) -> tuple[dict, dict]:
 
 def cmd_centers(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = families.family_from_id(args.family)
-    centers, warn_msgs = _cached_centers(args, spec)
-    rows = []
-    if len(args.periods) == 1:
-        header = ["re", "im", "period", "residual"]
-        for c in centers:
-            rows.append([c.parameter[0].real, c.parameter[0].imag,
-                         c.periods.periods[0], max(c.residuals)])
-    else:
-        header = ["re", "im", "re2", "im2", "period", "period2", "residual"]
-        for c in centers:
-            rows.append([c.parameter[0].real, c.parameter[0].imag,
-                         c.parameter[1].real, c.parameter[1].imag,
-                         c.periods.periods[0], c.periods.periods[1],
-                         max(c.residuals)])
-    write_csv(args.out, header, rows)
-    diag = {"count": len(centers),
-            "multiplicity_total": sum(c.multiplicity for c in centers),
+    centers, warn_msgs, cache = _cached_centers(args, spec)
+    dim = len(args.periods)
+    header = (["re", "im", "re2", "im2"][:2 * dim]
+              + ["period", "period2"][:dim] + ["residual"])
+    reim = np.ascontiguousarray(centers.params).view(float)
+    write_csv(args.out, header,
+              zip(*reim.T, *centers.periods.T, centers.residual))
+    diag = {"cache": cache, "count": len(centers),
+            "multiplicity_total": int(centers.multiplicity.sum()),
             "warnings": warn_msgs}
     return diag, {args.out: _sha256(args.out)}
 

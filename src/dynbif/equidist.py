@@ -66,14 +66,11 @@ def center_measure(spec: families.FamilySpec,
     norm = math.factorial(spec.degree - 1) * d_prod
     w = stab / norm
     if spec.kind == "QuadraticPoly":
-        (n,) = periods.periods
-        params = families.quad_centers(n)
+        params = families.quad_centers(*periods.periods)
         mult = np.ones(params.size)
     elif spec.kind == "PcaPoly":
-        n0, n1 = periods.periods
-        centers = families.marked_centers(spec, n0, n1)
-        params = np.array([c.parameter for c in centers], dtype=complex)
-        mult = np.array([c.multiplicity for c in centers], dtype=float)
+        centers = families.marked_centers(spec, *periods.periods)
+        params, mult = centers.params, centers.multiplicity
     else:
         raise PreconditionError(f"no center measure for {spec.kind}")
     return AtomicMeasure(params.reshape(-1, spec.parameter_dim), w * mult)

@@ -22,7 +22,7 @@ settled-multiplier read-off are written once.  The cubic continues in
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache, partial
 
 import numpy as np
@@ -254,18 +254,26 @@ def quad_center_evaluator(n: int):
 
 
 @dataclass(frozen=True)
-class CenterPoint:
-    """A postcritically finite parameter with its marked periods.
+class CenterSet:
+    """Postcritically finite parameters, one row per center: ``params``
+    (complex, K x dim), the exact ``periods`` of the marked critical points
+    (int, K x dim), the largest ``residual`` of the defining system and the
+    ``multiplicity`` (K each): the local intersection multiplicity of the
+    return system, 1 at the transversal solutions that the center solves
+    certify and 3 at the marked cubic's a = 0 rows, where b = a^3 triples a
+    simple root in b.  An index, a slice or a mask selects a CenterSet."""
 
-    ``multiplicity`` is the local intersection multiplicity of the defining
-    return system in the parameters: 1 at the transversal solutions that
-    the center solves certify, 3 at the marked cubic's a = 0 rows (the
-    critical point 0 fixed), where b = a^3 triples a simple root in b."""
+    params: np.ndarray
+    periods: np.ndarray
+    residual: np.ndarray
+    multiplicity: np.ndarray
 
-    parameter: tuple[complex, ...]
-    periods: arith.PeriodTuple
-    residuals: tuple[float, ...]
-    multiplicity: int = 1
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def __getitem__(self, rows) -> "CenterSet":
+        i = np.atleast_1d(np.arange(len(self))[rows])
+        return CenterSet(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
 def _first_return(bare, q, z0, n: int) -> np.ndarray:
@@ -334,7 +342,7 @@ def quad_centers(n: int) -> np.ndarray:
     return np.asarray(_quad_exact_centers(n))
 
 
-def centers_1d(spec: FamilySpec, n: int) -> list[CenterPoint]:
+def centers_1d(spec: FamilySpec, n: int) -> CenterSet:
     """All parameters of a one-parameter family where the marked critical
     point has exact period n, certified complete against the Moebius divisor
     count; each residual is the Newton step |p_n / p_n'| (a distance in c)."""
@@ -343,9 +351,8 @@ def centers_1d(spec: FamilySpec, n: int) -> list[CenterPoint]:
                                 "family in one parameter")
     cs = quad_centers(n)
     res = np.abs(np.divide(*quad_center_evaluator(n)(cs)))
-    periods = arith.PeriodTuple((n,))
-    return [CenterPoint((c,), periods, (r,))
-            for c, r in zip(cs.tolist(), res.tolist())]
+    return CenterSet(cs[:, None], np.full((len(cs), 1), n), res,
+                     np.ones(len(cs), dtype=int))
 
 
 def _polish_centers(roots: np.ndarray, n: int) -> np.ndarray:
@@ -492,14 +499,16 @@ def _pca3_solutions(n0: int, n1: int) -> np.ndarray:
     return found
 
 
-def marked_centers(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
+def marked_centers(spec: FamilySpec, n0: int, n1: int) -> CenterSet:
     """Centers for the unordered period pair {n0, n1}: both markings of the
-    critical points 0 and c (one when n0 = n1), from one solve (centers_2d)."""
+    critical points 0 and c (one when n0 = n1), from one solve (centers_2d),
+    the (n0, n1) rows first."""
     markings = [(n0, n1)] if n0 == n1 else [(n0, n1), (n1, n0)]
-    return [s for m0, m1 in markings for s in centers_2d(spec, m0, m1)]
+    sets = [astuple(centers_2d(spec, m0, m1)) for m0, m1 in markings]
+    return CenterSet(*map(np.concatenate, zip(*sets)))
 
 
-def centers_2d(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
+def centers_2d(spec: FamilySpec, n0: int, n1: int) -> CenterSet:
     """All (c, a) where critical point 0 has exact period n0 and critical
     point c has exact period n1, for the marked cubic family.
 
@@ -535,13 +544,11 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
     found = found[(_first_return(_pca3_bare, q, zero, n0) == n0)
                   & (_first_return(_pca3_bare, q, q[0], n1) == n1)]
     (g0, g1), _ = _pca3_center_system(found[:, 0], found[:, 1], n0, n1)
-    res = list(zip(np.abs(g0).tolist(), np.abs(g1).tolist()))
-    mult = _assign_multiplicities(found, n0, n1).tolist()
-    periods = arith.PeriodTuple((n0, n1))
+    mult = _assign_multiplicities(found, n0, n1)
     roots = _cube_roots(found[:, 1])[:3 if n0 > 1 else 1]
-    out = [CenterPoint((c, a), periods, r, m) for a_k in roots.tolist()
-           for c, a, r, m in zip(found[:, 0].tolist(), a_k, res, mult)]
-    total = sum(s.multiplicity for s in out)
+    k = len(roots)  # rows cube-root-major, as the stable sort then sees them
+    params = np.stack([np.tile(found[:, 0], k), roots.ravel()], axis=1)
+    total = int(mult.sum()) * k
     if total < bezout:
         warnings.warn(
             f"found multiplicity total {total} of {bezout} exact-period "
@@ -551,9 +558,10 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int) -> list[CenterPoint]:
             f"multiplicity total {total} exceeds the exact-period Bezout "
             f"count {bezout}")
     # conjugate rows tie up to rounding: rounded keys keep their order
-    out.sort(key=lambda p: [round(x, 10) for z in p.parameter
-                            for x in (z.real, z.imag)])
-    return out
+    order = np.lexsort(np.round(params.view(float), 10).T[::-1])
+    return CenterSet(params, np.tile([n0, n1], (len(params), 1)),
+                     np.tile(np.maximum(np.abs(g0), np.abs(g1)), k),
+                     np.tile(mult, k))[order]
 
 
 def _assign_multiplicities(q: np.ndarray, n0: int, n1: int) -> np.ndarray:
@@ -627,26 +635,24 @@ PATH_CHUNK = 2**14
 MAX_TARGET_MODULUS = 0.95
 
 
-def multiplier_continuation(spec: FamilySpec, center: CenterPoint,
-                            target_w):
-    """Parameter in the hyperbolic component of ``center`` where the marked
-    attracting cycles have the prescribed multipliers: the one path of
-    ``continuation`` from ``center`` to ``target_w``, with PATH_LOSS when it
-    is lost.  Returns c for the quadratic family and (c, a) for the marked
-    cubic."""
+def multiplier_continuation(spec: FamilySpec, center: CenterSet, target_w):
+    """Parameter in the hyperbolic component of the one-row set ``center``
+    where the marked attracting cycles have the prescribed multipliers: the
+    one path of ``continuation`` to ``target_w``, with PATH_LOSS when it is
+    lost.  Returns c for the quadratic family and (c, a) for the cubic."""
     w = np.atleast_1d(np.asarray(target_w, dtype=complex))
     if len(w) != spec.parameter_dim:
         raise PreconditionError(f"{spec.family_id} takes one target "
                                 "multiplier per marked cycle, "
                                 f"{spec.parameter_dim} in all")
-    q, lost, _ = continuation(spec, [center], w[None, :])
-    if lost[0]:
+    q, (lost,), _ = continuation(spec, center, w[None, :])  # one row only
+    if lost:
         raise PathLossError("Newton diverged with minimal step")
     params = tuple(complex(v[0]) for v in q)
     return params if len(params) > 1 else params[0]
 
 
-def continuation(spec: FamilySpec, centers: list[CenterPoint], targets
+def continuation(spec: FamilySpec, centers: CenterSet, targets
                  ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Multiplier continuation along every (center, target) path at once,
     center-major and target-minor: from each center, the parameters where
@@ -679,18 +685,15 @@ def continuation(spec: FamilySpec, centers: list[CenterPoint], targets
     if np.any(np.abs(w) > MAX_TARGET_MODULUS * slack):
         raise PreconditionError("multiplier targets must satisfy "
                                 f"|w| <= {MAX_TARGET_MODULUS}")
-    if any(max(center.residuals) > 1e-8 for center in centers):
+    if np.any(centers.residual > 1e-8):
         raise PreconditionError("center residuals too large")
-    periods = {center.periods.periods for center in centers}
-    if len(periods) != 1:
+    if not len(centers) or np.any(centers.periods != centers.periods[:1]):
         raise PreconditionError("continued centers must share their periods")
-    (periods,) = periods
-    if k == 2 and any(_pca3_cycles_merged(*center.parameter, periods)
-                      for center in centers):
+    periods = tuple(centers.periods[0].tolist())
+    if k == 2 and np.any(_pca3_cycles_merged(centers)):
         raise PreconditionError("the marked critical points share one cycle "
                                 "at a center")
-    start = np.repeat(np.array([center.parameter for center in centers],
-                               dtype=complex), len(w), axis=0).T
+    start = np.repeat(centers.params, len(w), axis=0).T
     q0 = [start[0]] + [a**3 for a in start[1:]]  # the chart (c, b = a^3)
     x, lost, slope = _continue_paths(
         q0 + _marked_points(q0), np.tile(w, (len(centers), 1)).T,
@@ -926,18 +929,12 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple
     n0, n1 = periods.periods
     sols = marked_centers(spec, n0, n1)
     both = 2 if n0 == n1 else 1  # one run of the system covers both markings
-    marked_total = sum(s.multiplicity for s in sols) * both
-    merged = 0
-    good: list[tuple[complex, complex]] = []
-    for s in sols:
-        if _pca3_cycles_merged(*s.parameter, s.periods.periods):
-            merged += s.multiplicity
-        else:
-            good.append(s.parameter)
-    merged_marked = merged * both
+    marked_total = int(sols.multiplicity.sum()) * both
+    merged = _pca3_cycles_merged(sols)
+    merged_marked = int(sols.multiplicity[merged].sum()) * both
     # distinct components: centers_2d dedupes within a marking, and the two
     # markings differ in the exact period of 0
-    N = len(good)
+    N = int(np.count_nonzero(~merged))
     d_tuple = (arith.exact_cycle_point_count(3, n0)
                * arith.exact_cycle_point_count(3, n1))
     denom = 2 * d_tuple  # (d-1)! = 2
@@ -951,13 +948,14 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple
         * (1 if n0 == n1 else 2))
 
 
-def _pca3_cycles_merged(c: complex, a: complex, periods: tuple[int, ...]
-                        ) -> bool:
-    """Whether the two marked critical orbits lie on one periodic orbit: at
-    a center, whether the orbit of 0 passes through c."""
-    step, z = partial(_pca3_bare, q=(c, a**3)), 0.0 + 0.0j
-    for _ in range(periods[0]):
-        if abs(z - c) <= ORBIT_CLOSE_TOL:
-            return True
-        z = step(z)
-    return False
+def _pca3_cycles_merged(centers: CenterSet) -> np.ndarray:
+    """Per row, whether the two marked critical orbits lie on one periodic
+    orbit: at a center, whether the orbit of 0 passes through c within the
+    row's period n0 of 0."""
+    (c, a), n0 = centers.params.T, centers.periods[:, 0]
+    q, z = (c, a**3), np.zeros_like(c)
+    merged = np.zeros(len(c), dtype=bool)
+    for m in range(n0.max(initial=0)):
+        merged |= (m < n0) & (np.abs(z - c) <= ORBIT_CLOSE_TOL)
+        z = _pca3_bare(z, q)
+    return merged

@@ -213,10 +213,9 @@ def test_criterion_5_cubic_counting():
     per_marking = []
     for n0, n1 in ((1, 2), (2, 1)):
         sols = centers_2d(PCA3, n0, n1)
-        total = sum(s.multiplicity for s in sols)
+        total = int(sols.multiplicity.sum())
         per_marking.append(total)
-        for s in sols:
-            c, a = (complex(x) for x in s.parameter)
+        for c, a in sols.params.tolist():
             if not _pca3_exact_period_check(c, a, 0.0, n0):
                 marked_ok = False
             if not _pca3_exact_period_check(c, a, c, n1):

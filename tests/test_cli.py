@@ -203,25 +203,57 @@ def test_byte_identical_reruns(capsys):
         assert fa.read() == fb.read()
 
 
-def test_cache_round_trip(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("family,periods", [("quad", "4"), ("pca3", "1,2")])
+def test_cache_round_trip(family, periods, tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
     monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
-    code, out1, _ = run(["centers", "--family", "quad", "--periods", "4",
-                         "--out", "a.csv"], capsys)
+    argv = ["centers", "--family", family, "--periods", periods]
+    code, out1, _ = run(argv + ["--out", "a.csv"], capsys)
     assert code == 0
     entries = list(cache.glob("centers-*.json"))
     assert len(entries) == 1
-    code, out2, _ = run(["centers", "--family", "quad", "--periods", "4",
-                         "--out", "b.csv"], capsys)
+    code, out2, _ = run(argv + ["--out", "b.csv"], capsys)
     assert code == 0
     with open("a.csv", "rb") as fa, open("b.csv", "rb") as fb:
         assert fa.read() == fb.read()
+    diag1, diag2 = (json.loads(o)["diagnostics"] for o in (out1, out2))
+    assert (diag1["cache"], diag2["cache"]) == ("miss", "hit")
+    assert diag1["multiplicity_total"] == diag2["multiplicity_total"]
+    if family == "pca3":
+        # one set holds both markings, each row with its own periods
+        rows = read_csv("b.csv")[1:]
+        assert {(r[4], r[5]) for r in rows} == {("1", "2"), ("2", "1")}
     # --no-cache must not read or write entries
     entries[0].unlink()
-    code, _, _ = run(["centers", "--family", "quad", "--periods", "4",
-                      "--no-cache", "--out", "c.csv"], capsys)
+    code, out3, _ = run(argv + ["--no-cache", "--out", "c.csv"], capsys)
     assert code == 0
+    assert json.loads(out3)["diagnostics"]["cache"] == "off"
     assert not list(cache.glob("centers-*.json"))
+    with open("a.csv", "rb") as fa, open("c.csv", "rb") as fc:
+        assert fa.read() == fc.read()
+
+
+@pytest.mark.parametrize("entry", ['[{"parameter": [[0.1', "{}"],
+                         ids=["truncated", "empty"])
+def test_corrupt_cache_entry_is_recomputed(entry, tmp_path, monkeypatch,
+                                           capsys):
+    # a truncated entry used to end in a traceback, an empty object in an
+    # empty CSV with exit 0
+    argv = ["centers", "--family", "quad", "--periods", "4"]
+    code, _, _ = run(argv + ["--no-cache", "--out", "want.csv"], capsys)
+    assert code == 0
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
+    path = cache / f"centers-{_cache_key('quad', (4,))}.json"
+    path.write_text(entry)
+    for name, use in (("a.csv", "miss"), ("b.csv", "hit")):
+        code, out, err = run(argv + ["--out", name], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["diagnostics"]["cache"] == use
+        with open("want.csv", "rb") as fw, open(name, "rb") as fh:
+            assert fh.read() == fw.read()
+    assert path.read_text() != entry  # overwritten by the recomputed set
 
 
 def test_incomplete_enumeration_is_not_cached(tmp_path, monkeypatch, capsys):
@@ -266,9 +298,13 @@ def test_cache_key_names_the_solver():
     blob = json.dumps({"family": "pca3", "periods": [1, 3],
                        "solver": "pca3-cb-jacobian"}, sort_keys=True)
     assert key != hashlib.sha256(blob.encode()).hexdigest()
-    # the key is family, periods and the solver tag
+    # nor the one-record-per-center entries of the same solver
     blob = json.dumps({"family": "pca3", "periods": [1, 3],
                        "solver": "pca3-cb-involution"}, sort_keys=True)
+    assert key != hashlib.sha256(blob.encode()).hexdigest()
+    # the key is family, periods and the solver tag
+    blob = json.dumps({"family": "pca3", "periods": [1, 3],
+                       "solver": "pca3-cb-involution-set"}, sort_keys=True)
     assert key == hashlib.sha256(blob.encode()).hexdigest()
     assert key == _cache_key("pca3", [1, 3])
 
@@ -280,6 +316,15 @@ def test_quad_cache_key_names_the_residual():
                        "solver": "pca3-cb-involution"}, sort_keys=True)
     assert _cache_key("quad", (6,)) != hashlib.sha256(
         blob.encode()).hexdigest()
+    # nor the one-record-per-center entries of the Newton-step residual;
+    # the key is family, periods and the solver tag
+    def tagged(tag):
+        blob = json.dumps({"family": "quad", "periods": [6], "solver": tag},
+                          sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    assert _cache_key("quad", (6,)) != tagged("quad-newton-step")
+    assert _cache_key("quad", (6,)) == tagged("quad-newton-set")
 
 
 def _readme_commands():

@@ -40,7 +40,10 @@ def test_atomic_measure_invariants():
 
 
 def test_empty_measure_keeps_its_shape_and_has_no_moments(monkeypatch):
-    monkeypatch.setattr(families, "marked_centers", lambda *args: [])
+    empty = families.CenterSet(np.empty((0, 2), dtype=complex),
+                               np.empty((0, 2), dtype=int), np.empty(0),
+                               np.empty(0, dtype=int))
+    monkeypatch.setattr(families, "marked_centers", lambda *args: empty)
     m = center_measure(PCA3, arith.PeriodTuple((1, 2)))
     assert m.params.shape == (0, 2) and m.weights.shape == (0,)
     assert m.total_mass == 0.0
@@ -89,7 +92,7 @@ def test_center_measure_integer_structure():
 def test_center_measure_reads_the_certified_quad_centers():
     # the atoms are the cached centers in their order; the period cap holds
     mu = center_measure(QUAD, arith.PeriodTuple((6,)))
-    want = [c.parameter[0] for c in families.centers_1d(QUAD, 6)]
+    want = families.centers_1d(QUAD, 6).params[:, 0]
     assert np.array_equal(mu.params[:, 0], want)
     too_high = families.QUAD_CENTER_CAP + 1
     with pytest.raises(PreconditionError):

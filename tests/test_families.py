@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from dynbif.errors import (
 )
 from dynbif.families import (
     DEGEN_CATALOG,
+    ORBIT_CLOSE_TOL,
     PCA3,
     QUAD,
     _assign_multiplicities,
@@ -45,6 +46,7 @@ from dynbif.families import (
     degen_parameter,
     family_from_id,
     map_at,
+    marked_centers,
     marked_critical_points,
     multiplier_continuation,
     pca_map,
@@ -187,25 +189,24 @@ def test_center_evaluator_batch_equals_one_point_calls(n):
 
 
 def test_quad_centers_small_periods():
-    assert [c.parameter[0] for c in centers_1d(QUAD, 1)] == [0.0 + 0.0j]
-    _match([c.parameter[0] for c in centers_1d(QUAD, 2)], [-1.0], 1e-10)
-    _match([c.parameter[0] for c in centers_1d(QUAD, 3)],
-           PERIOD3_CENTERS, 1e-10)
+    assert centers_1d(QUAD, 1).params.tolist() == [[0.0 + 0.0j]]
+    _match(centers_1d(QUAD, 2).params[:, 0], [-1.0], 1e-10)
+    _match(centers_1d(QUAD, 3).params[:, 0], PERIOD3_CENTERS, 1e-10)
 
 
 def test_quad_centers_have_exact_period_and_small_residual():
     for n in (4, 5, 6):
         cs = centers_1d(QUAD, n)
         assert len(cs) == QUAD_COMPONENT_COUNTS[n - 1]
-        for c in cs:
-            assert c.periods.periods == (n,)
-            assert max(c.residuals) < 1e-8
+        assert cs.periods.tolist() == [[n]] * len(cs)
+        assert np.all(cs.residual < 1e-8)
+        for c in cs.params[:, 0].tolist():
             # the critical orbit really closes at period n, not a divisor
             z = 0.0j
             for k in range(1, n):
-                z = z * z + c.parameter[0]
+                z = z * z + c
                 assert abs(z) > 1e-6
-            assert abs(z * z + c.parameter[0]) < 1e-8
+            assert abs(z * z + c) < 1e-8
 
 
 def test_quad_center_residual_is_the_newton_step():
@@ -213,11 +214,9 @@ def test_quad_center_residual_is_the_newton_step():
     # per-point scaling cannot change: rounding level after the polish
     for n in (3, 10):
         cs = centers_1d(QUAD, n)
-        p, dp = quad_center_evaluator(n)(
-            np.array([c.parameter[0] for c in cs]))
-        assert [c.residuals for c in cs] == [
-            (r,) for r in np.abs(p / dp).tolist()]
-        assert max(c.residuals[0] for c in cs) < 1e-14
+        p, dp = quad_center_evaluator(n)(cs.params[:, 0])
+        assert cs.residual.tolist() == np.abs(p / dp).tolist()
+        assert cs.residual.max() < 1e-14
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -225,7 +224,7 @@ def test_quad_center_rows_in_stable_order(n):
     # a conjugate pair's real parts agree only up to rounding: the rows are
     # ordered by the rounded real part, then the imaginary part, so each
     # pair comes out as (-im, +im) whatever the last bits
-    cs = [c.parameter[0] for c in centers_1d(QUAD, n)]
+    cs = centers_1d(QUAD, n).params[:, 0].tolist()
     keys = [(round(c.real, 10), c.imag) for c in cs]
     assert keys == sorted(keys)
     for a, b in zip(cs, cs[1:]):
@@ -270,10 +269,9 @@ def test_pca3_centers_1_1():
     # P(0) = 0 and P(c) = c; count with multiplicity must fill the product
     # of the two system degrees
     sols = centers_2d(PCA3, 1, 1)
-    total = sum(s.multiplicity for s in sols)
+    total = sols.multiplicity.sum()
     assert total == 9  # 3 x 3 product count
-    for s in sols:
-        c, a = s.parameter
+    for c, a in sols.params.tolist():
         # verify the fixed-point conditions directly
         coeffs = pca_map(3, [c], a)
         p = np.polynomial.polynomial.polyval
@@ -283,17 +281,16 @@ def test_pca3_centers_1_1():
 
 def test_pca3_centers_1_2_multiplicity():
     sols = centers_2d(PCA3, 1, 2)
-    assert sum(s.multiplicity for s in sols) == 18
+    assert sols.multiplicity.sum() == 18
     # the period-1 marking is non-reduced: every solution has multiplicity 3
-    assert {s.multiplicity for s in sols} == {3}
+    assert set(sols.multiplicity.tolist()) == {3}
     assert len(sols) == 6
 
 
 def test_pca3_centers_2_2_distinct():
     sols = centers_2d(PCA3, 2, 2)
-    assert sum(s.multiplicity for s in sols) == 36
-    for s in sols:
-        assert max(s.residuals) < 1e-8
+    assert sols.multiplicity.sum() == 36
+    assert np.all(sols.residual < 1e-8)
 
 
 @pytest.fixture
@@ -325,7 +322,7 @@ def test_pca3_seeding_stops_at_the_solution_count(monkeypatch,
 
     monkeypatch.setattr(families, "_pca3_newton", counted)
     sols = centers_2d(PCA3, 2, 2)
-    assert sum(s.multiplicity for s in sols) == 36
+    assert sols.multiplicity.sum() == 36
     assert len(calls) == 1
 
 
@@ -378,7 +375,7 @@ def test_pca3_solutions_are_read_only():
     before = found.copy()
     with pytest.raises(ValueError):
         found[0, 1] = 0.0
-    assert sum(s.multiplicity for s in centers_2d(PCA3, 1, 1)) == 9
+    assert centers_2d(PCA3, 1, 1).multiplicity.sum() == 9
     assert np.array_equal(found, before, equal_nan=True)
 
 
@@ -443,8 +440,7 @@ def test_pca3_row_order_survives_last_bit_changes(n0, n1, monkeypatch):
                             lambda m0, m1: _one_ulp(solve(m0, m1), rng))
         moved = centers_2d(PCA3, n0, n1)
         assert len(moved) == len(rows)
-        for s, t in zip(rows, moved):
-            assert np.allclose(s.parameter, t.parameter, rtol=0, atol=1e-12)
+        assert np.allclose(rows.params, moved.params, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n0,n1,bezout", [(2, 4, 432), (3, 3, 576)])
@@ -454,20 +450,22 @@ def test_pca3_centers_certify_larger_pairs(n0, n1, bezout):
     with warnings.catch_warnings():
         warnings.simplefilter("error", IncompleteEnumerationWarning)
         sols = centers_2d(PCA3, n0, n1)
-    assert sum(s.multiplicity for s in sols) == bezout
+    assert sols.multiplicity.sum() == bezout
 
 
 @pytest.mark.parametrize("n0,n1", [(2, 1), (2, 2), (3, 1)])
 def test_pca3_rows_are_the_three_cube_roots(n0, n1):
     # n0 > 1 keeps b = a^3 away from 0: each solution (c, b) gives the
     # three rows a = b^(1/3) w^k, with one bit-identical c and multiplicity
+    sols = _pca3_centers(n0, n1)
     rows: dict[complex, list] = {}
-    for s in _pca3_centers(n0, n1):
-        rows.setdefault(s.parameter[0], []).append(s)
-    assert len(rows) * 3 == len(_pca3_centers(n0, n1))
+    for i, c in enumerate(sols.params[:, 0].tolist()):
+        rows.setdefault(c, []).append(i)
+    assert len(rows) * 3 == len(sols)
     for group in rows.values():
-        a = np.array([s.parameter[1] for s in group])
-        assert len(group) == 3 and len({s.multiplicity for s in group}) == 1
+        a = sols.params[group, 1]
+        assert len(group) == 3
+        assert len(set(sols.multiplicity[group].tolist())) == 1
         assert np.all(np.abs(a) > 1e-3)
         np.testing.assert_allclose(a**3, a[0] ** 3, rtol=1e-13)
         for u in np.exp(2j * np.pi * np.arange(3) / 3):
@@ -479,9 +477,9 @@ def test_pca3_period_one_rows_sit_at_a_zero(n1):
     # P(0) = b: the critical point 0 is fixed only at b = 0, where a = 0 is
     # a triple root
     sols = _pca3_centers(1, n1)
-    assert all(s.parameter[1] == 0 for s in sols)
-    assert {s.multiplicity for s in sols} == {3}
-    assert len({s.parameter[0] for s in sols}) == len(sols)
+    assert np.all(sols.params[:, 1] == 0)
+    assert set(sols.multiplicity.tolist()) == {3}
+    assert len(set(sols.params[:, 0].tolist())) == len(sols)
 
 
 def test_pca3_newton_drops_seeds_with_no_finite_step(monkeypatch):
@@ -625,8 +623,8 @@ def test_merge_matches_dedupe_of_the_concatenation(radius, monkeypatch):
 def test_pca3_multiplicities_from_the_jacobian(n0, n1, mult):
     # every (c, b) is simple; a = 0 is a triple root of b = a^3 at n0 = 1
     sols = centers_2d(PCA3, n0, n1)
-    assert {s.multiplicity for s in sols} == {mult}
-    assert sum(s.multiplicity for s in sols) == 18
+    assert set(sols.multiplicity.tolist()) == {mult}
+    assert sols.multiplicity.sum() == 18
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -745,8 +743,9 @@ def test_batched_continuation_matches_scalar_loop(n):
     (c,), lost, slope = continuation(QUAD, centers, targets)
     assert not lost.any()
     assert np.all(np.isfinite(slope) & (slope > 0))
-    want = [_scalar_continuation(center.parameter[0], n, w)
-            for center in centers for w in targets]  # center-major
+    want = [_scalar_continuation(c0, n, w)
+            for c0 in centers.params[:, 0].tolist()
+            for w in targets]  # center-major
     np.testing.assert_allclose(c, want, rtol=0, atol=1e-12)
     # the single-path entry point runs the same kernel
     one = multiplier_continuation(QUAD, centers[-1], (targets[3],))
@@ -783,8 +782,8 @@ PCA3_TARGETS = [(0.4 + 0.2j, -0.3 + 0.1j), (0.95, -0.95j),
 
 
 def _unmerged_pca3_centers(n0, n1):
-    return [s for s in _pca3_centers(n0, n1)
-            if not _pca3_cycles_merged(*s.parameter, (n0, n1))]
+    sols = _pca3_centers(n0, n1)
+    return sols[~_pca3_cycles_merged(sols)]
 
 
 @pytest.mark.parametrize("n0,n1", [(1, 2), (2, 1), (1, 3), (2, 2)])
@@ -797,8 +796,7 @@ def test_continuation_pca3(n0, n1):
     assert cs.dtype == as_.dtype == complex
     cube_roots = np.exp(2j * np.pi * np.arange(3) / 3.0)
     paths = iter(zip(cs, as_))  # center-major, target-minor
-    for center in centers:
-        a0 = center.parameter[1]
+    for a0 in centers.params[:, 1].tolist():
         for w0, w1 in PCA3_TARGETS:
             c, a = (complex(v) for v in next(paths))
             crit = marked_critical_points(PCA3, [c, a])
@@ -808,6 +806,15 @@ def test_continuation_pca3(n0, n1):
                 pytest.approx(w1, abs=1e-9)
             # a is the cube root of b = a^3 nearest the center's a
             assert abs(a - a0) <= np.min(np.abs(a * cube_roots - a0)) + 1e-12
+
+
+def test_continuation_takes_one_marking():
+    # marked_centers joins the (1, 2) and (2, 1) markings in one set; a
+    # continuation follows the rows of one, and an empty set has none
+    sols = marked_centers(PCA3, 1, 2)
+    for centers in (sols, sols[:0]):
+        with pytest.raises(PreconditionError, match="share their periods"):
+            continuation(PCA3, centers, PCA3_TARGETS)
 
 
 def test_single_path_is_the_batched_path_bit_for_bit():
@@ -826,7 +833,7 @@ def test_single_path_is_the_batched_path_bit_for_bit():
         centers = _unmerged_pca3_centers(n0, n1)
         (cs, as_), _, _ = continuation(PCA3, centers, PCA3_TARGETS)
         if n0 == 1:
-            assert max(abs(s.parameter[1]) for s in centers) < 1e-12
+            assert np.abs(centers.params[:, 1]).max() < 1e-12
         for i, center in enumerate(centers):
             for j, w in enumerate(PCA3_TARGETS):
                 c, a = multiplier_continuation(PCA3, center, w)
@@ -835,12 +842,35 @@ def test_single_path_is_the_batched_path_bit_for_bit():
                 assert (c, a) == (cs[k], as_[k])
 
 
+def _cycles_merged_loop(c, a, n0):
+    """The per-center orbit scan that the vectorized _pca3_cycles_merged
+    replaced, kept as its reference."""
+    step, z = partial(_pca3_bare, q=(c, a**3)), 0.0 + 0.0j
+    for _ in range(n0):
+        if abs(z - c) <= ORBIT_CLOSE_TOL:
+            return True
+        z = step(z)
+    return False
+
+
+@pytest.mark.parametrize("n0,n1", [(1, 3), (2, 3), (3, 3)])
+def test_cycles_merged_matches_the_per_center_loop(n0, n1):
+    # marked_centers joins both markings, so the period n0 of 0 that bounds
+    # the scan differs across the rows when n0 != n1
+    sols = marked_centers(PCA3, n0, n1)
+    want = [_cycles_merged_loop(c, a, p0) for (c, a), (p0, _) in
+            zip(sols.params.tolist(), sols.periods.tolist())]
+    assert _pca3_cycles_merged(sols).tolist() == want
+    # the two orbits can share a cycle only when their periods agree
+    assert any(want) == (n0 == n1)
+
+
 def test_continuation_pca3_rejects_merged_centers():
     # at 12 of the (2,2) centers both marked critical points lie on one
     # 2-cycle; no component with two distinct attracting cycles starts
     # there
-    merged = [s for s in _pca3_centers(2, 2)
-              if _pca3_cycles_merged(*s.parameter, (2, 2))]
+    sols = _pca3_centers(2, 2)
+    merged = sols[_pca3_cycles_merged(sols)]
     assert len(merged) == 12
     for center in merged:
         with pytest.raises(PreconditionError, match="share one cycle"):
