@@ -200,9 +200,13 @@ def cmd_lyap(args: argparse.Namespace) -> tuple[dict, dict]:
     coeffs = families.poly_coeffs(spec, args.c)
     reference = lyapunov.lyap_poly_closed_form(coeffs) \
         if coeffs is not None else None
-    rows = []
+    rows, periods = [], []
     for n in args.n:
+        t0 = time.perf_counter()
         est = lyapunov.lyap_periodic(F, n, r=args.r)
+        periods.append({"n": n, "cycles": est.cycle_count,
+                        "floored_cycles": est.floored_cycles,
+                        "wall_s": time.perf_counter() - t0})
         if reference is not None:
             err = abs(est.value - reference)
             norm = err * F.degree**n / arith.sigma(2, n)
@@ -214,7 +218,8 @@ def cmd_lyap(args: argparse.Namespace) -> tuple[dict, dict]:
                      err, norm])
     write_csv(args.out, ["n", "L_n_r", "reference", "error",
                          "normalized_error"], rows)
-    return {"reference": reference}, {args.out: _sha256(args.out)}
+    return ({"reference": reference, "periods": periods},
+            {args.out: _sha256(args.out)})
 
 
 def cmd_centers(args: argparse.Namespace) -> tuple[dict, dict]:

@@ -44,6 +44,35 @@ CLOUD_GAP = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def _chart(z0: np.ndarray, z1: np.ndarray):
+    """Per point of (z0, z1): the chart index, 1 for z1 = 1 (|z0| <= |z1|,
+    Horner from c_m down in t = z0/z1) or 0 for z0 = 1 (from c_0 up in
+    t = z1/z0), the ratio t and the chart's divisor."""
+    lo = np.abs(z0) <= np.abs(z1)
+    top, bottom = np.where(lo, z0, z1), np.where(lo, z1, z0)
+    return lo.astype(np.intp), top / bottom, bottom
+
+
+def _horner(c: np.ndarray, chart) -> list[np.ndarray]:
+    """Each form of the (k, m+1) stack c on the chart's points, as k
+    vectors.  Every product runs on flat vectors, which numpy rounds the
+    same at every length and offset: a point's value is its own alone."""
+    lo, t, bottom = chart
+    m = c.shape[-1] - 1
+    # numpy's x ** 1 is x, at 20 times the cost of a product, except that
+    # it maps the complex zeros to +0, where z0 = z1 = 0 and t is NaN
+    scale = bottom ** m if m != 1 else bottom
+    out = []
+    for row in np.stack([c, c[:, ::-1]], axis=-1):  # row k: (c_k, c_m-k)
+        acc = row[0].take(lo)
+        for k in range(1, m + 1):
+            acc = acc * t
+            # a shared coefficient adds as a scalar: a sum rounds alike
+            acc += row[k, 0] if row[k, 0] == row[k, 1] else row[k].take(lo)
+        out.append(acc * scale)
+    return out
+
+
 def form_eval(coeffs: np.ndarray, z0, z1):
     """Evaluate sum_k c_k z0^k z1^(m-k), Horner in whichever chart keeps the
     ratio inside the unit disk.
@@ -51,30 +80,13 @@ def form_eval(coeffs: np.ndarray, z0, z1):
     ``coeffs`` is one form (m+1,) or a stack (k, m+1) of forms of one
     degree; the result has the stack's leading shape followed by the shape
     of z0.  The chart is chosen once per point for every form of the stack.
-    The products run on flat contiguous vectors, which numpy rounds the same
-    at every length and offset, so a point's value depends on that point
-    alone.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
-    m = c.shape[-1] - 1
     z0 = np.asarray(z0, dtype=np.complex128)
     z1 = np.asarray(z1, dtype=np.complex128)
-    shape = c.shape[:-1] + z0.shape
-    c = c.reshape(-1, m + 1).T[:, :, None]  # (m+1, forms, 1)
-    z0, z1 = z0.reshape(-1), z1.reshape(-1)
-    flat = (c.shape[1], z0.size)
-    # chart z1 = 1 where |z0| <= |z1|: Horner from c_m down in t = z0/z1;
-    # chart z0 = 1 elsewhere: Horner from c_0 up in t = z1/z0
-    lo = np.abs(z0) <= np.abs(z1)
-    top, bottom = np.where(lo, z0, z1), np.where(lo, z1, z0)
-    coef = np.where(lo, c[::-1], c)
-    t = np.broadcast_to(top / bottom, flat).reshape(-1)
-    acc = coef[0].reshape(-1)
-    for k in range(1, m + 1):
-        acc = acc * t
-        acc += coef[k].reshape(-1)
-    acc = acc * np.broadcast_to(bottom ** m, flat).reshape(-1)
-    out = acc.reshape(shape)
+    chart = _chart(z0.reshape(-1), z1.reshape(-1))
+    out = np.array(_horner(c.reshape(-1, c.shape[-1]), chart))
+    out = out.reshape(c.shape[:-1] + z0.shape)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -256,7 +268,9 @@ class RationalMapLift:
         object.__setattr__(self, "den", den)
         res = homogeneous_resultant(num, den)
         scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
-        if abs(res) < 1e-30 * scale ** (2 * self.degree):
+        with np.errstate(over="ignore"):  # an infinite bound is degenerate
+            bound = 1e-30 * scale ** (2 * self.degree)
+        if abs(res) < bound:
             raise DegenerateMapError(
                 f"resultant {abs(res):.3e} vanishes relative to scale")
         object.__setattr__(self, "resultant", res)
@@ -344,10 +358,10 @@ def period_wedge_evaluator(F: RationalMapLift, n: int):
     all points of period dividing n), with a shared per-point rescaling.
     Orbits and their z-derivatives run on unit sphere representatives, so the
     evaluation stays stable where any coefficient expansion is hopelessly
-    ill-conditioned.  Each orbit step evaluates the lift and its four
-    partials in two stacked form evaluations.  The evaluator is pointwise:
-    the pair at z_i depends on z_i alone, bit for bit, so it may be called
-    on any subset of points.
+    ill-conditioned.  Each orbit step picks each point's chart once and
+    evaluates the lift and its four partials on it.  The evaluator is
+    pointwise: the pair at z_i depends on z_i alone, bit for bit, so it may
+    be called on any subset of points.
     """
     lift = np.stack([F.num, F.den])
     jac = _jacobian_forms(F)
@@ -359,8 +373,9 @@ def period_wedge_evaluator(F: RationalMapLift, n: int):
         u0 = np.ones_like(z)
         u1 = np.zeros_like(z)
         for _ in range(n):
-            w0, w1 = form_eval(lift, v0, v1)
-            j00, j01, j10, j11 = form_eval(jac, v0, v1)
+            chart = _chart(v0, v1)
+            w0, w1 = _horner(lift, chart)
+            j00, j01, j10, j11 = _horner(jac, chart)
             t0 = j00 * u0 + j01 * u1
             t1 = j10 * u0 + j11 * u1
             s = np.maximum(np.abs(w0), np.abs(w1))
@@ -465,6 +480,25 @@ def _nearest_root(x: np.ndarray, v: np.ndarray, reach: np.ndarray
     return idx, dist
 
 
+def _orbits(sigma: np.ndarray, n: int, factors: np.ndarray):
+    """The cycles of the permutation sigma, whose lengths must divide n, in
+    the order of their lowest index (the leader): the rows sigma^k(leader),
+    k < n, the lengths, and the products of the factors around each cycle
+    from its leader on.  reduceat multiplies in sequence, as np.prod does."""
+    walk = [np.arange(len(sigma))]
+    for _ in range(n):
+        walk.append(sigma[walk[-1]])
+    walk = np.stack(walk, axis=1)  # row i: sigma^k(i) for k = 0..n
+    back = walk[:, 1:] == walk[:, :1]
+    if not np.all(back.any(axis=1)) or np.any(n % (back.argmax(axis=1) + 1)):
+        raise OrbitMismatchError("orbit period does not divide n")
+    lead = walk[:, 0] == walk[:, :n].min(axis=1)
+    orbit, period = walk[lead, :n], back[lead].argmax(axis=1) + 1
+    first = orbit[np.arange(n) < period[:, None]]
+    starts = np.cumsum(period) - period
+    return orbit, period, np.multiply.reduceat(factors[first], starts)
+
+
 def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
     """All exact-period-n cycles of F.
 
@@ -517,31 +551,22 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
     if np.any(np.bincount(sigma, minlength=v.shape[1]) != 1):
         raise OrbitMismatchError("orbit collision between root groups")
     factors = _step_factors(F.degree, det, w, v[:, sigma])
+    orbit, period, mult = _orbits(sigma, n, factors)
     cols = np.ascontiguousarray(v.T)
-    seen = np.zeros(len(cols), dtype=bool)
     cycles: list[PeriodicCycle] = []
     contaminated: list[PeriodicCycle] = []
-    for start in range(len(cols)):
-        if seen[start]:
-            continue
-        orbit = [start]
-        while sigma[orbit[-1]] != start:
-            orbit.append(int(sigma[orbit[-1]]))
-        seen[orbit] = True
-        period = len(orbit)
-        if n % period != 0:
-            raise OrbitMismatchError("orbit period does not divide n")
-        mult_p = complex(np.prod(factors[orbit]))
-        if period == n:
-            # root multiplicity > 1 only at parabolic exact-n cycles, where
-            # the dynatomic divisor counts them with that multiplicity
-            out, copies = cycles, int(mults[orbit].min())
-        elif abs(mult_p ** (n // period) - 1.0) <= PARABOLIC_ROOT_OF_UNITY_TOL:
+    # root multiplicity > 1 only at parabolic exact-n cycles, where the
+    # dynatomic divisor counts them with that multiplicity
+    least = mults[orbit].min(axis=1).tolist()
+    for row, p, mu, low in zip(orbit, period.tolist(), mult.tolist(), least):
+        if p == n:
+            out, copies = cycles, low
+        elif abs(mu ** (n // p) - 1.0) <= PARABOLIC_ROOT_OF_UNITY_TOL:
             out, copies = contaminated, 1
         else:
             continue  # belongs to a smaller dynatomic divisor only
-        pts = tuple(SpherePoint._unit(cols[i]) for i in orbit)
-        out.extend([PeriodicCycle(period, pts, mult_p)] * copies)
+        pts = tuple(map(SpherePoint._unit, cols[row[:p]]))
+        out.extend([PeriodicCycle(p, pts, mu)] * copies)
     if not contaminated:
         d_n = arith.exact_cycle_point_count(F.degree, n)
         found = n * len(cycles)

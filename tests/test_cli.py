@@ -7,6 +7,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 import dynbif
+from dynbif import arith
 from dynbif.cli import EXIT_CODES, _cache_key, main
 from dynbif.errors import DynbifError
 
@@ -78,6 +81,38 @@ def test_lyap_period_12_at_default_tolerance(capsys):
     assert [r[0] for r in rows[1:]] == ["11", "12"]
     n12 = rows[2]
     assert abs(float(n12[1]) - float(n12[2])) < 1e-4
+
+
+def test_lyap_report_has_one_record_per_period(capsys):
+    code, out, err = run(["lyap", "--family", "quad", "--c", "1.0",
+                          "--n", "6..8", "--out", "lyap.csv"],
+                         capsys)
+    assert code == 0, err
+    periods = json.loads(out)["diagnostics"]["periods"]
+    assert [p["n"] for p in periods] == [6, 7, 8]
+    for p in periods:
+        assert set(p) == {"n", "cycles", "floored_cycles", "wall_s"}
+        assert p["n"] * p["cycles"] == sum(
+            arith.moebius(p["n"] // m) * (2**m + 1)
+            for m in range(1, p["n"] + 1) if p["n"] % m == 0)
+        assert 0 <= p["floored_cycles"] <= p["cycles"]
+        assert p["wall_s"] > 0
+
+
+@pytest.mark.parametrize("family, c", [
+    ("quad", "1e80"), ("pca3", "1e100,0"), ("quadrat", "1e200,0.5")])
+def test_huge_coefficients_give_one_error_line(family, c, tmp_path):
+    # in a fresh interpreter, so that no warning filter hides a line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynbif", "lyap", "--family", family,
+         "--c", c, "--n", "3", "--out", str(tmp_path / "lyap.csv")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "DEGENERATE_MAP"
 
 
 def test_centers_csv_schema(capsys):

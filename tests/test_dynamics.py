@@ -94,6 +94,77 @@ def test_stacked_form_eval_equals_rows(degree):
         assert form_eval(forms[0], z0[i], z1[i]) == got[0, i]
 
 
+def _reference_form_eval(coeffs, z0, z1):
+    """The form kernel as one gather over the stack: the chart's
+    coefficients as a (m+1, forms, N) array, run against flat broadcast
+    copies of the ratio and of bottom**m."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    m = c.shape[-1] - 1
+    z0 = np.asarray(z0, dtype=np.complex128)
+    z1 = np.asarray(z1, dtype=np.complex128)
+    shape = c.shape[:-1] + z0.shape
+    c = c.reshape(-1, m + 1).T[:, :, None]  # (m+1, forms, 1)
+    z0, z1 = z0.reshape(-1), z1.reshape(-1)
+    flat = (c.shape[1], z0.size)
+    lo = np.abs(z0) <= np.abs(z1)
+    top, bottom = np.where(lo, z0, z1), np.where(lo, z1, z0)
+    coef = np.where(lo, c[::-1], c)
+    t = np.broadcast_to(top / bottom, flat).reshape(-1)
+    acc = coef[0].reshape(-1)
+    for k in range(1, m + 1):
+        acc = acc * t
+        acc += coef[k].reshape(-1)
+    acc = acc * np.broadcast_to(bottom ** m, flat).reshape(-1)
+    out = acc.reshape(shape)
+    return complex(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_form_eval_equals_the_gathered_kernel(degree):
+    rng = np.random.default_rng(10 + degree)
+    z0, z1 = _chart_points(rng, 40)
+    for k in (1, 2, 4):
+        forms = (rng.standard_normal((k, degree + 1))
+                 + 1j * rng.standard_normal((k, degree + 1)))
+        for c in (forms, forms[0]):
+            got, want = form_eval(c, z0, z1), _reference_form_eval(c, z0, z1)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # bit for bit
+            for i in (0, 41, 80, len(z0) - 4, len(z0) - 1):
+                got = form_eval(c, z0[i], z1[i])
+                want = _reference_form_eval(c, z0[i], z1[i])
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("F", [
+    quad_lift(1.0), quad_lift(0.3 + 0.2j), map_at(PCA3, [0.5, 0.2]),
+    map_at(QUADRAT, [0.5, 0.3]),
+], ids=["quad", "quad-inside", "pca3", "quadrat"])
+def test_period_wedge_evaluator_equals_two_kernel_calls_per_step(F):
+    rng = np.random.default_rng(3)
+    z = np.concatenate([
+        rng.standard_normal(100) + 1j * rng.standard_normal(100),
+        [0.0, 1.0, -1.0, 1e8 + 1e8j, 1e-9j]])
+    lift = np.stack([F.num, F.den])
+    jac = dynamics._jacobian_forms(F)
+    for n in range(1, 13):
+        v0, v1 = z.copy(), np.ones_like(z)
+        u0, u1 = np.ones_like(z), np.zeros_like(z)
+        for _ in range(n):
+            w0, w1 = _reference_form_eval(lift, v0, v1)
+            j00, j01, j10, j11 = _reference_form_eval(jac, v0, v1)
+            t0 = j00 * u0 + j01 * u1
+            t1 = j10 * u0 + j11 * u1
+            s = np.maximum(np.abs(w0), np.abs(w1))
+            s[s == 0] = 1.0
+            v0, v1 = w0 / s, w1 / s
+            u0, u1 = t0 / s, t1 / s
+        p, dp = period_wedge_evaluator(F, n)(z)
+        assert p.tobytes() == (v0 - v1 * z).tobytes(), n
+        assert dp.tobytes() == (u0 - u1 * z - v1).tobytes(), n
+
+
 @pytest.mark.parametrize("F, n", [
     (quad_lift(1.0), 6),
     (map_at(PCA3, [0.5, 0.2]), 3),
@@ -376,6 +447,68 @@ def test_period_solve_draws_no_random_numbers():
     for x, y in zip(a.cycles, b.cycles):
         assert all(np.array_equal(p.vec, q.vec)
                    for p, q in zip(x.points, y.points))
+
+
+# ---------------------------------------------------------------------------
+# orbit labelling
+# ---------------------------------------------------------------------------
+
+
+def _walked_orbits(sigma, n):
+    """The cycles of sigma by a walk from each unvisited index in turn."""
+    seen = np.zeros(len(sigma), dtype=bool)
+    orbits = []
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        orbit = [start]
+        while sigma[orbit[-1]] != start:
+            orbit.append(int(sigma[orbit[-1]]))
+        seen[orbit] = True
+        if n % len(orbit) != 0:
+            raise OrbitMismatchError("orbit period does not divide n")
+        orbits.append(orbit)
+    return orbits
+
+
+def _permutation(rng, lengths):
+    """A random permutation with the given cycle lengths."""
+    perm = rng.permutation(sum(lengths))
+    sigma = np.empty(len(perm), dtype=np.int64)
+    at = 0
+    for length in lengths:
+        cycle = perm[at:at + length]
+        sigma[cycle] = np.roll(cycle, -1)
+        at += length
+    return sigma
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_orbit_labelling_equals_the_walk(n):
+    rng = np.random.default_rng(n)
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    for lengths in ([1] * 5, [n], list(rng.choice(divisors, 40))):
+        sigma = _permutation(rng, lengths)
+        factors = (rng.standard_normal(len(sigma))
+                   + 1j * rng.standard_normal(len(sigma))) * 3.0
+        orbit, period, mult = dynamics._orbits(sigma, n, factors)
+        want = _walked_orbits(sigma, n)
+        assert period.tolist() == [len(o) for o in want]
+        assert [row[:p].tolist() for row, p in zip(orbit, period)] == want
+        for row, p in zip(orbit, period):  # each row repeats its cycle
+            assert row.tolist() == (row[:p].tolist() * (n // p))
+        assert mult.tobytes() == np.array(
+            [np.prod(factors[o]) for o in want]).tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("n, lengths", [
+    (6, [1, 4]), (6, [2, 3, 5]), (4, [3]), (1, [2]), (12, [13]), (2, [1, 3])])
+def test_a_cycle_length_not_dividing_n_is_a_mismatch(n, lengths):
+    sigma = _permutation(np.random.default_rng(0), lengths)
+    with pytest.raises(OrbitMismatchError, match="does not divide n"):
+        _walked_orbits(sigma, n)
+    with pytest.raises(OrbitMismatchError, match="does not divide n"):
+        dynamics._orbits(sigma, n, np.ones(len(sigma), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
