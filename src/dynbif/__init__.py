@@ -2,23 +2,17 @@
 
 Submodules: ``arith`` (divisor-sum counting and the bifurcation-mass
 series), ``cpoly``/``aberth`` (simultaneous root finding, driven by
-black-box evaluators), ``dynamics`` (lifts, period-n wedge evaluators,
-exact-period cycles and multiplier spectra), ``lyapunov`` (periodic-point
-estimators, Green functions, degeneration slopes), ``families``
-(parametrized families, center enumeration, continuation, component
-counting), ``equidist`` (atomic bifurcation-measure diagnostics) and
-``cli``.
+black-box evaluators), ``dynamics`` (lifts, period-n wedge evaluators, and
+the exact-period cycles as one ``CycleSet`` of arrays), ``lyapunov``
+(periodic-point estimators, Green functions, degeneration slopes),
+``families`` (parametrized families, center enumeration, continuation,
+component counting), ``equidist`` (atomic bifurcation-measure diagnostics)
+and ``cli``.
 """
 
 from . import arith, cpoly, dynamics, equidist, families, lyapunov
 from .arith import PeriodTuple, m2_mass_series
-from .dynamics import (
-    PeriodicCycle,
-    RationalMapLift,
-    SpherePoint,
-    Stability,
-    exact_cycles,
-)
+from .dynamics import CycleSet, RationalMapLift, exact_cycles
 from .equidist import (
     AtomicMeasure,
     GridDensity,
@@ -53,9 +47,9 @@ from .lyapunov import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMeasure", "CenterSet", "ComponentCount", "FamilySpec",
-    "GridDensity", "LyapunovEstimate", "PeriodTuple", "PeriodicCycle",
-    "RationalMapLift", "SpherePoint", "Stability", "arith",
+    "AtomicMeasure", "CenterSet", "ComponentCount", "CycleSet",
+    "FamilySpec", "GridDensity", "LyapunovEstimate", "PeriodTuple",
+    "RationalMapLift", "arith",
     "binned_distance", "center_measure", "centers_1d", "centers_2d",
     "component_count", "cpoly",
     "degeneration_slope", "dynamics", "equidist", "equidist_report",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -23,8 +22,6 @@ from .errors import (
 )
 
 DESK_DEGREE_CAP = 20_000
-NEUTRAL_TOL = 1e-8
-SUPERATTRACTING_TOL = 1e-10
 PARABOLIC_ROOT_OF_UNITY_TOL = 1e-6
 # chordal distance at which the orbit of infinity counts as closed
 INFINITY_RETURN_TOL = 1e-9
@@ -171,82 +168,21 @@ def homogeneous_resultant(num: np.ndarray, den: np.ndarray) -> complex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """Point of the projective line as a unit vector (z0, z1)."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=np.complex128)
-        if v.shape != (2,) or not np.all(np.isfinite(v)):
-            raise PreconditionError("sphere point needs a finite pair")
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise PreconditionError("zero vector does not project")
-        object.__setattr__(self, "vec", v / norm)
-
-    @classmethod
-    def _unit(cls, vec: np.ndarray) -> "SpherePoint":
-        p = object.__new__(cls)  # a pair already checked and normalized
-        object.__setattr__(p, "vec", vec)
-        return p
-
-    @staticmethod
-    def from_affine(z: complex) -> "SpherePoint":
-        return SpherePoint(np.array([z, 1.0], dtype=np.complex128))
-
-    @staticmethod
-    def infinity() -> "SpherePoint":
-        return SpherePoint(np.array([1.0, 0.0], dtype=np.complex128))
-
-    @property
-    def is_infinity(self) -> bool:
-        return abs(self.vec[1]) == 0.0
-
-    def affine(self) -> complex:
-        if self.vec[1] == 0:
-            raise PreconditionError("point at infinity has no affine value")
-        return complex(self.vec[0] / self.vec[1])
-
-
-def chordal_distance(z: SpherePoint, w: SpherePoint) -> float:
-    """Chordal metric normalized to diameter 1: |z ^ w| on unit vectors."""
-    return float(abs(z.vec[0] * w.vec[1] - z.vec[1] * w.vec[0]))
+def unit(v) -> np.ndarray:
+    """The pair v = (z0, z1) as a unit vector, the point z0 / z1 of the
+    projective line."""
+    v = np.asarray(v, dtype=np.complex128)
+    if v.shape != (2,) or not np.all(np.isfinite(v)):
+        raise PreconditionError("sphere point needs a finite pair")
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        raise PreconditionError("zero vector does not project")
+    return v / norm
 
 
 # ---------------------------------------------------------------------------
 # the lift
 # ---------------------------------------------------------------------------
-
-
-class Stability(Enum):
-    SUPERATTRACTING = "superattracting"
-    ATTRACTING = "attracting"
-    NEUTRAL = "neutral"
-    REPELLING = "repelling"
-
-
-def classify_multiplier(mult: complex) -> Stability:
-    mod = abs(mult)
-    if mod <= SUPERATTRACTING_TOL:
-        return Stability.SUPERATTRACTING
-    if abs(mod - 1.0) <= NEUTRAL_TOL:
-        return Stability.NEUTRAL
-    if mod < 1.0:
-        return Stability.ATTRACTING
-    return Stability.REPELLING
-
-
-@dataclass(frozen=True)
-class PeriodicCycle:
-    exact_period: int
-    points: tuple[SpherePoint, ...]
-    multiplier: complex
-
-    @property
-    def stability(self) -> Stability:
-        return classify_multiplier(self.multiplier)
 
 
 @dataclass(frozen=True)
@@ -280,12 +216,9 @@ class RationalMapLift:
         return len(self.num) - 1
 
     # -- evaluation -------------------------------------------------------
-    def apply_vector(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray) -> np.ndarray:
         """F(v) for a pair v, or column-wise for a (2, N) array."""
         return form_eval(np.stack([self.num, self.den]), v[0], v[1])
-
-    def apply(self, p: SpherePoint) -> SpherePoint:
-        return SpherePoint(self.apply_vector(p.vec))
 
     # -- derived lifts ----------------------------------------------------
     def scaled(self, alpha: complex) -> "RationalMapLift":
@@ -315,12 +248,11 @@ def _jacobian_det(F: RationalMapLift, v0, v1):
     return j00 * j11 - j01 * j10
 
 
-def chordal_derivative(F: RationalMapLift, z: SpherePoint) -> float:
+def chordal_derivative(F: RationalMapLift, p: np.ndarray) -> float:
     """Expansion rate in the chordal metric:
-    (1/d) |det DF(p)| ||p||^2 / ||F(p)||^2 at a unit representative."""
-    p = z.vec
+    (1/d) |det DF(p)| ||p||^2 / ||F(p)||^2 at a unit pair p."""
     det = _jacobian_det(F, p[0], p[1])
-    fp = F.apply_vector(p)
+    fp = F.apply(p)
     n2 = float(np.abs(fp[0]) ** 2 + np.abs(fp[1]) ** 2)
     return float(abs(det)) / (F.degree * n2)
 
@@ -341,11 +273,10 @@ def _check_dynatomic_caps(F: RationalMapLift, n: int) -> None:
 def infinity_exact_period(F: RationalMapLift, n: int) -> int | None:
     """Exact period of the point at infinity if it is periodic with period
     <= n, else None."""
-    start = SpherePoint.infinity()
-    current = start
+    v = np.array([1.0, 0.0], dtype=np.complex128)
     for m in range(1, n + 1):
-        current = F.apply(current)
-        if chordal_distance(current, start) <= INFINITY_RETURN_TOL:
+        v = unit(F.apply(v))
+        if abs(v[1]) <= INFINITY_RETURN_TOL:  # chordal distance to (1, 0)
             return m
     return None
 
@@ -426,19 +357,21 @@ def backward_cloud(F: RationalMapLift, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CycleExtraction:
-    cycles: tuple[PeriodicCycle, ...]
-    contaminated: tuple[PeriodicCycle, ...]  # lower-period parabolic orbits
+class CycleSet:
+    """The cycles that make up the period-n dynatomic divisor, one row per
+    cycle in the order of its lowest root index: its ``period`` and
+    ``multiplier``; ``copies``, how many times the divisor counts it (the
+    least root multiplicity along an exact-period cycle, 1 elsewhere); and
+    the ``contaminated`` mask of the lower-period parabolic orbits, whose
+    multiplier is an (n/period)-th root of unity.  ``points`` holds the unit
+    columns of every cycle, from its lowest root in orbit order, cycle
+    after cycle: shape (2, period.sum())."""
 
-    @property
-    def multiplier_spectrum(self) -> list[tuple[complex, int]]:
-        """Distinct (multiplier, cycle count) pairs of the exact-period list."""
-        spec: dict[complex, int] = {}
-        for c in self.cycles:
-            key = complex(np.round(c.multiplier.real, 9),
-                          np.round(c.multiplier.imag, 9))
-            spec[key] = spec.get(key, 0) + 1
-        return sorted(spec.items(), key=lambda kv: (kv[0].real, kv[0].imag))
+    period: np.ndarray
+    multiplier: np.ndarray
+    copies: np.ndarray
+    contaminated: np.ndarray
+    points: np.ndarray
 
 
 def _step_factors(d: int, det, w, target):
@@ -451,11 +384,11 @@ def _step_factors(d: int, det, w, target):
     return det / (d * s * s)
 
 
-def cycle_multiplier(F: RationalMapLift, points: list[SpherePoint]) -> complex:
-    """Multiplier of the cycle points[0] -> points[1] -> ... -> points[0]."""
-    v = np.array([p.vec for p in points]).T
+def cycle_multiplier(F: RationalMapLift, v: np.ndarray) -> complex:
+    """Multiplier of the cycle of the (2, p) unit columns
+    v[:, 0] -> v[:, 1] -> ... -> v[:, 0]."""
     factors = _step_factors(F.degree, _jacobian_det(F, v[0], v[1]),
-                            F.apply_vector(v), np.roll(v, -1, axis=1))
+                            F.apply(v), np.roll(v, -1, axis=1))
     return complex(np.prod(factors))
 
 
@@ -499,7 +432,7 @@ def _orbits(sigma: np.ndarray, n: int, factors: np.ndarray):
     return orbit, period, np.multiply.reduceat(factors[first], starts)
 
 
-def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
+def exact_cycles(F: RationalMapLift, n: int) -> CycleSet:
     """All exact-period-n cycles of F.
 
     Solves the full period-n fixed-point locus (every point of period
@@ -512,8 +445,8 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
     of unit columns; the match is a sorted sweep over a slab of one sphere
     coordinate, so it costs O(N log N).  Lower-period orbits whose
     multiplier is an (n/m)-th root of unity sit inside the period-n dynatomic
-    divisor (parabolic contamination); they are returned separately and
-    excluded from the exact-period list.
+    divisor (parabolic contamination); their rows are marked
+    ``contaminated``.
     """
     _check_dynatomic_caps(F, n)
     m_inf = infinity_exact_period(F, n)
@@ -530,13 +463,13 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
     if has_inf:
         v = np.append(v, [[1.0], [0.0]], axis=1)
         mults = np.append(mults, 1)
-    # np.linalg.norm's summation order: each column is SpherePoint's
+    # np.linalg.norm's summation order: each column is unit()'s
     re, im = v.real**2, v.imag**2
     norm = np.sqrt((re[0] + re[1]) + (im[0] + im[1]))
     if not np.all(np.isfinite(norm)):
         raise PreconditionError("sphere point needs a finite pair")
     v = v / norm
-    w = F.apply_vector(v)
+    w = F.apply(v)
     det = _jacobian_det(F, v[0], v[1])
     w_norm2 = np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2
     expansion = np.abs(det) / (F.degree * w_norm2)
@@ -552,25 +485,20 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleExtraction:
         raise OrbitMismatchError("orbit collision between root groups")
     factors = _step_factors(F.degree, det, w, v[:, sigma])
     orbit, period, mult = _orbits(sigma, n, factors)
-    cols = np.ascontiguousarray(v.T)
-    cycles: list[PeriodicCycle] = []
-    contaminated: list[PeriodicCycle] = []
-    # root multiplicity > 1 only at parabolic exact-n cycles, where the
-    # dynatomic divisor counts them with that multiplicity
-    least = mults[orbit].min(axis=1).tolist()
-    for row, p, mu, low in zip(orbit, period.tolist(), mult.tolist(), least):
-        if p == n:
-            out, copies = cycles, low
-        elif abs(mu ** (n // p) - 1.0) <= PARABOLIC_ROOT_OF_UNITY_TOL:
-            out, copies = contaminated, 1
-        else:
-            continue  # belongs to a smaller dynatomic divisor only
-        pts = tuple(map(SpherePoint._unit, cols[row[:p]]))
-        out.extend([PeriodicCycle(p, pts, mu)] * copies)
-    if not contaminated:
+    exact = period == n
+    contaminated = ~exact & (np.abs(mult ** (n // period) - 1.0)
+                             <= PARABOLIC_ROOT_OF_UNITY_TOL)
+    # a lower-period row that is not parabolic belongs to a smaller
+    # dynatomic divisor only; root multiplicity > 1 occurs only at parabolic
+    # exact-n cycles, which the divisor counts that many times
+    keep = exact | contaminated
+    orbit, period, mult = orbit[keep], period[keep], mult[keep]
+    copies = np.where(exact[keep], mults[orbit].min(axis=1), 1)
+    if not contaminated.any():
         d_n = arith.exact_cycle_point_count(F.degree, n)
-        found = n * len(cycles)
+        found = n * int(copies.sum())
         if found != d_n:
             raise OrbitMismatchError(
                 f"found {found} exact-period-{n} points, expected {d_n}")
-    return CycleExtraction(tuple(cycles), tuple(contaminated))
+    points = v[:, orbit[np.arange(n) < period[:, None]]]
+    return CycleSet(period, mult, copies, contaminated[keep], points)

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .dynamics import (
-    PeriodicCycle,
-    RationalMapLift,
-    SpherePoint,
-    chordal_derivative,
-    chordal_distance,
-    exact_cycles,
-)
+from .dynamics import RationalMapLift, chordal_derivative, exact_cycles, unit
 from .errors import (
     ExceptionalStartError,
     IllConditionedError,
@@ -57,12 +50,12 @@ def normalization_shift(F: RationalMapLift) -> float:
     return -float(np.log(abs(F.resultant))) / (2.0 * d * (d - 1))
 
 
-def green_value(F: RationalMapLift, z: SpherePoint) -> float:
-    """Homogeneous potential g_F at a unit representative,
+def green_value(F: RationalMapLift, p: np.ndarray) -> float:
+    """Homogeneous potential g_F at a unit pair p,
     lim d^-k log ||F^k(p)||, by the per-step normalized escape sum
     sum_k u(p_k) / d^(k+1) with u(p) = log ||F(p)|| on unit p."""
     d = F.degree
-    v = z.vec.copy()
+    v = p
     total = 0.0
     comp = 0.0
     weight = 1.0 / d
@@ -71,7 +64,7 @@ def green_value(F: RationalMapLift, z: SpherePoint) -> float:
     bound = np.log1p(float(max(np.max(np.abs(F.num)), np.max(np.abs(F.den))))
                      * (d + 1))
     for _ in range(GREEN_MAX_ITER):
-        w = F.apply_vector(v)
+        w = F.apply(v)
         nrm = float(np.linalg.norm(w))
         if not np.isfinite(nrm) or nrm == 0.0:
             raise NoConvergenceError("escape sum hit a non-finite norm")
@@ -88,9 +81,10 @@ def green_value(F: RationalMapLift, z: SpherePoint) -> float:
                              f"{GREEN_MAX_ITER} steps")
 
 
-def green_normalized(F: RationalMapLift, z: SpherePoint) -> float:
-    """Lift-independent potential g_F - log|Res| / (2d(d-1))."""
-    return green_value(F, z) + normalization_shift(F)
+def green_normalized(F: RationalMapLift, p: np.ndarray) -> float:
+    """Lift-independent potential g_F - log|Res| / (2d(d-1)) at a unit
+    pair p."""
+    return green_value(F, p) + normalization_shift(F)
 
 
 def polynomial_green(coeffs: np.ndarray, z: complex) -> float:
@@ -154,39 +148,30 @@ def lyap_from_spectrum(spectrum, degree: int, period: int, r: float = 1.0
                        ) -> LyapunovEstimate:
     """Periodic average from an aggregated multiplier spectrum.
 
-    ``spectrum`` is a list of PeriodicCycle or of (multiplier, cycle-count)
-    pairs covering all exact-period-``period`` cycles.  Every point of a cycle
-    shares the cycle multiplier, so
+    ``spectrum`` holds rows (multiplier, cycle count) covering all
+    exact-period-``period`` cycles, as a sequence of pairs or a (K, 2)
+    array.  Every point of a cycle shares the cycle multiplier, so
     L_n^r = (1/(n d_n)) * sum over points of log max(|mult|, r)
     collapses to (1/d_n) * sum over cycles.
     """
     _check_radius(r)
-    spec: list[tuple[complex, int]] = []
-    for item in spectrum:
-        if isinstance(item, PeriodicCycle):
-            spec.append((item.multiplier, 1))
-        else:
-            mult, count = item
-            if (not isinstance(count, (int, np.integer))) or count < 1:
-                raise PreconditionError("spectrum counts must be positive ints")
-            spec.append((complex(mult), int(count)))
+    mult, count = np.asarray(spectrum, dtype=np.complex128).reshape(-1, 2).T
+    if not np.all((count == np.floor(count.real)) & (count.real >= 1)):
+        raise PreconditionError("spectrum counts must be positive ints")
+    count = count.real
     d_n = arith.exact_cycle_point_count(degree, period)
-    n_cycles = sum(c for _, c in spec)
+    n_cycles = int(count.sum())
     if n_cycles * period != d_n:
         raise PreconditionError(
             f"{n_cycles} cycles of period {period} cover "
             f"{n_cycles * period} points, expected d_n = {d_n}")
-    total = 0.0
-    floored = 0
-    for mult, count in spec:
-        m = abs(mult)
-        if m < r:
-            m = r
-            floored += count
-        total += count * np.log(m)
+    # hypot is Python's abs of a complex, and cumsum adds in row order
+    mod = np.hypot(mult.real, mult.imag)
+    total = np.cumsum(count * np.log(np.maximum(mod, r)))[-1]
     return LyapunovEstimate(
         value=float(total / d_n), period=period, radius=r,
-        cycle_count=n_cycles, degree=degree, floored_cycles=floored)
+        cycle_count=n_cycles, degree=degree,
+        floored_cycles=int(count[mod < r].sum()))
 
 
 def lyap_periodic(F: RationalMapLift, n: int, r: float = 1.0
@@ -195,12 +180,17 @@ def lyap_periodic(F: RationalMapLift, n: int, r: float = 1.0
     L_n^r = (1/(n d_n)) sum over exact-period-n points of
     log max(|(f^n)'|, r)."""
     _check_radius(r)
-    ext = exact_cycles(F, n)
-    if ext.contaminated:
+    cs = exact_cycles(F, n)
+    if cs.contaminated.any():
+        p = cs.period[cs.contaminated]
+        gap = np.abs(cs.multiplier[cs.contaminated] ** (n // p) - 1.0)
         raise ParabolicContaminationError(
-            f"{len(ext.contaminated)} lower-period parabolic orbits make the "
+            f"{p.size} lower-period parabolic orbits (periods {p.tolist()}, "
+            f"largest |multiplier^(n/p) - 1| = {gap.max():.3e}) make the "
             f"period-{n} spectrum ill defined")
-    return lyap_from_spectrum(list(ext.cycles), F.degree, n, r)
+    mult = np.repeat(cs.multiplier, cs.copies)
+    return lyap_from_spectrum(np.stack([mult, np.ones_like(mult)], axis=1),
+                              F.degree, n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +205,9 @@ class MonteCarloEstimate:
     samples: int
 
 
-def _pullback_one(F: RationalMapLift, z: SpherePoint, rng) -> SpherePoint:
-    """One uniformly random preimage of z under F."""
-    a, b = z.vec
+def _pullback_one(F: RationalMapLift, z: np.ndarray, rng) -> np.ndarray:
+    """One uniformly random preimage of the unit pair z under F."""
+    a, b = z
     form = b * F.num - a * F.den
     lead = float(np.max(np.abs(form)))
     if lead == 0:
@@ -227,9 +217,8 @@ def _pullback_one(F: RationalMapLift, z: SpherePoint, rng) -> SpherePoint:
     while deg > 0 and abs(form[deg]) < 1e-13:
         deg -= 1
     finite = np.roots(form[deg::-1]) if deg >= 1 else np.empty(0)
-    pres = [SpherePoint.from_affine(w) for w in finite]
-    pres.extend(SpherePoint.infinity() for _ in range(F.degree - deg))
-    return pres[rng.integers(len(pres))]
+    k = rng.integers(F.degree)  # the other d - deg preimages are infinity
+    return unit([finite[k], 1.0] if k < deg else [1.0, 0.0])
 
 
 def lyap_oracle_backward(F: RationalMapLift, samples: int = 400,
@@ -248,12 +237,12 @@ def lyap_oracle_backward(F: RationalMapLift, samples: int = 400,
     rng = np.random.default_rng(seed)
     vals = []
     for _ in range(samples):
-        z = SpherePoint(np.array([rng.normal() + 1j * rng.normal(),
-                                  rng.normal() + 1j * rng.normal()]))
+        z = unit([rng.normal() + 1j * rng.normal(),
+                  rng.normal() + 1j * rng.normal()])
         collapse = 0
         for _ in range(depth):
             w = _pullback_one(F, z, rng)
-            if chordal_distance(w, z) < 1e-13:
+            if abs(w[0] * z[1] - w[1] * z[0]) < 1e-13:  # chordal distance
                 collapse += 1
                 if collapse >= 5:
                     raise ExceptionalStartError(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dynbif.dynamics import RationalMapLift
+from dynbif import dynamics
+from dynbif.dynamics import RationalMapLift, unit
 from dynbif.families import QUAD, map_at
 
 
@@ -31,6 +32,37 @@ def random_quadratic_rational(rng) -> RationalMapLift:
         except Exception:
             continue
     raise RuntimeError("could not draw a non-degenerate quadratic map")
+
+
+def sphere_point(z: complex) -> np.ndarray:
+    """The unit pair of an affine value z, or of infinity for z = inf."""
+    return unit([1.0, 0.0] if np.isinf(z) else [z, 1.0])
+
+
+def chordal(p: np.ndarray, q: np.ndarray) -> float:
+    """Chordal distance (diameter 1) of two unit pairs, as the orbit match
+    of ``exact_cycles`` measures it."""
+    _, dist = dynamics._nearest_root(p[:, None], q[:, None], np.array([2.0]))
+    return float(dist[0])
+
+
+def cycle_columns(cs, rows=None) -> list[np.ndarray]:
+    """The (2, period) unit columns of each cycle of the CycleSet cs that
+    the mask rows selects (every row by default), each repeated ``copies``
+    times, as the dynatomic divisor counts it."""
+    cols = np.split(cs.points, np.cumsum(cs.period)[:-1], axis=1)
+    keep = np.ones(len(cols), dtype=bool) if rows is None else rows
+    return [c for c, k, kept in zip(cols, cs.copies, keep) if kept
+            for _ in range(k)]
+
+
+def spectrum_multiset(cs, ndigits: int = 9) -> list[complex]:
+    """The exact-period multipliers of the CycleSet cs, each repeated
+    ``copies`` times, rounded to ndigits decimals and sorted."""
+    exact = ~cs.contaminated
+    mult = np.round(np.repeat(cs.multiplier[exact], cs.copies[exact]),
+                    ndigits)
+    return sorted(map(complex, mult), key=lambda z: (z.real, z.imag))
 
 
 @pytest.fixture

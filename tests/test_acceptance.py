@@ -16,9 +16,7 @@ import numpy as np
 from dynbif import arith
 from dynbif.cpoly import roots_blackbox
 from dynbif.dynamics import (
-    SpherePoint,
     backward_cloud,
-    chordal_distance,
     exact_cycles,
     infinity_exact_period,
     period_wedge_evaluator,
@@ -51,7 +49,14 @@ from dynbif.lyapunov import (
     lyap_poly_closed_form,
 )
 
-from conftest import quad_lift, random_quadratic_rational
+from conftest import (
+    chordal,
+    cycle_columns,
+    quad_lift,
+    random_quadratic_rational,
+    sphere_point,
+    spectrum_multiset,
+)
 
 # ---------------------------------------------------------------------------
 # pinned tolerances and expected values
@@ -349,9 +354,9 @@ def _full_periodic_points(F, n):
     init = backward_cloud(F, target)
     rs = roots_blackbox(period_wedge_evaluator(F, n), target, 1e-12,
                         max_iter=3000, init=init)
-    pts = [SpherePoint.from_affine(z) for z in rs.expanded()]
+    pts = [sphere_point(z) for z in rs.expanded()]
     if has_inf:
-        pts.append(SpherePoint.infinity())
+        pts.append(sphere_point(math.inf))
     return pts
 
 
@@ -360,7 +365,7 @@ def _multiset_match(pts_a, pts_b, tol):
         return False
     remaining = list(pts_b)
     for p in pts_a:
-        dists = [chordal_distance(p, q) for q in remaining]
+        dists = [chordal(p, q) for q in remaining]
         i = int(np.argmin(dists))
         if dists[i] > tol:
             return False
@@ -382,9 +387,8 @@ def test_criterion_9_structural_suite():
             try:
                 union = []
                 for m in arith.divisors(n):
-                    ext = exact_cycles(F, m)
-                    for cyc in ext.cycles + ext.contaminated:
-                        union.extend(cyc.points)
+                    for cols in cycle_columns(exact_cycles(F, m)):
+                        union.extend(cols.T)
                 full = _full_periodic_points(F, n)
             except Exception:
                 moebius_ok = False
@@ -399,15 +403,15 @@ def test_criterion_9_structural_suite():
         c = 2.0 * (rng.standard_normal() + 1j * rng.standard_normal())
         F = map_at(QUAD, [c])
         for n in (1, 2, 3):
-            ext = exact_cycles(F, n)
-            pts = sum(len(cy.points) for cy in ext.cycles + ext.contaminated)
+            cols = cycle_columns(exact_cycles(F, n))
+            pts = sum(c.shape[1] for c in cols)
             if pts != arith.exact_cycle_point_count(2, n):
                 census_ok = False
 
     # (c) lift-scaling invariance of the normalized potential
     green_ok = True
     F = quad_lift(0.3 + 0.4j)
-    samples = [SpherePoint.from_affine(
+    samples = [sphere_point(
         2.0 * (rng.standard_normal() + 1j * rng.standard_normal()))
         for _ in range(20)]
     for alpha in (2.0, 1.0j, 10.0):
@@ -425,12 +429,8 @@ def test_criterion_9_structural_suite():
             continue
         G = F.conjugate(m)
         for n in (1, 2, 3):
-            sa = sorted(
-                (mu for mu, k in exact_cycles(F, n).multiplier_spectrum
-                 for _ in range(k)), key=lambda z: (z.real, z.imag))
-            sb = sorted(
-                (mu for mu, k in exact_cycles(G, n).multiplier_spectrum
-                 for _ in range(k)), key=lambda z: (z.real, z.imag))
+            sa = spectrum_multiset(exact_cycles(F, n))
+            sb = spectrum_multiset(exact_cycles(G, n))
             if len(sa) != len(sb) or any(
                     abs(x - y) > SPECTRUM_INVARIANCE_TOL * (1.0 + abs(x))
                     for x, y in zip(sa, sb)):

@@ -420,6 +420,25 @@ def test_degenerate_family_required(capsys):
     assert code == 2
 
 
+def test_parabolic_contamination_names_its_orbits(capsys):
+    # c = 1/4: the parabolic fixed point 1/2 sits in the period-8 locus as
+    # two period-1 orbits with multiplier near 1
+    code, out, err = run(["lyap", "--family", "quad", "--c", "0.25",
+                          "--n", "8", "--out", "lyap.csv"], capsys)
+    assert code == 8
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "PARABOLIC_CONTAMINATION"
+    message = record["message"]
+    assert message.startswith("2 lower-period parabolic orbits (periods "
+                              "[1, 1], largest |multiplier^(n/p) - 1| = ")
+    gap = float(message.split("= ")[1].split(")")[0])
+    assert 0.0 < gap <= 1e-6  # within the root-of-unity tolerance
+    assert message.endswith("make the period-8 spectrum ill defined")
+
+
 EXIT_CODE_NUMBERS = {
     "ERROR": 1, "PRECONDITION": 2, "NO_CONVERGENCE": 4, "DEGENERATE_MAP": 5,
     "ORBIT_MISMATCH": 7, "PARABOLIC_CONTAMINATION": 8,

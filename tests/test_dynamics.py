@@ -14,18 +14,15 @@ from dynbif.cpoly import RootSet, roots_blackbox
 from dynbif.dynamics import (
     CLOUD_STARTS,
     RationalMapLift,
-    SpherePoint,
-    Stability,
     backward_cloud,
     chordal_derivative,
-    chordal_distance,
-    classify_multiplier,
     compose_forms,
     cycle_multiplier,
     exact_cycles,
     form_eval,
     homogeneous_resultant,
     period_wedge_evaluator,
+    unit,
 )
 from dynbif.errors import (
     DegenerateMapError,
@@ -36,18 +33,18 @@ from dynbif.errors import (
 
 from dynbif.families import PCA3, QUADRAT, map_at
 
-from conftest import power_lift, quad_lift, random_quadratic_rational
+from conftest import (
+    chordal,
+    cycle_columns,
+    power_lift,
+    quad_lift,
+    random_quadratic_rational,
+    sphere_point,
+    spectrum_multiset,
+)
 
 small_complex = st.complex_numbers(
     min_magnitude=0, max_magnitude=5, allow_nan=False, allow_infinity=False)
-
-
-def _spectrum_multiset(ext, ndigits=6):
-    out = []
-    for mult, count in ext.multiplier_spectrum:
-        out.extend([complex(round(mult.real, ndigits),
-                            round(mult.imag, ndigits))] * count)
-    return sorted(out, key=lambda z: (z.real, z.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -210,54 +207,45 @@ def test_compose_forms_is_iteration():
     F = quad_lift(-1.0)
     n2, d2 = compose_forms(F.num, F.den, F.num, F.den)
     for z in [0.3 + 0.1j, -1.2, 2.0j]:
-        w = F.apply(SpherePoint.from_affine(z)).affine()
+        w0, w1 = F.apply(sphere_point(z))
+        w = w0 / w1
         want = (w * w - 1.0)
         got = form_eval(n2, z, 1.0) / form_eval(d2, z, 1.0)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# sphere points and the chordal metric
+# unit pairs and the chordal metric
 # ---------------------------------------------------------------------------
 
 
-def test_sphere_point_charts():
-    p = SpherePoint.from_affine(3.0 - 4.0j)
-    assert p.affine() == pytest.approx(3.0 - 4.0j)
-    assert SpherePoint.infinity().is_infinity
-    with pytest.raises(PreconditionError):
-        SpherePoint.infinity().affine()
-    with pytest.raises(PreconditionError):
-        SpherePoint(np.array([0.0, 0.0]))
+def test_unit_rejects_pairs_that_do_not_project():
+    p = unit([3.0 - 4.0j, 1.0])
+    assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-15)
+    assert p[0] / p[1] == pytest.approx(3.0 - 4.0j)
+    assert unit([2.0j, 0.0]).tolist() == [1.0j, 0.0]  # infinity
+    for bad in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(PreconditionError):
+            unit(bad)
 
 
 @given(small_complex, small_complex, small_complex)
 def test_chordal_metric_axioms(a, b, c):
-    pa, pb, pc = (SpherePoint.from_affine(z) for z in (a, b, c))
-    dab = chordal_distance(pa, pb)
+    pa, pb, pc = (sphere_point(z) for z in (a, b, c))
+    dab = chordal(pa, pb)
     assert 0.0 <= dab <= 1.0 + 1e-12
-    assert dab == pytest.approx(chordal_distance(pb, pa), abs=1e-12)
-    assert dab <= (chordal_distance(pa, pc)
-                   + chordal_distance(pc, pb) + 1e-9)
+    assert dab == pytest.approx(chordal(pb, pa), abs=1e-12)
+    assert dab <= chordal(pa, pc) + chordal(pc, pb) + 1e-9
     if a == b:
         assert dab < 1e-12
 
 
 def test_chordal_distance_to_infinity():
-    inf = SpherePoint.infinity()
-    assert chordal_distance(SpherePoint.from_affine(0.0), inf) == (
-        pytest.approx(1.0))
+    inf = sphere_point(np.inf)
+    assert chordal(sphere_point(0.0), inf) == pytest.approx(1.0)
     # diameter-1 normalization: antipodal pairs are at distance 1
-    assert chordal_distance(SpherePoint.from_affine(1.0),
-                            SpherePoint.from_affine(-1.0)) == (
+    assert chordal(sphere_point(1.0), sphere_point(-1.0)) == (
         pytest.approx(1.0))
-
-
-def test_classify_multiplier():
-    assert classify_multiplier(0.0) is Stability.SUPERATTRACTING
-    assert classify_multiplier(0.5j) is Stability.ATTRACTING
-    assert classify_multiplier(np.exp(0.3j)) is Stability.NEUTRAL
-    assert classify_multiplier(2.0) is Stability.REPELLING
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +256,12 @@ def test_classify_multiplier():
 def test_chordal_derivative_of_square():
     F = power_lift(2)
     # on the unit circle |f'| = 2|z| = 2 and the chordal correction is 1
-    p = SpherePoint.from_affine(np.exp(0.4j))
+    p = sphere_point(np.exp(0.4j))
     assert chordal_derivative(F, p) == pytest.approx(2.0, rel=1e-10)
     # at the superattracting fixed points the derivative vanishes
-    assert chordal_derivative(F, SpherePoint.from_affine(0.0)) == (
+    assert chordal_derivative(F, sphere_point(0.0)) == (
         pytest.approx(0.0, abs=1e-12))
-    assert chordal_derivative(F, SpherePoint.infinity()) == (
+    assert chordal_derivative(F, sphere_point(np.inf)) == (
         pytest.approx(0.0, abs=1e-12))
 
 
@@ -298,33 +286,34 @@ def test_period_wedge_evaluator_vanishes_on_cycles():
 
 def test_square_fixed_points():
     F = power_lift(2)
-    ext = exact_cycles(F, 1)
-    assert not ext.contaminated
-    assert len(ext.cycles) == 3
-    assert _spectrum_multiset(ext) == [0.0, 0.0, 2.0]
+    cs = exact_cycles(F, 1)
+    assert not cs.contaminated.any()
+    assert cs.copies.sum() == 3
+    assert spectrum_multiset(cs, 6) == [0.0, 0.0, 2.0]
 
 
 def test_square_period2_and_3():
     F = power_lift(2)
-    ext2 = exact_cycles(F, 2)
-    assert [c.exact_period for c in ext2.cycles] == [2]
-    assert ext2.cycles[0].multiplier == pytest.approx(4.0, rel=1e-9)
-    ext3 = exact_cycles(F, 3)
-    assert len(ext3.cycles) == 2
-    for c in ext3.cycles:
-        assert c.multiplier == pytest.approx(8.0, rel=1e-9)
-        assert c.stability is Stability.REPELLING
+    cs2 = exact_cycles(F, 2)
+    assert np.repeat(cs2.period, cs2.copies).tolist() == [2]
+    assert cs2.multiplier[0] == pytest.approx(4.0, rel=1e-9)
+    cs3 = exact_cycles(F, 3)
+    assert cs3.copies.sum() == 2
+    for mult in cs3.multiplier:
+        assert mult == pytest.approx(8.0, rel=1e-9)
+        assert abs(mult) > 1.0  # repelling
 
 
 def test_basilica_superattracting_cycle():
     F = quad_lift(-1.0)
-    ext = exact_cycles(F, 2)
-    mults = sorted(abs(c.multiplier) for c in ext.cycles)
+    cs = exact_cycles(F, 2)
+    mults = sorted(abs(np.repeat(cs.multiplier, cs.copies)))
     # two exact-period-2 points -> a single 2-cycle, the superattracting
     # critical cycle {0, -1}
-    assert len(ext.cycles) == 1
+    assert cs.copies.sum() == 1
     assert mults[0] < 1e-9
-    pts = sorted(p.affine().real for p in ext.cycles[0].points)
+    (cols,) = cycle_columns(cs)
+    pts = sorted((cols[0] / cols[1]).real)
     assert pts == pytest.approx([-1.0, 0.0], abs=1e-9)
 
 
@@ -332,16 +321,16 @@ def test_cycle_count_matches_census(rng):
     for _ in range(8):
         F = random_quadratic_rational(rng)
         for n in range(1, 5):
-            ext = exact_cycles(F, n)
-            pts = sum(len(c.points) for c in ext.cycles + ext.contaminated)
+            cols = cycle_columns(exact_cycles(F, n))
+            pts = sum(c.shape[1] for c in cols)
             assert pts == arith.exact_cycle_point_count(2, n)
 
 
 def test_parabolic_contamination_detected():
     # c = 1/4: the parabolic fixed point contaminates the period-2 wedge
     F = quad_lift(0.25)
-    ext = exact_cycles(F, 2)
-    assert ext.contaminated
+    cs = exact_cycles(F, 2)
+    assert cs.contaminated.any()
     with pytest.raises(ParabolicContaminationError):
         from dynbif.lyapunov import lyap_periodic
         lyap_periodic(F, 2)
@@ -351,7 +340,7 @@ def test_cycle_multiplier_through_infinity():
     # the fixed point of z^2 at infinity is superattracting; its multiplier
     # needs no affine chart
     F = power_lift(2)
-    m = cycle_multiplier(F, [SpherePoint.infinity()])
+    m = cycle_multiplier(F, sphere_point(np.inf)[:, None])
     assert m == pytest.approx(0.0, abs=1e-12)
 
 
@@ -363,14 +352,36 @@ def test_cycle_multiplier_matches_affine_quotient(rng):
         q = np.polynomial.Polynomial(F.den)
         dp, dq = p.deriv(), q.deriv()
         for n in (1, 2, 3):
-            for cyc in exact_cycles(F, n).cycles:
+            cs = exact_cycles(F, n)
+            exact = ~cs.contaminated
+            mults = np.repeat(cs.multiplier[exact], cs.copies[exact])
+            for cols, mult in zip(cycle_columns(cs, exact), mults):
                 want = 1.0 + 0.0j
-                for pt in cyc.points:
-                    z = pt.affine()
+                for z in cols[0] / cols[1]:
                     want *= (dp(z) * q(z) - p(z) * dq(z)) / q(z) ** 2
-                got = cycle_multiplier(F, list(cyc.points))
+                got = cycle_multiplier(F, cols)
                 assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
-                assert abs(cyc.multiplier - want) <= 1e-9 * (1.0 + abs(want))
+                assert abs(mult - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def test_cycle_set_invariants(rng):
+    maps = [random_quadratic_rational(rng) for _ in range(4)]
+    for F in maps + [quad_lift(1.0), quad_lift(-1.0)]:
+        for n in range(1, 7):
+            cs = exact_cycles(F, n)
+            assert cs.points.shape == (2, cs.period.sum())
+            norms = np.linalg.norm(cs.points, axis=0)
+            assert np.all(np.abs(norms - 1.0) <= 1e-15)
+            assert (cs.period * cs.copies).sum() == (
+                arith.exact_cycle_point_count(2, n))
+            cols = np.split(cs.points, np.cumsum(cs.period)[:-1], axis=1)
+            for c, mult in zip(cols, cs.multiplier):
+                image = F.apply(c)
+                image = image / np.linalg.norm(image, axis=0)
+                after = np.roll(c, -1, axis=1)
+                for k in range(c.shape[1]):  # F maps column k to k + 1
+                    assert chordal(image[:, k], after[:, k]) <= 1e-9
+                assert cycle_multiplier(F, c) == mult  # bit for bit
 
 
 def test_conjugation_invariance_of_spectrum(rng):
@@ -381,8 +392,8 @@ def test_conjugation_invariance_of_spectrum(rng):
             continue
         G = F.conjugate(m)
         for n in (1, 2, 3):
-            sa = _spectrum_multiset(exact_cycles(F, n), ndigits=5)
-            sb = _spectrum_multiset(exact_cycles(G, n), ndigits=5)
+            sa = spectrum_multiset(exact_cycles(F, n), ndigits=5)
+            sb = spectrum_multiset(exact_cycles(G, n), ndigits=5)
             assert len(sa) == len(sb)
             for x, y in zip(sa, sb):
                 assert abs(x - y) < 1e-8 * (1.0 + abs(x))
@@ -427,9 +438,9 @@ def test_exact_cycles_certify_when_the_start_hits_the_critical_orbit(c):
     gaps = np.abs(np.subtract.outer(pts, pts)) + np.eye(64)
     assert gaps.min() > 1e-6
     for n in range(2, 11):
-        ext = exact_cycles(F, n)
-        assert not ext.contaminated
-        assert n * len(ext.cycles) == arith.exact_cycle_point_count(2, n)
+        cs = exact_cycles(F, n)
+        assert not cs.contaminated.any()
+        assert n * cs.copies.sum() == arith.exact_cycle_point_count(2, n)
 
 
 def test_period_solve_draws_no_random_numbers():
@@ -443,10 +454,8 @@ def test_period_solve_draws_no_random_numbers():
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
     a, b = (exact_cycles(quad_lift(1.0), 9) for _ in range(2))
-    assert len(a.cycles) == len(b.cycles)
-    for x, y in zip(a.cycles, b.cycles):
-        assert all(np.array_equal(p.vec, q.vec)
-                   for p, q in zip(x.points, y.points))
+    assert a.period.tolist() == b.period.tolist()
+    assert a.points.tobytes() == b.points.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +558,9 @@ def test_match_equals_the_dense_search(monkeypatch, family, c, n):
 def test_match_takes_the_lowest_index_on_ties():
     # z = 0.1 and z = -0.1 are equally far from 0; -0.1 comes first along
     # the sphere coordinate, but the match takes the lower index
-    x = SpherePoint.from_affine(0.0).vec[:, None]
+    x = sphere_point(0.0)[:, None]
     for roots in ([0.1, -0.1, 5.0], [-0.1, 0.1, 5.0], [5.0, 0.1, 0.1]):
-        v = np.array([SpherePoint.from_affine(z).vec for z in roots]).T
+        v = np.array([sphere_point(z) for z in roots]).T
         idx, dist = dynamics._nearest_root(x, v, np.array([0.5]))
         assert idx.tolist() == [int(np.argmin(np.abs(roots)))]
         assert dist[0] == _dense_nearest_root(x, v)[1][0]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dynbif import arith, families
-from dynbif.dynamics import SpherePoint, cycle_multiplier
+from dynbif.dynamics import cycle_multiplier
 from dynbif.errors import (
     CountMismatchError,
     CountOverflowError,
@@ -56,6 +56,8 @@ from dynbif.families import (
     quad_cycle_multiplier,
     quadrat_fixed_normal_form,
 )
+
+from conftest import sphere_point
 
 # frozen real and complex period-3 centers of z^2 + c (roots of
 # c^3 + 2c^2 + c + 1)
@@ -122,16 +124,15 @@ def test_pca_map_critical_points_property():
 def test_quad_lift():
     F = map_at(QUAD, [-1.0])
     z = 0.5 + 0.5j
-    from dynbif.dynamics import SpherePoint
-    assert F.apply(SpherePoint.from_affine(z)).affine() == pytest.approx(
-        z * z - 1.0)
+    w0, w1 = F.apply(sphere_point(z))
+    assert w0 / w1 == pytest.approx(z * z - 1.0)
 
 
 def test_quadrat_normal_form_index_relation():
     mu1, mu2 = 0.3 + 0.1j, -0.7j
     lift, mu3 = quadrat_fixed_normal_form(mu1, mu2)
     # fixed points 0 and infinity carry the prescribed multipliers
-    assert cycle_multiplier(lift, [SpherePoint.from_affine(0.0)]) \
+    assert cycle_multiplier(lift, sphere_point(0.0)[:, None]) \
         == pytest.approx(mu1, rel=1e-12)
     s = (1.0 / (1.0 - mu1) + 1.0 / (1.0 - mu2) + 1.0 / (1.0 - mu3))
     assert s == pytest.approx(1.0, rel=1e-10)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynbif.dynamics import SpherePoint
+from dynbif import arith
+from dynbif.dynamics import exact_cycles
 from dynbif.errors import IllConditionedError, PreconditionError
+from dynbif.families import PCA3, QUADRAT, map_at, power_map_spectrum
 from dynbif.lyapunov import (
     degeneration_slope,
     green_normalized,
@@ -17,7 +19,7 @@ from dynbif.lyapunov import (
     polynomial_green,
 )
 
-from conftest import power_lift, quad_lift
+from conftest import power_lift, quad_lift, sphere_point
 
 # closed-form Lyapunov exponent of z^2 + 1, frozen from an independent
 # high-precision escape-rate integration
@@ -76,7 +78,7 @@ def test_closed_form_at_least_log_degree(c):
 
 def test_normalized_green_scaling_invariance():
     F = quad_lift(0.4 + 0.2j)
-    z = SpherePoint.from_affine(2.5 - 1.0j)
+    z = sphere_point(2.5 - 1.0j)
     base = green_normalized(F, z)
     for alpha in [2.0, 0.125, 3.0j]:
         assert green_normalized(F.scaled(alpha), z) == pytest.approx(
@@ -105,6 +107,60 @@ def test_square_higher_periods_exact():
 def test_spectrum_census_enforced():
     with pytest.raises(PreconditionError):
         lyap_from_spectrum([(4.0 + 0.0j, 2)], degree=2, period=2)
+
+
+def _loop_average(spectrum, degree, period, r):
+    """The periodic average as one pass over the (multiplier, count) rows:
+    Python's abs and one += per row.  Returns (value, cycle_count,
+    floored_cycles)."""
+    total = 0.0
+    floored = cycles = 0
+    for mult, count in spectrum:
+        m = abs(mult)
+        if m < r:
+            m = r
+            floored += count
+        total += count * np.log(m)
+        cycles += count
+    return float(total / arith.exact_cycle_point_count(degree, period)), \
+        cycles, floored
+
+
+def _assert_loop_bits(est, spectrum, degree, period, r):
+    value, cycles, floored = _loop_average(spectrum, degree, period, r)
+    assert est.value.hex() == value.hex()
+    assert (est.cycle_count, est.floored_cycles) == (cycles, floored)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spectrum_sum_equals_the_loop_on_power_maps(d):
+    for n in range(1, 13):
+        spec = power_map_spectrum(d, n)
+        for r in (1.0, 0.3):
+            est = lyap_from_spectrum(spec, d, n, r)
+            _assert_loop_bits(est, spec, d, n, r)
+
+
+@pytest.mark.parametrize("F, periods", [
+    (quad_lift(1.0), (8, 10)),
+    (quad_lift(0.0), (8, 10)),
+    (quad_lift(0.3 + 0.2j), (8, 10)),
+    (map_at(QUADRAT, [0.5, 0.3]), (6,)),
+    (map_at(PCA3, [0.5, 0.2]), (4,)),
+], ids=["quad-1", "quad-0", "quad-inside", "quadrat", "pca3"])
+def test_periodic_average_equals_the_loop(F, periods):
+    for n in periods:
+        cs = exact_cycles(F, n)
+        spec = [(complex(m), 1) for m in np.repeat(cs.multiplier, cs.copies)]
+        for r in (1.0, 0.3):
+            _assert_loop_bits(lyap_periodic(F, n, r), spec, F.degree, n, r)
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.5])
+def test_spectrum_counts_must_be_positive_integers(count):
+    with pytest.raises(PreconditionError, match="positive ints"):
+        lyap_from_spectrum([(4.0 + 0.0j, 1), (2.0, count)], degree=2,
+                           period=2)
 
 
 def test_radius_validation():
