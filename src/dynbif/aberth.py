@@ -110,12 +110,6 @@ def initial_points_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return radii * stagger * np.exp(1j * theta)
 
 
-def initial_points_on_circle(degree: int, radius: float) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(degree) / degree + 0.41322
-    stagger = 1.0 + 1e-3 * np.cos(7.1 * np.arange(degree))
-    return radius * stagger * np.exp(1j * theta)
-
-
 def slab_pairs(key: np.ndarray, query: np.ndarray, width: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """The candidates of a proximity search along one real key: index

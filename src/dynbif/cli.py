@@ -18,6 +18,7 @@ machine-readable error code on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -247,11 +248,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = families.family_from_id(args.family)
     cc, warn_msgs = _incomplete_warnings(
         families.component_count, spec, arith.PeriodTuple(args.periods))
-    record = {"N": cc.N, "marked_solutions": cc.marked_solutions,
-              "stab": cc.stab, "deficiency": cc.deficiency,
-              "merged_solutions": cc.merged_solutions,
-              "merged_fraction": cc.merged_fraction,
-              "bezout": cc.bezout, "warnings": warn_msgs}
+    record = {**dataclasses.asdict(cc), "warnings": warn_msgs}
     return record, _write_json(args.out, record)
 
 
@@ -357,6 +354,9 @@ def _range(s: str) -> list[int]:
     hi = int(hi) if sep else lo
     if lo > hi:
         raise PreconditionError("--n lo..hi needs lo <= hi")
+    if lo < 1 or hi > arith.MAX_PERIOD:
+        raise PreconditionError(
+            f"--n periods must lie in [1, {arith.MAX_PERIOD}]")
     return list(range(lo, hi + 1))
 
 

@@ -16,6 +16,9 @@ from .errors import PreconditionError
 from . import aberth
 
 DROP_TOL = 1e-14
+#: relative tolerance and sweep cap of roots_simultaneous; roots_blackbox's cap
+SIMULTANEOUS_TOL, SIMULTANEOUS_MAX_ITER = 1e-12, 200
+BLACKBOX_MAX_ITER = 3000
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -69,7 +72,7 @@ class RootSet:
     roots: np.ndarray
     multiplicities: np.ndarray
     residual: float
-    cluster_radius: float = 0.0
+    cluster_radius: float
 
     @property
     def total(self) -> int:
@@ -80,7 +83,7 @@ class RootSet:
         return np.repeat(self.roots, self.multiplicities)
 
 
-def _cluster(roots: np.ndarray, tol: float, newton_ratio: np.ndarray | None = None
+def _cluster(roots: np.ndarray, tol: float, newton_ratio: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, float]:
     """Single-linkage clustering of near-coincident roots.
 
@@ -92,8 +95,6 @@ def _cluster(roots: np.ndarray, tol: float, newton_ratio: np.ndarray | None = No
     """
     n = len(roots)
     scale = 1.0 + np.abs(roots)
-    if newton_ratio is None:
-        newton_ratio = np.zeros(n)
     w = np.minimum(np.abs(newton_ratio), 1e-3 * scale)
     w = np.where(np.isfinite(w), w, 1e-3 * scale)
     thresh = 8.0 * w + tol * scale
@@ -129,13 +130,10 @@ def _cluster(roots: np.ndarray, tol: float, newton_ratio: np.ndarray | None = No
     return centers[order2], mults[order2], radius
 
 
-def roots_simultaneous(
-    p: ComplexPolynomial, tol: float = 1e-12, max_iter: int = 200
-) -> RootSet:
+def roots_simultaneous(p: ComplexPolynomial) -> RootSet:
     """All complex roots by simultaneous (Ehrlich-Aberth) iteration, with
     cluster post-processing for multiple roots."""
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
+    tol, max_iter = SIMULTANEOUS_TOL, SIMULTANEOUS_MAX_ITER
     if p.degree < 1:
         raise PreconditionError("degree must be >= 1")
     coeffs = p.coeffs
@@ -168,10 +166,9 @@ def roots_simultaneous(
     return RootSet(centers, mults, residual, radius)
 
 
-def roots_blackbox(eval_fn, degree: int, tol: float = 1e-12, max_iter: int = 300,
-                   init=None, radius: float = 2.5) -> RootSet:
-    """Same contract as :func:`roots_simultaneous` for a polynomial known only
-    through an evaluator.
+def roots_blackbox(eval_fn, degree: int, tol: float, init) -> RootSet:
+    """Same contract as :func:`roots_simultaneous` for a polynomial of the
+    given degree known only through an evaluator, from one seed per root.
 
     ``eval_fn(z_array) -> (p, dp)`` must be vectorized over numpy arrays
     and pointwise: the pair at z_i may depend on z_i alone, since each Aberth
@@ -181,14 +178,13 @@ def roots_blackbox(eval_fn, degree: int, tol: float = 1e-12, max_iter: int = 300
     the iteration).  Used when explicit coefficients would overflow, e.g.
     iterated-map recursions.
     """
-    if degree < 1:
-        raise PreconditionError("degree must be >= 1")
+    if degree < 1 or len(init) != degree:
+        raise PreconditionError(f"need degree >= 1 and one seed per root, "
+                                f"got {len(init)} for degree {degree}")
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    if init is None:
-        init = aberth.initial_points_on_circle(degree, radius)
     roots = aberth.aberth_solve(eval_fn, np.asarray(init, dtype=np.complex128),
-                                tol, max_iter)
+                                tol, BLACKBOX_MAX_ITER)
     v, dv = eval_fn(roots)
     v = np.asarray(v, dtype=np.complex128)
     dv = np.asarray(dv, dtype=np.complex128)

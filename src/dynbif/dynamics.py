@@ -457,7 +457,7 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleSet:
     # hopeless at these degrees
     init = backward_cloud(F, target_deg)
     rs = roots_blackbox(period_wedge_evaluator(F, n), target_deg,
-                        PERIOD_SOLVER_TOL, max_iter=3000, init=init)
+                        PERIOD_SOLVER_TOL, init)
     v = np.stack([rs.roots, np.ones_like(rs.roots)])
     mults = rs.multiplicities
     if has_inf:

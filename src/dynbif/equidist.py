@@ -29,6 +29,8 @@ MAX_MOMENT_ORDER = 512
 #: an error sequence "decreases" while each value stays within this factor
 #: of the running minimum
 TREND_SLACK = 2.0
+#: most center x angle continuation paths of one level-curve measure
+MAX_PATHS = 2**20
 
 
 @dataclass(frozen=True)
@@ -64,16 +66,11 @@ def center_measure(spec: families.FamilySpec,
     for n in periods.periods:
         d_prod *= arith.exact_cycle_point_count(spec.degree, n)
     norm = math.factorial(spec.degree - 1) * d_prod
-    w = stab / norm
-    if spec.kind == "QuadraticPoly":
-        params = families.quad_centers(*periods.periods)
-        mult = np.ones(params.size)
-    elif spec.kind == "PcaPoly":
-        centers = families.marked_centers(spec, *periods.periods)
-        params, mult = centers.params, centers.multiplicity
-    else:
-        raise PreconditionError(f"no center measure for {spec.kind}")
-    return AtomicMeasure(params.reshape(-1, spec.parameter_dim), w * mult)
+    solve = (families.centers_1d if spec.parameter_dim == 1
+             else families.marked_centers)
+    centers = solve(spec, *periods.periods)
+    return AtomicMeasure(centers.params.reshape(-1, spec.parameter_dim),
+                         stab / norm * centers.multiplicity)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
     """Atoms at the parameters where the period-n cycle has multiplier
     rho * e^(i theta_k), 0 <= rho <= families.MAX_TARGET_MODULUS (0.95),
     theta_k uniform, one per component center and angle (center-major),
-    each of weight 1/(d_n * thetas).
+    each of weight 1/(d_n * thetas); at most MAX_PATHS paths.
 
     All center x angle paths are continued in one batched call.  Every atom
     re-verifies its multiplier via an independent critical-orbit
@@ -110,6 +107,9 @@ def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
     if thetas < 8 and not (rho == 0.0 and thetas == 1):
         raise PreconditionError("need thetas >= 8")
     centers = families.centers_1d(spec, n)
+    if len(centers) * thetas > MAX_PATHS:
+        raise PreconditionError(f"{len(centers)} centers x {thetas} angles "
+                                f"exceed the path cap {MAX_PATHS}")
     d_n = arith.exact_cycle_point_count(spec.degree, n)
     w = 1.0 / (d_n * thetas)
     targets = rho * np.exp(2j * np.pi * np.arange(thetas) / thetas)
@@ -147,14 +147,10 @@ class GridDensity:
     window (largest imaginary part), matching image conventions.
     """
 
-    window: tuple[tuple[float, float], tuple[float, float]]
-    resolution: tuple[int, int]
     bins: np.ndarray = field(repr=False)
 
     @staticmethod
-    def from_measure(m: AtomicMeasure,
-                     window=QUAD_WINDOW,
-                     resolution=DEFAULT_RESOLUTION) -> "GridDensity":
+    def from_measure(m: AtomicMeasure, window, resolution) -> "GridDensity":
         (x0, x1), (y0, y1) = window
         nx, ny = resolution
         if not (x1 > x0 and y1 > y0 and nx >= 1 and ny >= 1):
@@ -167,7 +163,7 @@ class GridDensity:
                      0, ny - 1)
         bins = np.zeros((ny, nx))
         np.add.at(bins, (iy, ix), ws[inside])
-        return GridDensity(window, (nx, ny), bins)
+        return GridDensity(bins)
 
     @property
     def mass(self) -> float:

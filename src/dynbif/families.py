@@ -115,27 +115,11 @@ def degen_parameter(spec: FamilySpec, t: complex) -> complex:
     return t
 
 
-def pca_map(d: int, c, a: complex) -> np.ndarray:
-    """Ascending coefficients of the unicritical-normalized polynomial
-    z^d/d + sum_{j=2}^{d-1} (-1)^(d-j) sigma_{d-j}(c)/j z^j + a^d, whose
-    critical points are exactly {0, c_1, ..., c_{d-2}}."""
-    if not (2 <= d <= 6):
-        raise PreconditionError("degree must lie in [2, 6]")
-    c = tuple(complex(x) for x in np.atleast_1d(np.asarray(c, dtype=complex))) \
-        if d > 2 else ()
-    if len(c) != d - 2:
-        raise PreconditionError(f"need {d - 2} free critical points, got {len(c)}")
-    # elementary symmetric polynomials sigma_k(c)
-    sig = np.zeros(d - 1, dtype=np.complex128)
-    sig[0] = 1.0
-    for x in c:
-        sig[1:] = sig[1:] + x * sig[:-1].copy()
-    coeffs = np.zeros(d + 1, dtype=np.complex128)
-    coeffs[d] = 1.0 / d
-    for j in range(2, d):
-        coeffs[j] = (-1) ** (d - j) * sig[d - j] / j
-    coeffs[0] = complex(a) ** d
-    return coeffs
+def pca_map(c, a) -> np.ndarray:
+    """Ascending coefficients of the marked cubic z^3/3 - (c/2) z^2 + a^3,
+    whose critical points are exactly 0 and c."""
+    return np.array([complex(a) ** 3, 0.0, -c / 2, 1.0 / 3.0],
+                    dtype=np.complex128)
 
 
 def poly_coeffs(spec: FamilySpec, params) -> np.ndarray | None:
@@ -148,7 +132,7 @@ def poly_coeffs(spec: FamilySpec, params) -> np.ndarray | None:
         (t,) = p
         c = degen_parameter(spec, t)
     elif spec.kind == "PcaPoly":
-        return pca_map(spec.degree, p[:-1], p[-1])
+        return pca_map(*p)
     else:
         return None
     return np.array([c, 0.0, 1.0], dtype=np.complex128)
@@ -288,8 +272,9 @@ def _first_return(bare, q, z0, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _quad_exact_centers(n: int) -> tuple[complex, ...]:
-    """Exact-period-n centers of z^2 + c, sorted, certified complete.
+def _quad_exact_centers(n: int) -> CenterSet:
+    """Exact-period-n centers of z^2 + c, sorted, certified complete, as a
+    read-only CenterSet.
 
     Solves the full critical-orbit return polynomial p_n(c) = f_c^n(0) (all
     periods dividing n) by the black-box simultaneous iteration.  The seeds
@@ -301,58 +286,57 @@ def _quad_exact_centers(n: int) -> tuple[complex, ...]:
     never leave the real axis to reach a conjugate pair.  Exact periods are
     assigned by orbit tests and every per-period count is certified
     against the Moebius divisor count, raising COUNT_MISMATCH on any
-    discrepancy.
+    discrepancy.  Each residual is the Newton step |p_n / p_n'| (a distance
+    in c).
     """
     if n == 1:
-        return (0.0 + 0.0j,)
-    degree = 2 ** (n - 1)
-    r = np.concatenate([np.asarray(_quad_exact_centers(m))
-                        for m in arith.divisors(n - 1)])
-    a = quad_center_evaluator(n - 1)(r)[1] ** 2
-    # the principal root has Re >= 0, so 1 + sqrt(.) never cancels
-    q = -0.5 * (1.0 + np.sqrt(1.0 - 4.0 * a * r))
-    init = np.tile(r, 2) + np.concatenate([q / a, r / q]) * np.exp(0.01j)
-    rs = roots_blackbox(quad_center_evaluator(n), degree, 1e-12,
-                        max_iter=3000, init=init)
-    if np.any(rs.multiplicities > 1):
-        raise CountOverflowError(
-            "duplicate clusters among centers resist separation")
-    roots = _polish_centers(rs.roots, n)
-    period = _first_return(_quad_bare, (roots,), np.zeros_like(roots), n)
-    stray = (period == 0) | (n % np.maximum(period, 1) != 0)
-    if np.any(stray):
-        raise CountMismatchError(f"root {complex(roots[stray][0])} has no "
-                                 f"divisor period up to {n}")
-    for m in arith.divisors(n):
-        expected = arith.affine_cycle_point_count(2, m) // 2
-        got = np.count_nonzero(period == m)
-        if got != expected:
-            raise CountMismatchError(
-                f"period {m}: found {got} centers, expected {expected}")
-    # a conjugate pair's real parts differ only by rounding: round them so
-    # each pair keeps the order (-im, +im) under last-bit changes
-    cs = roots[period == n]
-    return tuple(cs[np.lexsort((cs.imag, np.round(cs.real, 10)))].tolist())
-
-
-def quad_centers(n: int) -> np.ndarray:
-    """The certified exact-period-n centers of z^2 + c as a sorted array."""
-    if n < 1 or n > QUAD_CENTER_CAP:
-        raise PreconditionError(f"period must lie in [1, {QUAD_CENTER_CAP}]")
-    return np.asarray(_quad_exact_centers(n))
+        cs = np.zeros(1, dtype=np.complex128)
+    else:
+        r = np.concatenate([_quad_exact_centers(m).params[:, 0]
+                            for m in arith.divisors(n - 1)])
+        a = quad_center_evaluator(n - 1)(r)[1] ** 2
+        # the principal root has Re >= 0, so 1 + sqrt(.) never cancels
+        q = -0.5 * (1.0 + np.sqrt(1.0 - 4.0 * a * r))
+        init = np.tile(r, 2) + np.concatenate([q / a, r / q]) * np.exp(0.01j)
+        rs = roots_blackbox(quad_center_evaluator(n), 2 ** (n - 1), 1e-12,
+                            init)
+        if np.any(rs.multiplicities > 1):
+            raise CountOverflowError(
+                "duplicate clusters among centers resist separation")
+        roots = _polish_centers(rs.roots, n)
+        period = _first_return(_quad_bare, (roots,), np.zeros_like(roots), n)
+        stray = (period == 0) | (n % np.maximum(period, 1) != 0)
+        if np.any(stray):
+            raise CountMismatchError(f"root {complex(roots[stray][0])} has "
+                                     f"no divisor period up to {n}")
+        for m in arith.divisors(n):
+            expected = arith.affine_cycle_point_count(2, m) // 2
+            got = np.count_nonzero(period == m)
+            if got != expected:
+                raise CountMismatchError(
+                    f"period {m}: found {got} centers, expected {expected}")
+        # a conjugate pair's real parts differ only by rounding: round them
+        # so each pair keeps the order (-im, +im) under last-bit changes
+        cs = roots[period == n]
+        cs = cs[np.lexsort((cs.imag, np.round(cs.real, 10)))]
+    res = np.abs(np.divide(*quad_center_evaluator(n)(cs)))
+    centers = CenterSet(cs[:, None], np.full((len(cs), 1), n), res,
+                        np.ones(len(cs), dtype=int))
+    for f in fields(centers):
+        getattr(centers, f.name).flags.writeable = False
+    return centers
 
 
 def centers_1d(spec: FamilySpec, n: int) -> CenterSet:
     """All parameters of a one-parameter family where the marked critical
     point has exact period n, certified complete against the Moebius divisor
-    count; each residual is the Newton step |p_n / p_n'| (a distance in c)."""
+    count (a cached, read-only CenterSet)."""
     if spec.kind != "QuadraticPoly":
         raise PreconditionError("center enumeration supports the quadratic "
                                 "family in one parameter")
-    cs = quad_centers(n)
-    res = np.abs(np.divide(*quad_center_evaluator(n)(cs)))
-    return CenterSet(cs[:, None], np.full((len(cs), 1), n), res,
-                     np.ones(len(cs), dtype=int))
+    if n < 1 or n > QUAD_CENTER_CAP:
+        raise PreconditionError(f"period must lie in [1, {QUAD_CENTER_CAP}]")
+    return _quad_exact_centers(n)
 
 
 def _polish_centers(roots: np.ndarray, n: int) -> np.ndarray:

@@ -39,6 +39,14 @@ def sphere_point(z: complex) -> np.ndarray:
     return unit([1.0, 0.0] if np.isinf(z) else [z, 1.0])
 
 
+def circle_seeds(degree: int, radius: float) -> np.ndarray:
+    """Root-finder seeds on a circle, staggered in radius and turned off the
+    real axis."""
+    k = np.arange(degree)
+    return (radius * (1.0 + 1e-3 * np.cos(7.1 * k))
+            * np.exp(1j * (2.0 * np.pi * k / degree + 0.41322)))
+
+
 def chordal(p: np.ndarray, q: np.ndarray) -> float:
     """Chordal distance (diameter 1) of two unit pairs, as the orbit match
     of ``exact_cycles`` measures it."""

@@ -500,6 +500,13 @@ def test_removed_options_rejected(argv, workdir, capsys):
     (["bogus"], "invalid choice"),
     # percurve measures one period; a range is not a period
     (["percurve", "--family", "quad", "--n", "3..5"], "invalid int value"),
+    # an unbounded range or angle grid is refused before it is allocated
+    (["lyap", "--family", "quad", "--c", "1", "--n",
+      "1..1000000000000000"], "--n periods must lie in [1, 40]"),
+    (["equidist", "--family", "quad", "--n", "1..1000000000000000",
+      "--ref", "14"], "--n periods must lie in [1, 40]"),
+    (["percurve", "--family", "quad", "--n", "3", "--thetas",
+      "1000000000000000"], "exceed the path cap 1048576"),
 ])
 def test_usage_errors_end_in_one_json_line(argv, words, capsys):
     code, out, err = run(argv, capsys)

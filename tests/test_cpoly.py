@@ -14,6 +14,8 @@ from dynbif.cpoly import (
 from dynbif.dynamics import _sylvester_matrix
 from dynbif.errors import NoConvergenceError, PreconditionError
 
+from conftest import circle_seeds
+
 finite_complex = st.complex_numbers(
     min_magnitude=0, max_magnitude=10, allow_nan=False, allow_infinity=False)
 
@@ -56,7 +58,7 @@ def test_roots_simple():
 
 def test_roots_multiplicities():
     p = from_roots([1.0, 1.0, 1.0, -1.0])
-    rs = roots_simultaneous(p, tol=1e-12)
+    rs = roots_simultaneous(p)
     assert rs.total == 4
     assert sorted(rs.multiplicities.tolist()) == [1, 3]
     triple = rs.roots[np.argmax(rs.multiplicities)]
@@ -73,7 +75,7 @@ SIMPLE_AT = [-1.0, 2.0, 0.3j, -3.0]
 def test_roots_multiplicity_sweep(multiple, m, simple):
     p = from_roots([multiple] * m + [simple])
     try:
-        rs = roots_simultaneous(p, tol=1e-12)
+        rs = roots_simultaneous(p)
     except NoConvergenceError:
         # a triple cluster bottoms out near eps**(1/3), above the stop
         # rule's sqrt(tol): a known limit of the solver, never a wrong count
@@ -108,7 +110,7 @@ def test_blackbox_matches_simultaneous():
     def eval_fn(z):
         return p(z), dp(z)
 
-    rs_bb = roots_blackbox(eval_fn, p.degree, tol=1e-12, radius=4.0)
+    rs_bb = roots_blackbox(eval_fn, p.degree, 1e-12, circle_seeds(4, 4.0))
     rs = roots_simultaneous(p)
     assert _match(rs_bb.expanded(), rs.expanded(), 1e-9)
 
@@ -128,7 +130,7 @@ def test_cluster_centers_are_per_group_means(seed):
     pts[::4] = base[group[::4]]
     perm = rng.permutation(len(pts))
     pts, group = pts[perm], group[perm]
-    centers, mults, radius = _cluster(pts, 1e-8)
+    centers, mults, radius = _cluster(pts, 1e-8, np.zeros(len(pts)))
     first = sorted(range(len(base)), key=lambda g: np.flatnonzero(group == g)[0])
     means = np.array([pts[group == g].mean() for g in first])
     counts = np.array([np.count_nonzero(group == g) for g in first])
@@ -142,8 +144,12 @@ def test_cluster_centers_are_per_group_means(seed):
 def test_roots_preconditions():
     with pytest.raises(PreconditionError):
         roots_simultaneous(ComplexPolynomial(np.array([1.0])))
-    with pytest.raises(PreconditionError):
-        roots_simultaneous(ComplexPolynomial(np.array([1.0, 1.0])), tol=0.0)
+    # the black-box solve takes exactly one seed per root
+    p = from_roots([0.3, -1.1, 2.0 + 1.0j])
+    dp = p.derivative()
+    for seeds in (circle_seeds(2, 4.0), circle_seeds(4, 4.0)):
+        with pytest.raises(PreconditionError, match="one seed per root"):
+            roots_blackbox(lambda z: (p(z), dp(z)), p.degree, 1e-12, seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from dynbif.families import PCA3, QUADRAT, map_at
 
 from conftest import (
     chordal,
+    circle_seeds,
     cycle_columns,
     power_lift,
     quad_lift,
@@ -415,11 +416,12 @@ def test_backward_cloud_is_the_preimage_tree():
     with pytest.raises(PreconditionError):
         backward_cloud(power_lift(2), 10)
     # for z^2 + 1 each period-8 root has its own seed as nearest point and
-    # each seed its own root; the roots come from an unseeded solve
+    # each seed its own root; the roots come from a solve seeded on a
+    # staggered circle of radius 2.5, independent of the cloud
     F = quad_lift(1.0)
     seeds = backward_cloud(F, 256)
     roots = roots_blackbox(period_wedge_evaluator(F, 8), 256, 1e-12,
-                           max_iter=3000).roots
+                           circle_seeds(256, 2.5)).roots
     assert len(roots) == 256
     dist = np.abs(np.subtract.outer(seeds, roots))
     assert sorted(np.argmin(dist, axis=1)) == list(range(256))

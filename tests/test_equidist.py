@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynbif import arith, families
 from dynbif.equidist import (
+    MAX_PATHS,
     QUAD_WINDOW,
     AtomicMeasure,
     GridDensity,
@@ -19,7 +20,7 @@ from dynbif.equidist import (
     pern_circle_measure,
 )
 from dynbif.errors import EmptyMeasureError, PreconditionError
-from dynbif.families import PCA3, QUAD
+from dynbif.families import DEGEN_CATALOG, PCA3, QUAD, QUADRAT
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,14 @@ def test_center_measure_reads_the_certified_quad_centers():
     too_high = families.QUAD_CENTER_CAP + 1
     with pytest.raises(PreconditionError):
         center_measure(QUAD, arith.PeriodTuple((too_high,)))
+
+
+@pytest.mark.parametrize("spec", [QUADRAT, *DEGEN_CATALOG.values()],
+                         ids=lambda spec: spec.family_id)
+def test_center_measure_needs_a_family_with_centers(spec):
+    periods = (2,) * spec.parameter_dim
+    with pytest.raises(PreconditionError):
+        center_measure(spec, arith.PeriodTuple(periods))
 
 
 def test_center_measure_pca3_counts_multiplicity():
@@ -251,6 +260,11 @@ def test_circle_measure_period_one_near_max_modulus(rho):
 def test_circle_measure_thetas_validation():
     with pytest.raises(PreconditionError):
         pern_circle_measure(QUAD, 2, 0.5, 4)
+    # the 3 period-3 centers times thetas angles pass the path cap: refused
+    # before any path array is built
+    for thetas in (MAX_PATHS // 3 + 1, 10**15):
+        with pytest.raises(PreconditionError, match="path cap"):
+            pern_circle_measure(QUAD, 3, 0.5, thetas)
 
 
 # ---------------------------------------------------------------------------
