@@ -123,7 +123,7 @@ def _cache_dir() -> str | None:
 
 def _cache_key(family: str, periods) -> str:
     # the tag keeps earlier solvers' rows and entry formats from being served
-    tag = "pca3-cb-involution-set" if family == "pca3" else "quad-newton-set"
+    tag = "pca3-cb-symmetry-set" if family == "pca3" else "quad-floor-set"
     blob = json.dumps({"family": family, "periods": list(periods),
                        "solver": tag}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -172,9 +172,8 @@ def _cached_centers(args: argparse.Namespace, spec
         centers = _read_centers(path, len(args.periods))
         if centers is not None:
             return centers, [], "hit"
-    solve = (families.centers_1d if len(args.periods) == 1
-             else families.marked_centers)
-    centers, warn_msgs = _incomplete_warnings(solve, spec, *args.periods)
+    centers, warn_msgs = _incomplete_warnings(families.centers, spec,
+                                              args.periods)
     if cdir and not warn_msgs:
         os.makedirs(cdir, exist_ok=True)
         data = {"re": centers.params.real.tolist(),
@@ -313,8 +312,9 @@ def cmd_percurve(args: argparse.Namespace) -> tuple[dict, dict]:
 
 def cmd_degenerate(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = families.family_from_id(args.family)
-    if spec.kind != "MeromorphicDisk":
-        raise PreconditionError("degenerate needs a degen:<id> family")
+    if spec not in families.DEGEN_CATALOG.values():
+        raise PreconditionError(
+            f"degenerate needs a degen:<id> family, not {args.family}")
     moduli = np.logspace(-6, -3, 10)
 
     def lyap_of_t(t):

@@ -16,9 +16,12 @@ from .errors import PreconditionError
 from . import aberth
 
 DROP_TOL = 1e-14
-#: relative tolerance and sweep cap of roots_simultaneous; roots_blackbox's cap
+#: relative tolerance and sweep cap of roots_simultaneous
 SIMULTANEOUS_TOL, SIMULTANEOUS_MAX_ITER = 1e-12, 200
-BLACKBOX_MAX_ITER = 3000
+#: roots_blackbox freezes points at the double-precision floor of the Aberth
+#: correction (a looser one leaves roots whose images miss the period-n root
+#: set), within its sweep cap
+BLACKBOX_TOL, BLACKBOX_MAX_ITER = 1e-14, 3000
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -166,9 +169,10 @@ def roots_simultaneous(p: ComplexPolynomial) -> RootSet:
     return RootSet(centers, mults, residual, radius)
 
 
-def roots_blackbox(eval_fn, degree: int, tol: float, init) -> RootSet:
+def roots_blackbox(eval_fn, degree: int, init) -> RootSet:
     """Same contract as :func:`roots_simultaneous` for a polynomial of the
-    given degree known only through an evaluator, from one seed per root.
+    given degree known only through an evaluator, from one seed per root,
+    at the tolerance BLACKBOX_TOL.
 
     ``eval_fn(z_array) -> (p, dp)`` must be vectorized over numpy arrays
     and pointwise: the pair at z_i may depend on z_i alone, since each Aberth
@@ -181,10 +185,8 @@ def roots_blackbox(eval_fn, degree: int, tol: float, init) -> RootSet:
     if degree < 1 or len(init) != degree:
         raise PreconditionError(f"need degree >= 1 and one seed per root, "
                                 f"got {len(init)} for degree {degree}")
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
     roots = aberth.aberth_solve(eval_fn, np.asarray(init, dtype=np.complex128),
-                                tol, BLACKBOX_MAX_ITER)
+                                BLACKBOX_TOL, BLACKBOX_MAX_ITER)
     v, dv = eval_fn(roots)
     v = np.asarray(v, dtype=np.complex128)
     dv = np.asarray(dv, dtype=np.complex128)
@@ -192,5 +194,5 @@ def roots_blackbox(eval_fn, degree: int, tol: float, init) -> RootSet:
     residual = float(np.max(np.abs(v) / denom))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(v / dv)
-    centers, mults, radius_out = _cluster(roots, tol, ratio)
+    centers, mults, radius_out = _cluster(roots, BLACKBOX_TOL, ratio)
     return RootSet(centers, mults, residual, radius_out)

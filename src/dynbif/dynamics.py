@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aberth, arith
-from .cpoly import roots_blackbox
+from .cpoly import BLACKBOX_TOL, roots_blackbox
 from .errors import (
     DegenerateMapError,
     ExceptionalStartError,
@@ -25,9 +25,6 @@ DESK_DEGREE_CAP = 20_000
 PARABOLIC_ROOT_OF_UNITY_TOL = 1e-6
 # chordal distance at which the orbit of infinity counts as closed
 INFINITY_RETURN_TOL = 1e-9
-# the period-n solve runs at the double-precision floor of the Aberth
-# correction: a looser one leaves roots whose images miss the root set
-PERIOD_SOLVER_TOL = 1e-14
 # an image may sit this many times its propagated root error from its root
 MATCH_FACTOR = 100.0
 # generic start points of the period-n seed tree, tried in turn, and the
@@ -208,7 +205,8 @@ class RationalMapLift:
             bound = 1e-30 * scale ** (2 * self.degree)
         if abs(res) < bound:
             raise DegenerateMapError(
-                f"resultant {abs(res):.3e} vanishes relative to scale")
+                f"resultant {abs(res):.3e} vanishes relative to the "
+                f"coefficient scale {scale:.3e}")
         object.__setattr__(self, "resultant", res)
 
     @property
@@ -398,10 +396,10 @@ def _nearest_root(x: np.ndarray, v: np.ndarray, reach: np.ndarray
     each unit column of x with one within chordal distance reach, and that
     distance; -1 and inf elsewhere.  Candidates share a slab of the sphere
     coordinate 2 Re(a conj b) of the columns (a, b), which moves at most
-    twice the chordal distance; PERIOD_SOLVER_TOL covers its rounding."""
+    twice the chordal distance; BLACKBOX_TOL covers its rounding."""
     key = [2.0 * (u[0].real * u[1].real + u[0].imag * u[1].imag)
            for u in (v, x)]
-    q, p = aberth.slab_pairs(*key, 2.0 * reach + PERIOD_SOLVER_TOL)
+    q, p = aberth.slab_pairs(*key, 2.0 * reach + BLACKBOX_TOL)
     wedge = x[0, q] * v[1, p] - x[1, q] * v[0, p]
     d2 = wedge.real**2 + wedge.imag**2
     s = np.flatnonzero(np.diff(q, prepend=-1))  # each query's first pair
@@ -456,8 +454,7 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleSet:
     # iteration starts essentially converged; coefficient-based seeding is
     # hopeless at these degrees
     init = backward_cloud(F, target_deg)
-    rs = roots_blackbox(period_wedge_evaluator(F, n), target_deg,
-                        PERIOD_SOLVER_TOL, init)
+    rs = roots_blackbox(period_wedge_evaluator(F, n), target_deg, init)
     v = np.stack([rs.roots, np.ones_like(rs.roots)])
     mults = rs.multiplicities
     if has_inf:
@@ -474,7 +471,7 @@ def exact_cycles(F: RationalMapLift, n: int) -> CycleSet:
     w_norm2 = np.abs(w[0]) ** 2 + np.abs(w[1]) ** 2
     expansion = np.abs(det) / (F.degree * w_norm2)
     bound = (MATCH_FACTOR * (1.0 + expansion)
-             * (rs.cluster_radius + PERIOD_SOLVER_TOL))
+             * (rs.cluster_radius + BLACKBOX_TOL))
     sigma, dist = _nearest_root(w / np.sqrt(w_norm2), v, bound)
     miss = ~(dist <= bound)
     if np.any(miss):

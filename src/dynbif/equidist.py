@@ -66,11 +66,8 @@ def center_measure(spec: families.FamilySpec,
     for n in periods.periods:
         d_prod *= arith.exact_cycle_point_count(spec.degree, n)
     norm = math.factorial(spec.degree - 1) * d_prod
-    solve = (families.centers_1d if spec.parameter_dim == 1
-             else families.marked_centers)
-    centers = solve(spec, *periods.periods)
-    return AtomicMeasure(centers.params.reshape(-1, spec.parameter_dim),
-                         stab / norm * centers.multiplicity)
+    centers = families.centers(spec, periods.periods)
+    return AtomicMeasure(centers.params, stab / norm * centers.multiplicity)
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,9 @@ def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
     that); atoms whose continuation path is lost or whose re-check misses
     are dropped and tallied in their own deficit.
     """
-    if spec.kind != "QuadraticPoly":
-        raise PreconditionError("level-curve measures support one-parameter "
-                                "families")
+    if spec is not families.QUAD:
+        raise PreconditionError("level-curve measures support quad, not "
+                                f"{spec.family_id}")
     if not (0.0 <= rho <= families.MAX_TARGET_MODULUS):
         raise PreconditionError(
             f"rho must lie in [0, {families.MAX_TARGET_MODULUS}]")

@@ -21,7 +21,9 @@ settled-multiplier read-off are written once.  The cubic continues in
 
 from __future__ import annotations
 
+import cmath
 import warnings
+from collections.abc import Callable
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache, partial
 
@@ -67,52 +69,14 @@ ESCAPE = 1e100
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A parametrized family selectable by its CLI id."""
+    """A row of FAMILIES: CLI id, parameter count, degree and the member
+    map from the parameters (a 1-d complex array) to ascending polynomial
+    coefficients, None for the rational normal form."""
 
-    kind: str  # QuadraticPoly | PcaPoly | QuadRatFixed | MeromorphicDisk
     family_id: str
     parameter_dim: int
     degree: int
-    catalog_formula: str | None = None  # MeromorphicDisk only
-
-
-QUAD = FamilySpec("QuadraticPoly", "quad", 1, 2)
-PCA3 = FamilySpec("PcaPoly", "pca3", 2, 3)
-QUADRAT = FamilySpec("QuadRatFixed", "quadrat", 2, 2)
-
-DEGEN_CATALOG = {
-    "inv_t": FamilySpec("MeromorphicDisk", "degen:inv_t", 1, 2, "1/t"),
-    "inv_t2": FamilySpec("MeromorphicDisk", "degen:inv_t2", 1, 2, "1/t^2"),
-    "t": FamilySpec("MeromorphicDisk", "degen:t", 1, 2, "t"),
-}
-
-
-def family_from_id(family_id: str) -> FamilySpec:
-    if family_id == "quad":
-        return QUAD
-    if family_id == "pca3":
-        return PCA3
-    if family_id == "quadrat":
-        return QUADRAT
-    if family_id.startswith("degen:"):
-        key = family_id.split(":", 1)[1]
-        if key in DEGEN_CATALOG:
-            return DEGEN_CATALOG[key]
-    raise PreconditionError(f"unknown family id {family_id!r}")
-
-
-def degen_parameter(spec: FamilySpec, t: complex) -> complex:
-    """The quadratic parameter c(t) of a catalog disk family."""
-    if spec.kind != "MeromorphicDisk":
-        raise PreconditionError("not a disk family")
-    if t == 0:
-        raise PreconditionError("t must be nonzero")
-    t = complex(t)
-    if spec.catalog_formula == "1/t":
-        return 1.0 / t
-    if spec.catalog_formula == "1/t^2":
-        return 1.0 / t**2
-    return t
+    member: Callable[[np.ndarray], np.ndarray | None]
 
 
 def pca_map(c, a) -> np.ndarray:
@@ -122,43 +86,86 @@ def pca_map(c, a) -> np.ndarray:
                     dtype=np.complex128)
 
 
+def _quadratic(p) -> np.ndarray:
+    """z^2 + c at p = (c,)."""
+    (c,) = p
+    return np.array([c, 0.0, 1.0], dtype=np.complex128)
+
+
+def _disk(c_of_t):
+    """Member map of a disk family z^2 + c(t), t in the punctured disk: a
+    zero or non-finite t, or a c(t) that is not a finite double, is a
+    PRECONDITION."""
+
+    def member(p):
+        (t,) = p
+        t = complex(t)
+        if t == 0 or not cmath.isfinite(t):
+            raise PreconditionError(f"t = {t} must be finite and nonzero")
+        try:
+            c = c_of_t(t)
+        except (ZeroDivisionError, OverflowError):  # t**2 under/overflows
+            c = complex("nan")
+        if not cmath.isfinite(c):
+            raise PreconditionError(
+                f"c(t) does not evaluate to a finite double at t = {t}")
+        return _quadratic((c,))
+
+    return member
+
+
+QUAD = FamilySpec("quad", 1, 2, _quadratic)
+PCA3 = FamilySpec("pca3", 2, 3, lambda p: pca_map(*p))
+QUADRAT = FamilySpec("quadrat", 2, 2, lambda p: None)
+
+DEGEN_CATALOG = {
+    "inv_t": FamilySpec("degen:inv_t", 1, 2, _disk(lambda t: 1.0 / t)),
+    "inv_t2": FamilySpec("degen:inv_t2", 1, 2, _disk(lambda t: 1.0 / t**2)),
+    "t": FamilySpec("degen:t", 1, 2, _disk(lambda t: t)),
+}
+
+#: every family by its CLI id
+FAMILIES = {spec.family_id: spec
+            for spec in (QUAD, PCA3, QUADRAT, *DEGEN_CATALOG.values())}
+
+
+def family_from_id(family_id: str) -> FamilySpec:
+    if family_id not in FAMILIES:
+        raise PreconditionError(f"unknown family id {family_id!r}")
+    return FAMILIES[family_id]
+
+
+def degen_parameter(spec: FamilySpec, t: complex) -> complex:
+    """The quadratic parameter c(t) of a catalog disk family."""
+    if spec not in DEGEN_CATALOG.values():
+        raise PreconditionError(f"{spec.family_id} is not a disk family")
+    return complex(spec.member([t])[0])
+
+
 def poly_coeffs(spec: FamilySpec, params) -> np.ndarray | None:
     """Ascending coefficients of a polynomial family member; None for the
     rational normal form."""
-    p = np.atleast_1d(np.asarray(params, dtype=complex))
-    if spec.kind == "QuadraticPoly":
-        (c,) = p
-    elif spec.kind == "MeromorphicDisk":
-        (t,) = p
-        c = degen_parameter(spec, t)
-    elif spec.kind == "PcaPoly":
-        return pca_map(*p)
-    else:
-        return None
-    return np.array([c, 0.0, 1.0], dtype=np.complex128)
+    return spec.member(np.atleast_1d(np.asarray(params, dtype=complex)))
 
 
 def map_at(spec: FamilySpec, params) -> RationalMapLift:
     """The rational-map lift of a family member."""
-    if spec.kind == "QuadRatFixed":
+    if spec is QUADRAT:
         mu1, mu2 = np.atleast_1d(np.asarray(params, dtype=complex))
         lift, _ = quadrat_fixed_normal_form(mu1, mu2)
         return lift
     coeffs = poly_coeffs(spec, params)
-    if coeffs is None:
-        raise PreconditionError(f"unknown family kind {spec.kind!r}")
     den = np.zeros(len(coeffs), dtype=np.complex128)
     den[0] = 1.0
     return RationalMapLift(coeffs, den)
 
 
 def marked_critical_points(spec: FamilySpec, params) -> list[complex]:
+    """0, then the cubic's free critical point c."""
+    if spec is QUADRAT:
+        raise PreconditionError("quadrat has no marked critical points")
     p = np.atleast_1d(np.asarray(params, dtype=complex))
-    if spec.kind in ("QuadraticPoly", "MeromorphicDisk"):
-        return [0.0 + 0.0j]
-    if spec.kind == "PcaPoly":
-        return [0.0 + 0.0j] + [complex(x) for x in p[:-1]]
-    raise PreconditionError(f"{spec.kind} has no marked critical points")
+    return [0.0 + 0.0j] + [complex(x) for x in p[:spec.parameter_dim - 1]]
 
 
 def quadrat_fixed_normal_form(mu1: complex, mu2: complex
@@ -298,12 +305,11 @@ def _quad_exact_centers(n: int) -> CenterSet:
         # the principal root has Re >= 0, so 1 + sqrt(.) never cancels
         q = -0.5 * (1.0 + np.sqrt(1.0 - 4.0 * a * r))
         init = np.tile(r, 2) + np.concatenate([q / a, r / q]) * np.exp(0.01j)
-        rs = roots_blackbox(quad_center_evaluator(n), 2 ** (n - 1), 1e-12,
-                            init)
+        rs = roots_blackbox(quad_center_evaluator(n), 2 ** (n - 1), init)
         if np.any(rs.multiplicities > 1):
             raise CountOverflowError(
                 "duplicate clusters among centers resist separation")
-        roots = _polish_centers(rs.roots, n)
+        roots = rs.roots
         period = _first_return(_quad_bare, (roots,), np.zeros_like(roots), n)
         stray = (period == 0) | (n % np.maximum(period, 1) != 0)
         if np.any(stray):
@@ -331,26 +337,12 @@ def centers_1d(spec: FamilySpec, n: int) -> CenterSet:
     """All parameters of a one-parameter family where the marked critical
     point has exact period n, certified complete against the Moebius divisor
     count (a cached, read-only CenterSet)."""
-    if spec.kind != "QuadraticPoly":
-        raise PreconditionError("center enumeration supports the quadratic "
-                                "family in one parameter")
+    if spec is not QUAD:
+        raise PreconditionError("one-parameter center enumeration supports "
+                                f"quad, not {spec.family_id}")
     if n < 1 or n > QUAD_CENTER_CAP:
         raise PreconditionError(f"period must lie in [1, {QUAD_CENTER_CAP}]")
     return _quad_exact_centers(n)
-
-
-def _polish_centers(roots: np.ndarray, n: int) -> np.ndarray:
-    """A couple of plain Newton sweeps; the simultaneous phase may hand over
-    points at ~10x its tolerance."""
-    ev = quad_center_evaluator(n)
-    z = roots.copy()
-    for _ in range(3):
-        p, dp = ev(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p / dp
-        step[~np.isfinite(step)] = 0.0
-        z = z - step
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +448,23 @@ def _swap_marking(q: np.ndarray) -> np.ndarray:
     return np.stack([q[:, 0], q[:, 0] + q[:, 0]**3 / 6.0 - q[:, 1]], axis=1)
 
 
+def _symmetry_images(q: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """The images of the K x 2 rows (c, b) under each symmetry of the
+    (n0, n1) return system but the identity: complex conjugation (the
+    coefficients are real), z -> -z, which maps (c, b) to (-c, -b), and
+    their product; when n0 = n1, also each of these after _swap_marking."""
+    images = [q.conj(), -q, -q.conj()]
+    if n0 == n1:
+        images += [_swap_marking(g) for g in [q] + images]
+    return np.concatenate(images)
+
+
 @lru_cache(maxsize=None)
 def _pca3_solutions(n0: int, n1: int) -> np.ndarray:
-    """Read-only K x 2 solutions (c, b) of the full (n0, n1) return system;
-    a full n0 = n1 set must be closed under _swap_marking (CountMismatch)."""
+    """Read-only K x 2 solutions (c, b) of the full (n0, n1) return system.
+    Each seeding round is followed by Newton runs from the symmetry images
+    of the rows found, and a full set must be closed under the symmetries
+    (CountMismatch)."""
     n_solutions = 3 ** (n0 + n1 - 1)
     found = np.empty((0, 2), dtype=complex)
     for round_id in range(5):
@@ -475,18 +480,30 @@ def _pca3_solutions(n0: int, n1: int) -> np.ndarray:
         a = (0.73 * spread) * (rng.standard_normal(n_seeds)
                                + 1j * rng.standard_normal(n_seeds))
         found = _pca3_newton(c, a**3, n0, n1, 120, found)
+        if len(found) < n_solutions:
+            image = _symmetry_images(found, n0, n1)
+            found = _pca3_newton(image[:, 0], image[:, 1], n0, n1, 120, found)
     _assign_multiplicities(found, n0, n1)  # duplicates are ill-conditioned
-    if n0 == n1 and len(_merge(found, _swap_marking(found))) \
+    if len(_merge(found, _symmetry_images(found, n0, n1))) \
             > len(found) == n_solutions:
-        raise CountMismatchError(f"({n0}, {n1}) not closed under z -> c - z")
+        raise CountMismatchError(
+            f"({n0}, {n1}) not closed under its symmetries")
     found.flags.writeable = False
     return found
 
 
-def marked_centers(spec: FamilySpec, n0: int, n1: int) -> CenterSet:
-    """Centers for the unordered period pair {n0, n1}: both markings of the
-    critical points 0 and c (one when n0 = n1), from one solve (centers_2d),
-    the (n0, n1) rows first."""
+def centers(spec: FamilySpec, periods) -> CenterSet:
+    """The centers of a family at one period per parameter: centers_1d for
+    one period; for the pair {n0, n1}, both markings of the critical points
+    0 and c (one when n0 = n1) from one solve (centers_2d), the (n0, n1)
+    rows first."""
+    if len(periods) != spec.parameter_dim:
+        raise PreconditionError(f"{spec.family_id} takes one period per "
+                                f"parameter ({spec.parameter_dim}), got "
+                                f"{len(periods)}")
+    if len(periods) == 1:
+        return centers_1d(spec, *periods)
+    n0, n1 = periods
     markings = [(n0, n1)] if n0 == n1 else [(n0, n1), (n1, n0)]
     sets = [astuple(centers_2d(spec, m0, m1)) for m0, m1 in markings]
     return CenterSet(*map(np.concatenate, zip(*sets)))
@@ -508,9 +525,9 @@ def centers_2d(spec: FamilySpec, n0: int, n1: int) -> CenterSet:
     total is certified against the Bezout count D_n0 * D_n1 (an
     IncompleteEnumerationWarning with the deficit when seeding falls short).
     """
-    if spec.kind != "PcaPoly" or spec.degree != 3:
-        raise PreconditionError("two-parameter centers support the marked "
-                                "cubic family")
+    if spec is not PCA3:
+        raise PreconditionError("two-parameter center enumeration supports "
+                                f"pca3, not {spec.family_id}")
     if n0 < 1 or n1 < 1:
         raise PreconditionError("periods must be >= 1")
     bezout = (arith.affine_cycle_point_count(3, n0)
@@ -660,7 +677,8 @@ def continuation(spec: FamilySpec, centers: CenterSet, targets
     attracting cycles starts there).
     """
     if spec not in _CYCLE_FAMILIES:
-        raise PreconditionError(f"continuation not supported for {spec.kind}")
+        raise PreconditionError(
+            f"continuation not supported for {spec.family_id}")
     step, bare = _CYCLE_FAMILIES[spec]
     k = spec.parameter_dim  # one marked cycle per parameter
     w = np.asarray(targets, dtype=complex).reshape(-1, k)
@@ -895,10 +913,10 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple
     merge into one orbit; both numbers are reported.
     """
     stab = arith.stab_count(periods)
-    if spec.kind == "QuadraticPoly" and len(periods.periods) == 1:
+    sols = centers(spec, periods.periods)
+    if spec is QUAD:
         (n,) = periods.periods
-        centers = centers_1d(spec, n)
-        N = len(centers)
+        N = len(sols)
         # critically marked normalization of the degree-2 polynomial family:
         # each z^2 + c parameter corresponds to two marked parameters
         d_tuple = arith.exact_cycle_point_count(2, n) if n >= 2 \
@@ -907,11 +925,7 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple
         return ComponentCount(N=N, marked_solutions=N, stab=stab,
                               deficiency=deficiency, merged_solutions=0,
                               merged_fraction=0.0, bezout=d_tuple)
-    if spec.kind != "PcaPoly" or len(periods.periods) != 2:
-        raise PreconditionError("counting supports one quad period or a "
-                                "pair of marked cubic periods")
     n0, n1 = periods.periods
-    sols = marked_centers(spec, n0, n1)
     both = 2 if n0 == n1 else 1  # one run of the system covers both markings
     marked_total = int(sols.multiplicity.sum()) * both
     merged = _pca3_cycles_merged(sols)

@@ -352,7 +352,7 @@ def _full_periodic_points(F, n):
     has_inf = m_inf is not None and n % m_inf == 0
     target = F.degree**n + 1 - (1 if has_inf else 0)
     init = backward_cloud(F, target)
-    rs = roots_blackbox(period_wedge_evaluator(F, n), target, 1e-12, init)
+    rs = roots_blackbox(period_wedge_evaluator(F, n), target, init)
     pts = [sphere_point(z) for z in rs.expanded()]
     if has_inf:
         pts.append(sphere_point(math.inf))

@@ -112,7 +112,12 @@ def test_huge_coefficients_give_one_error_line(family, c, tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert json.loads(lines[0])["error"] == "DEGENERATE_MAP"
+    record = json.loads(lines[0])
+    assert record["error"] == "DEGENERATE_MAP"
+    # the resultant is small only against the coefficient scale, the cause
+    scale = {"quad": "1.000e+80", "pca3": "5.000e+99",
+             "quadrat": "1.000e+200"}[family]
+    assert f"coefficient scale {scale}" in record["message"]
 
 
 def test_centers_csv_schema(capsys):
@@ -298,14 +303,14 @@ def test_incomplete_enumeration_is_not_cached(tmp_path, monkeypatch, capsys):
     from dynbif import families
     from dynbif.errors import IncompleteEnumerationWarning
 
-    def short(spec, n0, n1):
+    def short(spec, periods):
         warnings.warn("found multiplicity total 6 of 9",
                       IncompleteEnumerationWarning)
-        return families.centers_2d(spec, n0, n1)[:2]
+        return families.centers_2d(spec, *periods)[:2]
 
     cache = tmp_path / "cache"
     monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
-    monkeypatch.setattr(families, "marked_centers", short)
+    monkeypatch.setattr(families, "centers", short)
     for _ in range(2):
         code, out, _ = run(["centers", "--family", "pca3", "--periods", "1,1",
                             "--out", "c.csv"], capsys)
@@ -337,11 +342,22 @@ def test_cache_key_names_the_solver():
     blob = json.dumps({"family": "pca3", "periods": [1, 3],
                        "solver": "pca3-cb-involution"}, sort_keys=True)
     assert key != hashlib.sha256(blob.encode()).hexdigest()
-    # the key is family, periods and the solver tag
+    # nor the rows of the solve that ran a second seed round where the
+    # symmetry images of round 0 complete the set
     blob = json.dumps({"family": "pca3", "periods": [1, 3],
                        "solver": "pca3-cb-involution-set"}, sort_keys=True)
+    assert key != hashlib.sha256(blob.encode()).hexdigest()
+    # the key is family, periods and the solver tag
+    blob = json.dumps({"family": "pca3", "periods": [1, 3],
+                       "solver": "pca3-cb-symmetry-set"}, sort_keys=True)
     assert key == hashlib.sha256(blob.encode()).hexdigest()
     assert key == _cache_key("pca3", [1, 3])
+    # quad centers solved at a looser tolerance and then polished by Newton
+    # steps differ in their last bits and must miss
+    blob = json.dumps({"family": "quad", "periods": [6],
+                       "solver": "quad-newton-set"}, sort_keys=True)
+    assert _cache_key("quad", (6,)) != hashlib.sha256(
+        blob.encode()).hexdigest()
 
 
 def test_quad_cache_key_names_the_residual():
@@ -359,7 +375,7 @@ def test_quad_cache_key_names_the_residual():
         return hashlib.sha256(blob.encode()).hexdigest()
 
     assert _cache_key("quad", (6,)) != tagged("quad-newton-step")
-    assert _cache_key("quad", (6,)) == tagged("quad-newton-set")
+    assert _cache_key("quad", (6,)) == tagged("quad-floor-set")
 
 
 def _readme_commands():
@@ -507,6 +523,12 @@ def test_removed_options_rejected(argv, workdir, capsys):
       "--ref", "14"], "--n periods must lie in [1, 40]"),
     (["percurve", "--family", "quad", "--n", "3", "--thetas",
       "1000000000000000"], "exceed the path cap 1048576"),
+    # t^2 underflows to 0, so c(t) = 1/t^2 has no finite value
+    (["lyap", "--family", "degen:inv_t2", "--c", "1e-170", "--n", "3"],
+     "c(t) does not evaluate to a finite double"),
+    # c(1/inf) = 0 would be z^2, a parameter outside the punctured disk
+    (["lyap", "--family", "degen:inv_t", "--c", "inf", "--n", "3"],
+     "must be finite and nonzero"),
 ])
 def test_usage_errors_end_in_one_json_line(argv, words, capsys):
     code, out, err = run(argv, capsys)
@@ -556,6 +578,51 @@ def test_bad_periods_exit_code(sub, periods, capsys):
     assert code == 2
     assert json.loads(err)["error"] == "PRECONDITION"
     assert out == ""
+
+
+# one member and one period per parameter of each family, and small
+# inputs for every subcommand that takes --family
+FAMILY_INPUTS = {"quad": ("0.3", "3"), "pca3": ("0.5,0.2", "1,1"),
+                 "quadrat": ("0.5,0.3", "1,1"), "degen:inv_t": ("0.5", "3"),
+                 "degen:inv_t2": ("0.5", "3"), "degen:t": ("0.5", "3")}
+# the families each subcommand serves
+FAMILY_RUNS = {"lyap": list(FAMILY_INPUTS), "centers": ["quad", "pca3"],
+               "count": ["quad", "pca3"], "equidist": ["quad"],
+               "percurve": ["quad"],
+               "degenerate": ["degen:inv_t", "degen:inv_t2", "degen:t"]}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_INPUTS))
+@pytest.mark.parametrize("sub", sorted(FAMILY_RUNS))
+def test_every_family_runs_or_is_named_in_one_error_line(sub, family,
+                                                         capsys):
+    # the families a subcommand does not serve are refused by name; the
+    # quad-only center and measure paths used to answer with a message
+    # about the quadratic family
+    c, periods = FAMILY_INPUTS[family]
+    args = {"lyap": ["--c", c, "--n", "2"], "centers": ["--periods", periods],
+            "count": ["--periods", periods],
+            "equidist": ["--n", "2..3", "--ref", "4"],
+            "percurve": ["--n", "2", "--thetas", "8"], "degenerate": []}[sub]
+    code, out, err = run([sub, "--family", family, *args, "--out", "out.csv"],
+                         capsys)
+    if family in FAMILY_RUNS[sub]:
+        assert code == 0, err
+        files = json.loads(out)["files"]
+        assert files
+        for path, digest in files.items():
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest
+    else:
+        assert_precondition_line(code, out, err, family)
+
+
+@pytest.mark.parametrize("sub", ["centers", "count"])
+@pytest.mark.parametrize("family, periods", [("quad", "3,3"), ("pca3", "1")])
+def test_one_period_per_parameter(sub, family, periods, capsys):
+    code, out, err = run([sub, "--family", family, "--periods", periods],
+                         capsys)
+    assert_precondition_line(code, out, err, f"{family} takes")
 
 
 def test_reversed_n_range_exit_code(workdir, capsys):

@@ -110,7 +110,7 @@ def test_blackbox_matches_simultaneous():
     def eval_fn(z):
         return p(z), dp(z)
 
-    rs_bb = roots_blackbox(eval_fn, p.degree, 1e-12, circle_seeds(4, 4.0))
+    rs_bb = roots_blackbox(eval_fn, p.degree, circle_seeds(4, 4.0))
     rs = roots_simultaneous(p)
     assert _match(rs_bb.expanded(), rs.expanded(), 1e-9)
 
@@ -149,7 +149,7 @@ def test_roots_preconditions():
     dp = p.derivative()
     for seeds in (circle_seeds(2, 4.0), circle_seeds(4, 4.0)):
         with pytest.raises(PreconditionError, match="one seed per root"):
-            roots_blackbox(lambda z: (p(z), dp(z)), p.degree, 1e-12, seeds)
+            roots_blackbox(lambda z: (p(z), dp(z)), p.degree, seeds)
 
 
 # ---------------------------------------------------------------------------

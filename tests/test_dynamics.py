@@ -420,7 +420,7 @@ def test_backward_cloud_is_the_preimage_tree():
     # staggered circle of radius 2.5, independent of the cloud
     F = quad_lift(1.0)
     seeds = backward_cloud(F, 256)
-    roots = roots_blackbox(period_wedge_evaluator(F, 8), 256, 1e-12,
+    roots = roots_blackbox(period_wedge_evaluator(F, 8), 256,
                            circle_seeds(256, 2.5)).roots
     assert len(roots) == 256
     dist = np.abs(np.subtract.outer(seeds, roots))

@@ -44,7 +44,7 @@ def test_empty_measure_keeps_its_shape_and_has_no_moments(monkeypatch):
     empty = families.CenterSet(np.empty((0, 2), dtype=complex),
                                np.empty((0, 2), dtype=int), np.empty(0),
                                np.empty(0, dtype=int))
-    monkeypatch.setattr(families, "marked_centers", lambda *args: empty)
+    monkeypatch.setattr(families, "centers", lambda *args: empty)
     m = center_measure(PCA3, arith.PeriodTuple((1, 2)))
     assert m.params.shape == (0, 2) and m.weights.shape == (0,)
     assert m.total_mass == 0.0

@@ -47,7 +47,6 @@ from dynbif.families import (
     degen_parameter,
     family_from_id,
     map_at,
-    marked_centers,
     marked_critical_points,
     multiplier_continuation,
     pca_map,
@@ -91,7 +90,7 @@ def _match(found, expected, tol):
 def test_family_ids():
     assert family_from_id("quad") is QUAD
     assert family_from_id("pca3") is PCA3
-    assert family_from_id("degen:inv_t2").catalog_formula == "1/t^2"
+    assert degen_parameter(family_from_id("degen:inv_t2"), 0.5) == 4.0
     with pytest.raises(PreconditionError):
         family_from_id("nope")
 
@@ -102,6 +101,14 @@ def test_degen_parameters():
     assert degen_parameter(DEGEN_CATALOG["t"], 0.1) == pytest.approx(0.1)
     with pytest.raises(PreconditionError):
         degen_parameter(DEGEN_CATALOG["t"], 0.0)
+    # a non-finite t, or a t whose c(t) is no finite double, is outside the
+    # punctured disk: 1/inf = 0, and 1e-170^2 underflows to 0
+    for key, t in [("inv_t", np.inf), ("t", complex(0.1, np.nan)),
+                   ("inv_t2", 1e-170), ("inv_t2", 1e200)]:
+        with pytest.raises(PreconditionError):
+            degen_parameter(DEGEN_CATALOG[key], t)
+    with pytest.raises(PreconditionError, match="not a disk family"):
+        degen_parameter(QUAD, 0.1)
 
 
 def test_pca_map_cubic_coeffs():
@@ -394,6 +401,65 @@ def test_pca3_equal_periods_must_be_closed_under_the_swap(
     monkeypatch.setattr(families, "_pca3_newton", perturbed)
     with pytest.raises(CountMismatchError):
         centers_2d(PCA3, 2, 2)
+
+
+def test_pca3_unequal_periods_must_be_closed_under_conjugation(
+        monkeypatch, fresh_pca3_solutions):
+    # with n0 != n1 the swap is no symmetry, but conjugation and z -> -z are
+    def perturbed(*args):
+        found = _pca3_newton(*args).copy()
+        found[5, 1] += 1e-6
+        return found
+
+    monkeypatch.setattr(families, "_pca3_newton", perturbed)
+    with pytest.raises(CountMismatchError, match="symmetries"):
+        centers_2d(PCA3, 2, 1)
+
+
+def _symmetries(n0, n1):
+    """The generators of the symmetries of the (n0, n1) return system in
+    (c, b): conjugation, z -> -z and, for n0 = n1, z -> c - z."""
+    maps = [np.conj, np.negative]
+    if n0 == n1:
+        maps.append(lambda q: np.stack(
+            [q[:, 0], q[:, 0] + q[:, 0] ** 3 / 6.0 - q[:, 1]], axis=1))
+    return maps
+
+
+@pytest.mark.parametrize("n0", [1, 2, 3])
+@pytest.mark.parametrize("n1", [1, 2, 3])
+def test_pca3_solution_sets_are_closed_under_the_symmetries(n0, n1):
+    found = _pca3_solutions(n0, n1)
+    assert len(found) == 3 ** (n0 + n1 - 1)
+    for g in _symmetries(n0, n1):
+        dist = np.linalg.norm(g(found)[:, None] - found[None], axis=2)
+        nearest = dist.argmin(axis=1)
+        assert np.all(dist[np.arange(len(found)), nearest] <= 1e-10)
+        assert len(set(nearest.tolist())) == len(found)
+
+
+def test_pca3_symmetry_images_restore_a_row_without_a_second_round(
+        monkeypatch, fresh_pca3_solutions):
+    # round 0 made to miss one non-real row: Newton from the images of the
+    # 26 rows it kept finds it again, and no second seed round runs
+    want = _pca3_solutions(2, 2).copy()
+    _pca3_solutions.cache_clear()
+    seeds = []
+
+    def dropping(c, b, *args):
+        seeds.append(len(c))
+        found = _pca3_newton(c, b, *args)
+        if len(seeds) == 1:
+            found = np.delete(found, np.argmax(found[:, 0].imag), axis=0)
+        return found
+
+    monkeypatch.setattr(families, "_pca3_newton", dropping)
+    got = _pca3_solutions(2, 2)
+    assert seeds == [4860, 7 * 26]
+    dist = np.linalg.norm(got[:, None] - want[None], axis=2)
+    assert len(got) == len(want)
+    assert np.all(dist.min(axis=1) <= 1e-12)
+    assert len(set(dist.argmin(axis=1).tolist())) == len(want)
 
 
 def test_pca3_ill_conditioned_divisor_period_row_is_rejected(
@@ -813,12 +879,12 @@ def test_continuation_pca3(n0, n1):
 
 
 def test_continuation_takes_one_marking():
-    # marked_centers joins the (1, 2) and (2, 1) markings in one set; a
+    # centers joins the (1, 2) and (2, 1) markings in one set; a
     # continuation follows the rows of one, and an empty set has none
-    sols = marked_centers(PCA3, 1, 2)
-    for centers in (sols, sols[:0]):
+    sols = families.centers(PCA3, (1, 2))
+    for rows in (sols, sols[:0]):
         with pytest.raises(PreconditionError, match="share their periods"):
-            continuation(PCA3, centers, PCA3_TARGETS)
+            continuation(PCA3, rows, PCA3_TARGETS)
 
 
 def test_single_path_is_the_batched_path_bit_for_bit():
@@ -859,9 +925,9 @@ def _cycles_merged_loop(c, a, n0):
 
 @pytest.mark.parametrize("n0,n1", [(1, 3), (2, 3), (3, 3)])
 def test_cycles_merged_matches_the_per_center_loop(n0, n1):
-    # marked_centers joins both markings, so the period n0 of 0 that bounds
-    # the scan differs across the rows when n0 != n1
-    sols = marked_centers(PCA3, n0, n1)
+    # centers joins both markings, so the period n0 of 0 that bounds the
+    # scan differs across the rows when n0 != n1
+    sols = families.centers(PCA3, (n0, n1))
     want = [_cycles_merged_loop(c, a, p0) for (c, a), (p0, _) in
             zip(sols.params.tolist(), sols.periods.tolist())]
     assert _pca3_cycles_merged(sols).tolist() == want
