@@ -32,10 +32,6 @@ class PeriodTuple:
         if any((not isinstance(n, int)) or n < 1 for n in self.periods):
             raise PreconditionError("periods must be positive integers")
 
-    @property
-    def total(self) -> int:
-        return sum(self.periods)
-
 
 def _check_positive(n: int, name: str = "n") -> None:
     if not isinstance(n, int) or n < 1:

@@ -164,9 +164,14 @@ def _cached_centers(args: argparse.Namespace, spec
                     ) -> tuple[families.CenterSet, list[str], str]:
     """Center enumeration, its warnings and the cache use ("hit", "miss" or
     "off"), through the on-disk cache when enabled; an unreadable entry is
-    recomputed and overwritten, an incomplete enumeration is not cached."""
+    recomputed and overwritten, an incomplete enumeration is not cached.  A
+    cache directory that cannot be made is refused before the solve."""
     cdir = None if args.no_cache else _cache_dir()
     if cdir:
+        try:
+            os.makedirs(cdir, exist_ok=True)
+        except OSError as exc:
+            raise PreconditionError(f"{CACHE_ENV} {cdir}: {exc}") from exc
         path = os.path.join(
             cdir, f"centers-{_cache_key(args.family, args.periods)}.json")
         centers = _read_centers(path, len(args.periods))
@@ -175,7 +180,6 @@ def _cached_centers(args: argparse.Namespace, spec
     centers, warn_msgs = _incomplete_warnings(families.centers, spec,
                                               args.periods)
     if cdir and not warn_msgs:
-        os.makedirs(cdir, exist_ok=True)
         data = {"re": centers.params.real.tolist(),
                 "im": centers.params.imag.tolist(),
                 "periods": centers.periods.tolist(),
@@ -267,6 +271,8 @@ def cmd_equidist(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.window is not None and pgm == args.out:
         raise PreconditionError(f"--out {args.out} is the path of the "
                                 "--window PGM; give the CSV another name")
+    if args.window is not None and os.path.isdir(pgm):
+        raise PreconditionError(f"the --window PGM {pgm} is a directory")
     report = equidist.equidist_report(spec, args.n, args.k, args.ref)
     grid = None
     if args.window is not None:
@@ -389,6 +395,8 @@ def _resolution(s: str) -> tuple[int, int]:
 
 
 def _out(s: str) -> str:
+    if os.path.basename(s) in ("", ".", "..") or os.path.isdir(s):
+        raise PreconditionError(f"--out {s!r} names a directory, not a file")
     if not os.path.isdir(os.path.dirname(os.path.abspath(s))):
         raise PreconditionError(f"--out {s}: the directory does not exist")
     return s

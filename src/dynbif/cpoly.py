@@ -74,12 +74,7 @@ class ComplexPolynomial:
 class RootSet:
     roots: np.ndarray
     multiplicities: np.ndarray
-    residual: float
     cluster_radius: float
-
-    @property
-    def total(self) -> int:
-        return int(np.sum(self.multiplicities))
 
     def expanded(self) -> np.ndarray:
         """Roots repeated according to multiplicity."""
@@ -166,7 +161,7 @@ def roots_simultaneous(p: ComplexPolynomial) -> RootSet:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.maximum(np.abs(p(roots)), noise) / np.abs(dp(roots))
     centers, mults, radius = _cluster(roots, tol, ratio)
-    return RootSet(centers, mults, residual, radius)
+    return RootSet(centers, mults, radius)
 
 
 def roots_blackbox(eval_fn, degree: int, init) -> RootSet:
@@ -176,10 +171,10 @@ def roots_blackbox(eval_fn, degree: int, init) -> RootSet:
 
     ``eval_fn(z_array) -> (p, dp)`` must be vectorized over numpy arrays
     and pointwise: the pair at z_i may depend on z_i alone, since each Aberth
-    sweep evaluates only the points still moving (the final residual and
-    cluster pass evaluates all of them).  The pair may carry a common
-    per-point rescaling (only the Newton ratio p/p' and the sign of p enter
-    the iteration).  Used when explicit coefficients would overflow, e.g.
+    sweep evaluates only the points still moving (the final cluster pass
+    evaluates all of them).  The pair may carry a common per-point
+    rescaling (only the Newton ratio p/p' and the sign of p enter the
+    iteration).  Used when explicit coefficients would overflow, e.g.
     iterated-map recursions.
     """
     if degree < 1 or len(init) != degree:
@@ -190,9 +185,7 @@ def roots_blackbox(eval_fn, degree: int, init) -> RootSet:
     v, dv = eval_fn(roots)
     v = np.asarray(v, dtype=np.complex128)
     dv = np.asarray(dv, dtype=np.complex128)
-    denom = np.maximum(np.abs(dv) * (1.0 + np.abs(roots)), 1e-300)
-    residual = float(np.max(np.abs(v) / denom))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(v / dv)
     centers, mults, radius_out = _cluster(roots, BLACKBOX_TOL, ratio)
-    return RootSet(centers, mults, residual, radius_out)
+    return RootSet(centers, mults, radius_out)

@@ -7,7 +7,6 @@ chart z1 = 1 reads the vector directly as an ascending univariate polynomial.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,25 +138,15 @@ def _sylvester_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s
 
 
-@functools.lru_cache(maxsize=32)
-def _resultant_normalizer(d: int) -> complex:
-    a = np.zeros(d + 1, dtype=np.complex128)
-    a[d] = 1.0  # z0^d
-    b = np.zeros(d + 1, dtype=np.complex128)
-    b[0] = 1.0  # z1^d
-    return complex(np.linalg.det(_sylvester_matrix(a, b)))
-
-
 def homogeneous_resultant(num: np.ndarray, den: np.ndarray) -> complex:
-    """Resultant of two degree-d forms, normalized so the monomial pair
-    (z0^d, z1^d) has resultant 1."""
+    """Resultant of two degree-d forms: their Sylvester determinant, which
+    is 1 on the monomial pair (z0^d, z1^d), whose Sylvester matrix is the
+    identity."""
     num = np.asarray(num, dtype=np.complex128)
     den = np.asarray(den, dtype=np.complex128)
     if len(num) != len(den) or len(num) < 2:
         raise PreconditionError("lift components must share a degree >= 1")
-    d = len(num) - 1
-    det = complex(np.linalg.det(_sylvester_matrix(num, den)))
-    return det / _resultant_normalizer(d)
+    return complex(np.linalg.det(_sylvester_matrix(num, den)))
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,13 @@ def pern_circle_measure(spec: families.FamilySpec, n: int, rho: float,
     theta_k uniform, one per component center and angle (center-major),
     each of weight 1/(d_n * thetas); at most MAX_PATHS paths.
 
-    All center x angle paths are continued in one batched call.  Every atom
-    re-verifies its multiplier via an independent critical-orbit
-    computation, to 1e-10 plus the rounding floor 8 eps |c| |d lambda/dc|
-    (c is a double, so lambda(c) cannot come closer to its target than
-    that); atoms whose continuation path is lost or whose re-check misses
-    are dropped and tallied in their own deficit.
+    All center x angle paths are continued in one batched call.  At
+    rho > 0 every atom re-verifies its multiplier via an independent
+    critical-orbit computation, to 1e-10 plus the rounding floor
+    8 eps |c| |d lambda/dc| (c is a double, so lambda(c) cannot come closer
+    to its target than that); atoms whose continuation path is lost or
+    whose re-check misses are dropped and tallied in their own deficit.  At
+    rho = 0 the atoms are the centers themselves and are not re-checked.
     """
     if spec is not families.QUAD:
         raise PreconditionError("level-curve measures support quad, not "
@@ -183,7 +184,7 @@ def binned_distance(m1: AtomicMeasure, m2: AtomicMeasure,
 @dataclass(frozen=True)
 class EquidistRow:
     n: int
-    moment_errors: tuple[float, ...]  # orders 1..k_moments
+    moment_errors: tuple[float, ...]  # orders 1..k
     grid_distance: float
 
 
@@ -191,7 +192,6 @@ class EquidistRow:
 class EquidistReport:
     rows: tuple[EquidistRow, ...]
     reference_n: int
-    k_moments: int
     #: per moment order, True when the error sequence decreases within
     #: TREND_SLACK (each value at most twice the running minimum)
     moment_trend_ok: tuple[bool, ...]
@@ -236,5 +236,4 @@ def equidist_report(spec: families.FamilySpec, n_range, k_moments: int,
         _decreasing_with_slack([r.moment_errors[k] for r in rows])
         for k in range(k_moments))
     grid_ok = _decreasing_with_slack([r.grid_distance for r in rows])
-    return EquidistReport(tuple(rows), reference_n, k_moments, trends,
-                          grid_ok)
+    return EquidistReport(tuple(rows), reference_n, trends, grid_ok)

@@ -152,8 +152,7 @@ def map_at(spec: FamilySpec, params) -> RationalMapLift:
     """The rational-map lift of a family member."""
     if spec is QUADRAT:
         mu1, mu2 = np.atleast_1d(np.asarray(params, dtype=complex))
-        lift, _ = quadrat_fixed_normal_form(mu1, mu2)
-        return lift
+        return quadrat_fixed_normal_form(mu1, mu2)
     coeffs = poly_coeffs(spec, params)
     den = np.zeros(len(coeffs), dtype=np.complex128)
     den[0] = 1.0
@@ -168,25 +167,15 @@ def marked_critical_points(spec: FamilySpec, params) -> list[complex]:
     return [0.0 + 0.0j] + [complex(x) for x in p[:spec.parameter_dim - 1]]
 
 
-def quadrat_fixed_normal_form(mu1: complex, mu2: complex
-                              ) -> tuple[RationalMapLift, complex]:
+def quadrat_fixed_normal_form(mu1: complex, mu2: complex) -> RationalMapLift:
     """Degree-2 rational map z(z + mu1)/(mu2 z + 1) with fixed points 0 and
-    infinity of multipliers mu1 and mu2; the third fixed-point multiplier,
-    pinned by the holomorphic index relation sum 1/(1 - mu_i) = 1, is
-    returned alongside."""
+    infinity of multipliers mu1 and mu2."""
     mu1, mu2 = complex(mu1), complex(mu2)
     if abs(mu1 * mu2 - 1.0) <= 1e-12:
         raise DegenerateMapError("mu1 * mu2 = 1 collapses the normal form")
     num = np.array([0.0, mu1, 1.0], dtype=np.complex128)
     den = np.array([1.0, mu2, 0.0], dtype=np.complex128)
-    lift = RationalMapLift(num, den)
-    # index relation: 1/(1-mu1) + 1/(1-mu2) + 1/(1-mu3) = 1
-    if abs(mu1 - 1.0) <= 1e-14 or abs(mu2 - 1.0) <= 1e-14:
-        mu3 = 1.0 + 0.0j  # parabolic partner; index degenerates
-    else:
-        s = 1.0 - 1.0 / (1.0 - mu1) - 1.0 / (1.0 - mu2)
-        mu3 = 1.0 - 1.0 / s if s != 0 else np.inf
-    return lift, complex(mu3)
+    return RationalMapLift(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -132,10 +132,7 @@ def lyap_poly_closed_form(coeffs: np.ndarray) -> float:
 @dataclass(frozen=True)
 class LyapunovEstimate:
     value: float
-    period: int
-    radius: float
     cycle_count: int
-    degree: int
     floored_cycles: int
 
 
@@ -168,10 +165,8 @@ def lyap_from_spectrum(spectrum, degree: int, period: int, r: float = 1.0
     # hypot is Python's abs of a complex, and cumsum adds in row order
     mod = np.hypot(mult.real, mult.imag)
     total = np.cumsum(count * np.log(np.maximum(mod, r)))[-1]
-    return LyapunovEstimate(
-        value=float(total / d_n), period=period, radius=r,
-        cycle_count=n_cycles, degree=degree,
-        floored_cycles=int(count[mod < r].sum()))
+    return LyapunovEstimate(value=float(total / d_n), cycle_count=n_cycles,
+                            floored_cycles=int(count[mod < r].sum()))
 
 
 def lyap_periodic(F: RationalMapLift, n: int, r: float = 1.0

@@ -115,7 +115,7 @@ def test_count_caps():
 
 
 def test_period_tuple_validation():
-    assert arith.PeriodTuple((1, 2, 2)).total == 5
+    assert arith.PeriodTuple((1, 2, 2)).periods == (1, 2, 2)
     with pytest.raises(PreconditionError):
         arith.PeriodTuple(())
     with pytest.raises(PreconditionError):

@@ -296,6 +296,38 @@ def test_corrupt_cache_entry_is_recomputed(entry, tmp_path, monkeypatch,
     assert path.read_text() != entry  # overwritten by the recomputed set
 
 
+def test_cache_path_that_is_a_file_is_refused_before_the_solve(
+        tmp_path, monkeypatch, capsys):
+    # it used to run the whole solve, then exit 1 with "File exists"
+    from dynbif import families
+
+    solve = families.centers
+    calls = []
+    monkeypatch.setattr(families, "centers",
+                        lambda *a: calls.append(a) or solve(*a))
+    cache = tmp_path / "cache"
+    cache.write_text("")
+    monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
+    argv = ["centers", "--family", "quad", "--periods", "3", "--out", "c.csv"]
+    code, out, err = run(argv, capsys)
+    assert_precondition_line(code, out, err, "DYNBIF_CACHE_DIR")
+    assert not calls and not (tmp_path / "c.csv").exists()
+    # --no-cache ignores the variable
+    code, out, err = run(argv + ["--no-cache"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["diagnostics"]["cache"] == "off"
+    assert len(calls) == 1
+
+
+def test_pgm_path_that_is_a_directory_is_refused(tmp_path, capsys):
+    (tmp_path / "eq.pgm").mkdir()
+    code, out, err = run(["equidist", "--family", "quad", "--n", "3",
+                          "--ref", "5", "--window", "-2,1,-1,1",
+                          "--out", "eq.csv"], capsys)
+    assert_precondition_line(code, out, err, "is a directory")
+    assert not (tmp_path / "eq.csv").exists()
+
+
 def test_incomplete_enumeration_is_not_cached(tmp_path, monkeypatch, capsys):
     # a cached short count would come back with "warnings": []
     import warnings
@@ -529,6 +561,11 @@ def test_removed_options_rejected(argv, workdir, capsys):
     # c(1/inf) = 0 would be z^2, a parameter outside the punctured disk
     (["lyap", "--family", "degen:inv_t", "--c", "inf", "--n", "3"],
      "must be finite and nonzero"),
+    # an output path that names a directory is refused before the job runs
+    (["centers", "--family", "quad", "--periods", "3", "--out", ""],
+     "names a directory"),
+    (["centers", "--family", "quad", "--periods", "3", "--out", "."],
+     "names a directory"),
 ])
 def test_usage_errors_end_in_one_json_line(argv, words, capsys):
     code, out, err = run(argv, capsys)

@@ -52,14 +52,14 @@ def resultant(a, b) -> complex:
 def test_roots_simple():
     p = from_roots([1.0, -2.0, 3.0j])
     rs = roots_simultaneous(p)
-    assert rs.total == 3
+    assert rs.multiplicities.sum() == 3
     assert _match(rs.expanded(), np.array([1.0, -2.0, 3.0j]), 1e-9)
 
 
 def test_roots_multiplicities():
     p = from_roots([1.0, 1.0, 1.0, -1.0])
     rs = roots_simultaneous(p)
-    assert rs.total == 4
+    assert rs.multiplicities.sum() == 4
     assert sorted(rs.multiplicities.tolist()) == [1, 3]
     triple = rs.roots[np.argmax(rs.multiplicities)]
     assert abs(triple - 1.0) < 1e-4  # triple roots lose 2/3 of the digits

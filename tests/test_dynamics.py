@@ -14,6 +14,7 @@ from dynbif.cpoly import RootSet, roots_blackbox
 from dynbif.dynamics import (
     CLOUD_STARTS,
     RationalMapLift,
+    _sylvester_matrix,
     backward_cloud,
     chordal_derivative,
     compose_forms,
@@ -185,10 +186,13 @@ def test_period_wedge_evaluator_is_pointwise(F, n):
 
 
 def test_homogeneous_resultant_known_values():
-    # lift of z^2: forms (z0^2, z1^2) have normalized resultant 1
-    assert homogeneous_resultant(
-        np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
-    ) == pytest.approx(1.0)
+    # lift of z^d: the forms (z0^d, z1^d) have the identity as Sylvester
+    # matrix, so their resultant is exactly 1
+    for d in range(1, 9):
+        z0d, z1d = np.zeros(d + 1), np.zeros(d + 1)
+        z0d[d] = z1d[0] = 1.0
+        assert np.array_equal(_sylvester_matrix(z0d, z1d), np.eye(2 * d))
+        assert homogeneous_resultant(z0d, z1d) == 1.0
     # scaling both forms by alpha multiplies it by alpha^(2d)
     assert homogeneous_resultant(
         np.array([0.0, 0.0, 2.0]), np.array([2.0, 0.0, 0.0])
@@ -577,7 +581,7 @@ def _altered_solve(monkeypatch, alter):
     def altered(*args, **kwargs):
         rs = solve(*args, **kwargs)
         roots, mults = alter(rs.roots, rs.multiplicities)
-        return RootSet(roots, mults, rs.residual, rs.cluster_radius)
+        return RootSet(roots, mults, rs.cluster_radius)
 
     monkeypatch.setattr(dynamics, "roots_blackbox", altered)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dynbif import arith, families
-from dynbif.dynamics import cycle_multiplier
+from dynbif.dynamics import exact_cycles
 from dynbif.errors import (
     CountMismatchError,
     CountOverflowError,
@@ -137,12 +137,18 @@ def test_quad_lift():
 
 def test_quadrat_normal_form_index_relation():
     mu1, mu2 = 0.3 + 0.1j, -0.7j
-    lift, mu3 = quadrat_fixed_normal_form(mu1, mu2)
+    lift = quadrat_fixed_normal_form(mu1, mu2)
+    cs = exact_cycles(lift, 1)
+    assert cs.period.tolist() == [1, 1, 1]
     # fixed points 0 and infinity carry the prescribed multipliers
-    assert cycle_multiplier(lift, sphere_point(0.0)[:, None]) \
-        == pytest.approx(mu1, rel=1e-12)
-    s = (1.0 / (1.0 - mu1) + 1.0 / (1.0 - mu2) + 1.0 / (1.0 - mu3))
-    assert s == pytest.approx(1.0, rel=1e-10)
+    at_zero = np.abs(cs.points[0]) < 1e-12
+    at_inf = np.abs(cs.points[1]) < 1e-12
+    assert at_zero.sum() == at_inf.sum() == 1
+    assert cs.multiplier[at_zero][0] == pytest.approx(mu1, rel=1e-12)
+    assert cs.multiplier[at_inf][0] == pytest.approx(mu2, rel=1e-12)
+    # holomorphic index relation over the three fixed points
+    assert np.sum(1.0 / (1.0 - cs.multiplier)) == pytest.approx(1.0,
+                                                                 rel=1e-10)
     with pytest.raises(DegenerateMapError):
         quadrat_fixed_normal_form(2.0, 0.5)
 
@@ -245,7 +251,24 @@ def test_quad_center_counts_mid_range():
         assert len(centers_1d(QUAD, n)) == QUAD_COMPONENT_COUNTS[n - 1]
 
 
-def test_quad_centers_are_deterministic_without_rng():
+# whether a CLI call loads numpy.random; only the random-seeded pca3 center
+# solve does, until ROADMAP item 2 replaces its seeds by a homotopy
+CLI_RNG_USE = [
+    ("lyap --family quad --c 1 --n 4", False),
+    ("lyap --family quadrat --c 0.5,0.3 --n 4", False),
+    ("lyap --family pca3 --c 0.1,0.2 --n 3", False),
+    ("equidist --family quad --n 3..4 --ref 6 --window -2,1,-1,1", False),
+    ("percurve --family quad --n 3 --thetas 8", False),
+    ("centers --family quad --periods 4", False),
+    ("count --family quad --periods 4", False),
+    ("mass-m2", False),
+    ("degenerate --family degen:inv_t", False),
+    ("centers --family pca3 --periods 1,2", True),
+    ("count --family pca3 --periods 1,1", True),
+]
+
+
+def test_quad_centers_are_deterministic_without_rng(tmp_path):
     # the seeds come from the period-(n-1) centers, not from a random draw:
     # a fresh interpreter never loads numpy.random, and a re-solve after
     # clearing the cache returns the same rows
@@ -257,6 +280,18 @@ def test_quad_centers_are_deterministic_without_rng():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+    # the same holds for every CLI path but the pca3 center solve
+    cli = ("import sys\n"
+           "from dynbif.cli import main\n"
+           "assert main(sys.argv[1:]) == 0\n"
+           "print('numpy.random' in sys.modules)\n")
+    out_path = str(tmp_path / "out.csv")
+    for argv, loads in CLI_RNG_USE:
+        out = subprocess.run(
+            [sys.executable, "-c", cli, *argv.split(), "--no-cache",
+             "--out", out_path],
+            env=env, check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == str(loads), argv
     first = _quad_exact_centers(9)
     _quad_exact_centers.cache_clear()
     again = _quad_exact_centers(9)
