@@ -118,12 +118,11 @@ def affine_cycle_point_count(d: int, n: int) -> int:
     return sum(moebius(n // m) * d**m for m in divisors(n))
 
 
-def stab_count(t: PeriodTuple | tuple) -> int:
+def stab_count(t: PeriodTuple) -> int:
     """Number of index permutations fixing the ordered tuple: the product of
     factorials of the multiplicities of its distinct entries."""
-    entries = t.periods if isinstance(t, PeriodTuple) else tuple(t)
     out = 1
-    for m in Counter(entries).values():
+    for m in Counter(t.periods).values():
         out *= math.factorial(m)
     return out
 

@@ -371,8 +371,9 @@ def _pca3_newton(c, b, n0, n1, iters, found):
     """Up to ``iters`` vectorized Newton steps from every seed (c, b) on the
     return system, each cut to length 1.  A seed stops once its step is not
     finite or |dc| + |db| <= 1e-15 (1 + |c| + |b|), and joins the K x 2 set
-    ``found`` if then |g0| + |g1| < 1e-8.  All stop once the set holds the
-    3^(n0+n1-1) solutions of the system; more raise CountOverflowError."""
+    ``found`` if |g0| + |g1| < 1e-8 where that last step started.  All stop
+    once the set holds the 3^(n0+n1-1) solutions of the system; more raise
+    CountOverflowError."""
     n_solutions = 3 ** (n0 + n1 - 1)
     c, b = np.array(c, dtype=complex), np.array(b, dtype=complex)
     live = np.arange(len(c))
@@ -387,6 +388,7 @@ def _pca3_newton(c, b, n0, n1, iters, found):
             step_b = (g1 * g0c - g0 * g1c) / det
         ok = np.isfinite(step_c) & np.isfinite(step_b)
         live, step_c, step_b = live[ok], step_c[ok], step_b[ok]
+        small = (np.abs(g0) + np.abs(g1))[ok] < 1e-8
         # damp long steps to keep seeds from being flung out
         mag = np.sqrt(np.abs(step_c) ** 2 + np.abs(step_b) ** 2)
         damp = np.minimum(1.0, 1.0 / np.maximum(mag, 1e-30))
@@ -395,10 +397,8 @@ def _pca3_newton(c, b, n0, n1, iters, found):
         b[live] -= step_b
         done = (np.abs(step_c) + np.abs(step_b)
                 <= 1e-15 * (1.0 + np.abs(c[live]) + np.abs(b[live])))
-        new, live = live[done], live[~done]
-        (g0, g1), _ = _pca3_center_system(c[new], b[new], n0, n1)
-        new = np.stack([c[new], b[new]], 1)[np.abs(g0) + np.abs(g1) < 1e-8]
-        found = _merge(found, new)
+        new, live = live[done & small], live[~done]
+        found = _merge(found, np.stack([c[new], b[new]], 1))
     if len(found) > n_solutions:
         raise CountOverflowError(f"{len(found)} solutions of the ({n0}, {n1})"
                                  f" return system exceed {n_solutions}")
@@ -859,13 +859,10 @@ def _settled_multiplier(spec: FamilySpec, q, z, p: int):
 
 def quad_cycle_multiplier(c, p: int):
     """Multiplier of the attracting period-p cycle of z^2 + c found from the
-    critical orbit (the critical point converges to it); elementwise on an
-    array of parameters, a Python complex for a scalar one."""
-    scalar = np.ndim(c) == 0
-    c = complex(c) if scalar else np.asarray(c, dtype=complex)
-    z = 0.0 + 0.0j if scalar else np.zeros_like(c)
-    lam = _settled_multiplier(QUAD, (c,), z, p)
-    return complex(lam) if scalar else lam
+    critical orbit (the critical point converges to it), elementwise on an
+    array of parameters."""
+    c = np.asarray(c, dtype=complex)
+    return _settled_multiplier(QUAD, (c,), np.zeros_like(c), p)
 
 
 def pca3_cycle_multiplier(c: complex, a: complex, z0: complex, p: int
@@ -895,44 +892,46 @@ def component_count(spec: FamilySpec, periods: arith.PeriodTuple
                     ) -> ComponentCount:
     """Distinct hyperbolic components whose attracting cycles have the given
     exact periods, with the normalized counting deficiency
-    1 - stab * N / ((d-1)! * prod d_(n_j)).
+    1 - stab * M / ((d-1)! * prod d_(n_j)).  Here d_n is the affine count of
+    exact period-n points of a degree-d polynomial, N counts the distinct
+    components (the centers for quad, the rows whose two critical cycles
+    are distinct orbits for pca3) and M counts them as marked parameters:
+    2N for quad, where each z^2 + c is two marked parameters, and for pca3
+    the multiplicity-weighted count of those rows.
 
     For the marked cubic family the deficiency is, when enumeration is
-    complete, exactly the fraction of marked solutions whose two cycles
-    merge into one orbit; both numbers are reported.
+    complete, exactly the multiplicity-weighted fraction of marked
+    solutions whose two cycles merge into one orbit; both numbers are
+    reported.
     """
     stab = arith.stab_count(periods)
     sols = centers(spec, periods.periods)
     if spec is QUAD:
         (n,) = periods.periods
         N = len(sols)
-        # critically marked normalization of the degree-2 polynomial family:
-        # each z^2 + c parameter corresponds to two marked parameters
-        d_tuple = arith.exact_cycle_point_count(2, n) if n >= 2 \
-            else arith.affine_cycle_point_count(2, 1)
+        d_tuple = arith.affine_cycle_point_count(2, n)
         deficiency = 1.0 - (stab * 2 * N) / d_tuple
         return ComponentCount(N=N, marked_solutions=N, stab=stab,
                               deficiency=deficiency, merged_solutions=0,
                               merged_fraction=0.0, bezout=d_tuple)
     n0, n1 = periods.periods
     both = 2 if n0 == n1 else 1  # one run of the system covers both markings
-    marked_total = int(sols.multiplicity.sum()) * both
+    marked = sols.multiplicity * both
     merged = _pca3_cycles_merged(sols)
-    merged_marked = int(sols.multiplicity[merged].sum()) * both
+    merged_marked = int(marked[merged].sum())
+    nonmerged = int(marked[~merged].sum())
     # distinct components: centers_2d dedupes within a marking, and the two
     # markings differ in the exact period of 0
     N = int(np.count_nonzero(~merged))
-    d_tuple = (arith.exact_cycle_point_count(3, n0)
-               * arith.exact_cycle_point_count(3, n1))
-    denom = 2 * d_tuple  # (d-1)! = 2
-    deficiency = 1.0 - (stab * N) / denom
+    d_tuple = (arith.affine_cycle_point_count(3, n0)
+               * arith.affine_cycle_point_count(3, n1))
+    expected = 2 * d_tuple  # (d-1)! = 2
     return ComponentCount(
-        N=N, marked_solutions=marked_total, stab=stab, deficiency=deficiency,
+        N=N, marked_solutions=int(marked.sum()), stab=stab,
+        deficiency=1.0 - nonmerged / expected,
         merged_solutions=merged_marked,
-        merged_fraction=merged_marked / denom,
-        bezout=(arith.affine_cycle_point_count(3, n0)
-                * arith.affine_cycle_point_count(3, n1))
-        * (1 if n0 == n1 else 2))
+        merged_fraction=merged_marked / expected,
+        bezout=d_tuple * (1 if n0 == n1 else 2))
 
 
 def _pca3_cycles_merged(centers: CenterSet) -> np.ndarray:

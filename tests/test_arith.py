@@ -131,7 +131,6 @@ def test_period_tuple_validation():
 ])
 def test_stab_count(entries, expected):
     assert arith.stab_count(arith.PeriodTuple(entries)) == expected
-    assert arith.stab_count(entries) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-import dynbif
 from dynbif import arith
 from dynbif.cli import EXIT_CODES, _cache_key, main
 from dynbif.errors import DynbifError
@@ -431,6 +430,22 @@ def test_readme_commands_succeed(workdir, capsys):
         assert files and all((workdir / f).is_file() for f in files), argv
 
 
+def test_experiment_scripts_run(workdir):
+    # the README's experiment scripts, each in a fresh interpreter on small
+    # inputs
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for name, args in [
+            ("convergence_study.py", ["--c", "1.0", "--n", "6..8"]),
+            ("counting_survey.py", ["--max-n", "2", "--quad-max-n", "4"]),
+            ("center_density.py", ["--max-n", "6", "--resolution", "50,50",
+                                   "--out", str(workdir / "d.pgm")])]:
+        proc = subprocess.run([sys.executable, str(scripts / name), *args],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (name, proc.stderr)
+    assert (workdir / "d.pgm").is_file()
+
+
 def test_report_lists_output_hashes(capsys):
     code, out, _ = run(["mass-m2", "--out", "m.json"], capsys)
     report = json.loads(out)
@@ -505,7 +520,20 @@ def test_exit_codes_match_error_classes():
     assert {cls.code for cls in classes} == set(EXIT_CODES)
     # exit codes are stable: removing a class retires its number
     assert EXIT_CODES == EXIT_CODE_NUMBERS
-    assert all(hasattr(dynbif, name) for name in dynbif.__all__)
+
+
+def test_package_import_loads_no_submodule():
+    # names are imported from their submodules: the package itself holds
+    # only its docstring and version, so importing it loads neither a
+    # dynbif submodule nor numpy
+    code = ("import sys, dynbif\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('dynbif.', 'numpy'))))\n"
+            "print(dynbif.__version__)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "0.1.0"]
 
 
 def assert_precondition_line(code, out, err, words):

@@ -376,7 +376,8 @@ def test_pca3_newton_stops_every_seed_at_the_solution_count(
         monkeypatch, fresh_pca3_solutions):
     # some of the 4,860 round-0 seeds never converge; they used to iterate
     # to the 120-step cap after round 0 had found all 27 (2, 2) solutions
-    # by step 16.  One system call per step moves the live seeds.
+    # by step 16.  One system call per step moves the live seeds and judges
+    # the converged ones by the residuals it started from.
     moved = []
 
     def counted(c, b, n0, n1):
@@ -387,8 +388,7 @@ def test_pca3_newton_stops_every_seed_at_the_solution_count(
     monkeypatch.setattr(families, "_pca3_center_system", counted)
     found = _pca3_solutions(2, 2)
     assert len(found) == 27
-    steps = moved[0::2]  # each step then tests its converged seeds
-    assert steps[0] == 4860 and len(steps) < 40
+    assert moved[0] == 4860 and len(moved) < 40
 
 
 def test_pca3_newton_steps_no_seed_once_the_set_is_full():
@@ -601,9 +601,8 @@ def test_pca3_newton_drops_seeds_with_no_finite_step(monkeypatch):
     c0, b0 = np.array([1e200 + 0j, 0.3 + 0.1j]), np.array([0j, 0.2 + 0j])
     with np.errstate(over="ignore", invalid="ignore"):
         found = _pca3_newton(c0, b0, 2, 2, 120, NO_ROWS)
-    steps = seen[0::2]  # each step then tests its converged seeds
-    assert steps[0].tolist() == c0.tolist()
-    assert len(steps) > 2 and all(len(s) == 1 for s in steps[1:])
+    assert seen[0].tolist() == c0.tolist()  # one system call per step
+    assert len(seen) > 2 and all(len(s) == 1 for s in seen[1:])
     later = np.concatenate(seen[1:])
     assert np.all(np.isfinite(later)) and np.all(np.abs(later) < 10)
     assert found.shape == (1, 2) and abs(found[0, 0]) < 10
@@ -865,7 +864,8 @@ def test_quad_cycle_multiplier_array_matches_scalar():
         assert isinstance(got, np.ndarray) and got.shape == c.shape
         want = [quad_cycle_multiplier(complex(x), p) for x in c]
         assert all(isinstance(x, complex) for x in want)
-        # numpy and Python complex products may round differently
+        # a scalar runs as a 0-d array, whose numpy scalar products may
+        # round differently from the vectorized ones
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -1000,6 +1000,19 @@ def test_component_count_pca3_2_2():
     assert cc.deficiency >= -1e-12
     assert cc.deficiency == pytest.approx(cc.merged_fraction, abs=1e-12)
     assert cc.stab == 2
+
+
+@pytest.mark.parametrize("periods", [
+    *[(n0, n1) for n0 in (1, 2, 3) for n1 in (1, 2, 3)], (1, 4), (4, 1)],
+    ids=lambda p: f"{p[0]},{p[1]}")
+def test_component_count_pca3_deficiency_is_merged_fraction(periods):
+    # both are multiplicity-weighted over the affine census, so they agree
+    # once the enumeration is complete, period-1 slots included
+    cc = component_count(PCA3, arith.PeriodTuple(periods))
+    assert cc.marked_solutions == 2 * (
+        arith.affine_cycle_point_count(3, periods[0])
+        * arith.affine_cycle_point_count(3, periods[1]))
+    assert cc.deficiency == pytest.approx(cc.merged_fraction, abs=1e-12)
 
 
 def test_component_count_pca3_1_2():
