@@ -816,21 +816,37 @@ def _corrector(step, periods: tuple[int, ...], x: list, t: list):
     return newton, ok, slope
 
 
+def _settle(f, z, p: int, cap: int):
+    """z after cap steps of f (cap a multiple of p), or sooner: tested every
+    ceil(64 / p) periods, a batch stops once each orbit has been non-finite
+    or returned |f^p(z) - z| <= 2^-20 (1 + |z|), no less than a test before."""
+    group, done, ret = -(-64 // p) * p, np.zeros(np.shape(z), bool), np.inf
+    for walked in range(0, cap, group):
+        for _ in range(min(group, cap - walked) - p):
+            z = f(z)
+        start = z
+        for _ in range(p):
+            z = f(z)
+        gap, ret = ret, abs(z - start)
+        done |= ~np.isfinite(z) | (ret >= gap) & (ret <= (1 + abs(z)) / 2**20)
+        if done.all():
+            break
+    return z
+
+
 def _check_in_component(f, z: np.ndarray, crit: np.ndarray, p: int
                         ) -> None:
     """NOT_IN_COMPONENT unless every continued cycle through z has exact
-    period p under the map f and attracts the orbit of crit; z and crit
-    are arrays or scalars alike."""
+    period p under the map f and attracts the orbit of crit, ``_settle``d
+    for at most 600 p steps; z and crit are arrays or scalars alike."""
     cycle = [z]
     for m in range(1, p):
         cycle.append(f(cycle[-1]))
         if np.any(np.abs(cycle[-1] - z) <= ORBIT_CLOSE_TOL):
             raise NotInComponentError(
                 f"continued cycle closed early at step {m} < {p}")
-    orbit = crit
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(600 * p):
-            orbit = f(orbit)
+        orbit = _settle(f, crit, p, 600 * p)
     # past 1e12 an orbit of bounded parameters only grows, so one test at
     # the end sees every escape
     if not np.all(np.abs(orbit) < 1e12):
@@ -842,14 +858,13 @@ def _check_in_component(f, z: np.ndarray, crit: np.ndarray, p: int
 
 def _settled_multiplier(spec: FamilySpec, q, z, p: int):
     """Multiplier of the attracting period-p cycle that the orbit of z
-    converges to: the orbit settles under the bare map for 400 p^2 steps,
-    and at least 800 p, so a cycle with |lambda| = MAX_TARGET_MODULUS is
-    reached to 0.95^800 ~ 1.5e-18 even at p = 1; then the product of f_z is
-    taken over one period."""
+    converges to: the orbit is ``_settle``d under the bare map, capped at
+    max(400 p^2, 800 p) steps, so a cycle with |lambda| = 0.95 is reached
+    to 0.95^800 ~ 1.5e-18 even at p = 1; then the product of f_z is taken
+    over one period."""
     step, bare = _CYCLE_FAMILIES[spec]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max(400 * p * p, 800 * p)):
-            z = bare(z, q)
+        z = _settle(lambda u: bare(u, q), z, p, max(400 * p * p, 800 * p))
         lam = 1.0 + 0.0j
         for _ in range(p):
             z, f_z = step(z, q)[:2]

@@ -706,6 +706,29 @@ def test_out_in_missing_directory(workdir, capsys):
     assert not (workdir / "missing").exists()
 
 
+def test_successive_calls_get_their_own_defaults(workdir, capsys):
+    # options a call omits come from its own subcommand, and the default
+    # --out is checked again on every call in one process
+    lyap = ["lyap", "--family", "quad", "--c", "0", "--n", "2"]
+    code, out, err = run(lyap, capsys)
+    assert code == 0, err
+    config = json.loads(out)["config"]
+    assert (config["out"], config["r"]) == ("lyap.csv", 1.0)
+    code, out, err = run(["percurve", "--family", "quad", "--n", "2",
+                          "--thetas", "8"], capsys)
+    assert code == 0, err
+    config = json.loads(out)["config"]
+    assert (config["out"], config["rho"]) == ("percurve.csv", 0.5)
+    assert "r" not in config and "c" not in config
+    (workdir / "lyap.csv").unlink()
+    (workdir / "lyap.csv").mkdir()
+    assert_precondition_line(*run(lyap, capsys), "names a directory")
+    assert_precondition_line(*run(lyap + ["--out", "missing/l.csv"], capsys),
+                             "the directory does not exist")
+    (workdir / "lyap.csv").rmdir()
+    assert run(lyap, capsys)[0] == 0
+
+
 def test_equidist_out_may_not_be_the_pgm_path(workdir, capsys):
     # the PGM is written next to --out with the suffix .pgm and would
     # overwrite the CSV

@@ -11,7 +11,7 @@ from functools import lru_cache, partial
 import numpy as np
 import pytest
 
-from dynbif import arith, families
+from dynbif import arith, equidist, families
 from dynbif.dynamics import exact_cycles
 from dynbif.errors import (
     CountMismatchError,
@@ -19,6 +19,7 @@ from dynbif.errors import (
     DegenerateMapError,
     IllConditionedError,
     IncompleteEnumerationWarning,
+    NotInComponentError,
     PathLossError,
     PreconditionError,
 )
@@ -28,6 +29,7 @@ from dynbif.families import (
     PCA3,
     QUAD,
     _assign_multiplicities,
+    _check_in_component,
     _dedupe,
     _first_return,
     _merge,
@@ -39,6 +41,7 @@ from dynbif.families import (
     _pca3_step,
     _quad_bare,
     _quad_exact_centers,
+    _settle,
     _swap_marking,
     centers_1d,
     centers_2d,
@@ -867,6 +870,84 @@ def test_quad_cycle_multiplier_array_matches_scalar():
         # a scalar runs as a 0-d array, whose numpy scalar products may
         # round differently from the vectorized ones
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def _counted(c):
+    """z^2 + c and a list whose length is the number of calls."""
+    calls = []
+
+    def f(z):
+        calls.append(None)
+        return _quad_bare(z, (c,))
+    return f, calls
+
+
+def _full_length_multiplier(c, p):
+    """The re-check as a plain loop over the whole cap, the reference for
+    the early stop."""
+    z = np.zeros_like(c)
+    for _ in range(max(400 * p * p, 800 * p)):
+        z = z * z + c
+    lam = 1.0 + 0.0j
+    for _ in range(p):
+        z, f_z = z * z + c, 2.0 * z
+        lam = lam * f_z
+    return lam
+
+
+def _level_curve(rho, n, thetas=32):
+    targets = rho * np.exp(2j * np.pi * np.arange(thetas) / thetas)
+    (c,), lost, slope = continuation(QUAD, _quad_center(n), targets)
+    assert not lost.any()
+    return c, slope
+
+
+def test_settle_stops_once_every_orbit_repeats():
+    c, _ = _level_curve(0.5, 6)
+    f, calls = _counted(c)
+    cap = 400 * 6 * 6
+    z = _settle(f, np.zeros_like(c), 6, cap)
+    assert 0 < len(calls) <= cap // 10 and len(calls) % 6 == 0
+    ret = z
+    for _ in range(6):
+        ret = f(ret)
+    assert np.all(np.abs(ret - z) <= 2.0**-20 * (1.0 + np.abs(z)))
+
+
+def test_settle_runs_to_its_cap_on_a_parabolic_orbit():
+    # -0.75 is where the period-2 component meets the main cardioid: the
+    # critical orbit creeps towards a multiplier -1 cycle and never
+    # repeats to rounding within the cap
+    c = np.array([-0.75, -1.0, -1.1 + 0.05j, -0.9 - 0.1j])
+    f, calls = _counted(c)
+    _settle(f, np.zeros_like(c), 2, 1600)
+    assert len(calls) == 1600
+    np.testing.assert_array_equal(quad_cycle_multiplier(c, 2),
+                                  _full_length_multiplier(c, 2))
+
+
+def test_escaping_critical_orbit_is_not_in_component():
+    # c = 1 lies outside M; the settle stops on its non-finite orbit once
+    # the attracted one at c = -0.1 has returned no closer over a second
+    # 64-step group
+    c = np.array([-0.1, 1.0], dtype=complex)
+    fixed = (1.0 - np.sqrt(1.0 - 4.0 * c)) / 2.0
+    f, calls = _counted(c)
+    with pytest.raises(NotInComponentError, match="critical orbit escaped"):
+        _check_in_component(f, fixed, np.zeros_like(c), 1)
+    assert len(calls) == 128  # of the cap 600
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.65, 0.8])
+def test_early_stop_multiplier_matches_the_full_length_settle(rho):
+    for n in range(2, 9):
+        c, slope = _level_curve(rho, n)
+        tol = 1e-10 + 8.0 * np.finfo(float).eps * np.abs(c) * slope
+        lam = quad_cycle_multiplier(c, n)
+        assert np.all(np.abs(lam - _full_length_multiplier(c, n))
+                      <= 0.9 * tol), n
+        assert equidist.pern_circle_measure(QUAD, n, rho,
+                                            32).recheck_deficit == 0, n
 
 
 def test_continuation_rejects_large_targets():
