@@ -34,7 +34,6 @@ from . import arith, equidist, families, lyapunov
 from .errors import DynbifError, EmptyMeasureError, \
     IncompleteEnumerationWarning, PreconditionError
 
-CACHE_ENV = "DYNBIF_CACHE_DIR"
 # pixels per side of the equidist PGM: 4096^2 bins already take 128 MB
 MAX_RESOLUTION = 4096
 
@@ -112,23 +111,6 @@ def write_pgm(path: str, grid: equidist.GridDensity) -> None:
     _write_atomic(path, header + img.tobytes())
 
 
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-def _cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV) or None
-
-
-def _cache_key(family: str, periods) -> str:
-    # the tag keeps earlier solvers' rows and entry formats from being served
-    tag = "pca3-cb-symmetry-set" if family == "pca3" else "quad-floor-set"
-    blob = json.dumps({"family": family, "periods": list(periods),
-                       "solver": tag}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _incomplete_warnings(fn, *args):
     """fn(*args) and its IncompleteEnumerationWarning messages."""
     with warnings.catch_warnings(record=True) as caught:
@@ -136,57 +118,6 @@ def _incomplete_warnings(fn, *args):
         out = fn(*args)
     return out, [str(w.message) for w in caught
                  if issubclass(w.category, IncompleteEnumerationWarning)]
-
-
-def _read_centers(path: str, dim: int) -> families.CenterSet | None:
-    """The set in a cache entry: ``re``, ``im`` and ``periods`` K x dim,
-    ``residual`` and ``multiplicity`` K, K >= 1.  None when the entry does
-    not parse, lacks a key or holds arrays of other shapes."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        # (re, im) pairs viewed as complex: re + 1j im turns -0.0 into 0.0
-        reim = np.array([data["re"], data["im"]], dtype=float)
-        centers = families.CenterSet(
-            np.moveaxis(reim, 0, -1).copy().view(complex)[..., 0],
-            np.array(data["periods"], dtype=int),
-            np.array(data["residual"], dtype=float),
-            np.array(data["multiplicity"], dtype=int))
-        k = len(centers)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError):
-        return None
-    ok = (k and centers.params.shape == centers.periods.shape == (k, dim)
-          and centers.residual.shape == centers.multiplicity.shape == (k,))
-    return centers if ok else None
-
-
-def _cached_centers(args: argparse.Namespace, spec
-                    ) -> tuple[families.CenterSet, list[str], str]:
-    """Center enumeration, its warnings and the cache use ("hit", "miss" or
-    "off"), through the on-disk cache when enabled; an unreadable entry is
-    recomputed and overwritten, an incomplete enumeration is not cached.  A
-    cache directory that cannot be made is refused before the solve."""
-    cdir = None if args.no_cache else _cache_dir()
-    if cdir:
-        try:
-            os.makedirs(cdir, exist_ok=True)
-        except OSError as exc:
-            raise PreconditionError(f"{CACHE_ENV} {cdir}: {exc}") from exc
-        path = os.path.join(
-            cdir, f"centers-{_cache_key(args.family, args.periods)}.json")
-        centers = _read_centers(path, len(args.periods))
-        if centers is not None:
-            return centers, [], "hit"
-    centers, warn_msgs = _incomplete_warnings(families.centers, spec,
-                                              args.periods)
-    if cdir and not warn_msgs:
-        data = {"re": centers.params.real.tolist(),
-                "im": centers.params.imag.tolist(),
-                "periods": centers.periods.tolist(),
-                "residual": centers.residual.tolist(),
-                "multiplicity": centers.multiplicity.tolist()}
-        _write_atomic(path, json.dumps(data, sort_keys=True).encode())
-    return centers, warn_msgs, "miss" if cdir else "off"
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +135,8 @@ def cmd_lyap(args: argparse.Namespace) -> tuple[dict, dict]:
     coeffs = families.poly_coeffs(spec, args.c)
     reference = lyapunov.lyap_poly_closed_form(coeffs) \
         if coeffs is not None else None
+    # a missing reference is NaN in the CSV: its error columns are NaN too
+    ref = float("nan") if reference is None else reference
     rows, periods = [], []
     for n in args.n:
         t0 = time.perf_counter()
@@ -211,15 +144,9 @@ def cmd_lyap(args: argparse.Namespace) -> tuple[dict, dict]:
         periods.append({"n": n, "cycles": est.cycle_count,
                         "floored_cycles": est.floored_cycles,
                         "wall_s": time.perf_counter() - t0})
-        if reference is not None:
-            err = abs(est.value - reference)
-            norm = err * F.degree**n / arith.sigma(2, n)
-        else:
-            err = float("nan")
-            norm = float("nan")
-        rows.append([n, est.value,
-                     reference if reference is not None else float("nan"),
-                     err, norm])
+        err = abs(est.value - ref)
+        rows.append([n, est.value, ref, err,
+                     err * F.degree**n / arith.sigma(2, n)])
     write_csv(args.out, ["n", "L_n_r", "reference", "error",
                          "normalized_error"], rows)
     return ({"reference": reference, "periods": periods},
@@ -228,14 +155,15 @@ def cmd_lyap(args: argparse.Namespace) -> tuple[dict, dict]:
 
 def cmd_centers(args: argparse.Namespace) -> tuple[dict, dict]:
     spec = families.family_from_id(args.family)
-    centers, warn_msgs, cache = _cached_centers(args, spec)
+    centers, warn_msgs = _incomplete_warnings(families.centers, spec,
+                                              args.periods)
     dim = len(args.periods)
     header = (["re", "im", "re2", "im2"][:2 * dim]
               + ["period", "period2"][:dim] + ["residual"])
     reim = np.ascontiguousarray(centers.params).view(float)
     write_csv(args.out, header,
               zip(*reim.T, *centers.periods.T, centers.residual))
-    diag = {"cache": cache, "count": len(centers),
+    diag = {"count": len(centers),
             "multiplicity_total": int(centers.multiplicity.sum()),
             "warnings": warn_msgs}
     return diag, {args.out: _sha256(args.out)}
@@ -425,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help, out):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", type=_out, default=out)
-        p.add_argument("--no-cache", action="store_true")
+        p.add_argument("--no-cache", action="store_true",
+                       help="accepted and ignored")
         return p
 
     p = command("lyap", "periodic-point Lyapunov estimates", "lyap.csv")

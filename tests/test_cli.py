@@ -17,7 +17,7 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from dynbif import arith
-from dynbif.cli import EXIT_CODES, _cache_key, main
+from dynbif.cli import EXIT_CODES, main
 from dynbif.errors import DynbifError
 
 
@@ -35,7 +35,6 @@ def read_csv(path):
 @pytest.fixture(autouse=True)
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("DYNBIF_CACHE_DIR", raising=False)
     return tmp_path
 
 
@@ -229,93 +228,50 @@ def test_degenerate_slopes(capsys):
 
 
 # ---------------------------------------------------------------------------
-# determinism and caching
+# determinism
 # ---------------------------------------------------------------------------
 
 
 def test_byte_identical_reruns(capsys):
-    run(["centers", "--family", "quad", "--periods", "5",
-         "--out", "a.csv"], capsys)
-    run(["centers", "--family", "quad", "--periods", "5",
-         "--out", "b.csv"], capsys)
-    with open("a.csv", "rb") as fa, open("b.csv", "rb") as fb:
-        assert fa.read() == fb.read()
+    for family, periods in (("quad", "5"), ("pca3", "1,2")):
+        argv = ["centers", "--family", family, "--periods", periods]
+        for name in ("a.csv", "b.csv"):
+            code, _, err = run(argv + ["--out", name], capsys)
+            assert code == 0, err
+        with open("a.csv", "rb") as fa, open("b.csv", "rb") as fb:
+            assert fa.read() == fb.read(), family
+    # one pca3 set holds both markings, each row with its own periods
+    rows = read_csv("b.csv")[1:]
+    assert {(r[4], r[5]) for r in rows} == {("1", "2"), ("2", "1")}
 
 
-@pytest.mark.parametrize("family,periods", [("quad", "4"), ("pca3", "1,2")])
-def test_cache_round_trip(family, periods, tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
-    argv = ["centers", "--family", family, "--periods", periods]
-    code, out1, _ = run(argv + ["--out", "a.csv"], capsys)
-    assert code == 0
-    entries = list(cache.glob("centers-*.json"))
-    assert len(entries) == 1
-    code, out2, _ = run(argv + ["--out", "b.csv"], capsys)
-    assert code == 0
-    with open("a.csv", "rb") as fa, open("b.csv", "rb") as fb:
-        assert fa.read() == fb.read()
-    diag1, diag2 = (json.loads(o)["diagnostics"] for o in (out1, out2))
-    assert (diag1["cache"], diag2["cache"]) == ("miss", "hit")
-    assert diag1["multiplicity_total"] == diag2["multiplicity_total"]
-    if family == "pca3":
-        # one set holds both markings, each row with its own periods
-        rows = read_csv("b.csv")[1:]
-        assert {(r[4], r[5]) for r in rows} == {("1", "2"), ("2", "1")}
-    # --no-cache must not read or write entries
-    entries[0].unlink()
-    code, out3, _ = run(argv + ["--no-cache", "--out", "c.csv"], capsys)
-    assert code == 0
-    assert json.loads(out3)["diagnostics"]["cache"] == "off"
-    assert not list(cache.glob("centers-*.json"))
-    with open("a.csv", "rb") as fa, open("c.csv", "rb") as fc:
-        assert fa.read() == fc.read()
-
-
-@pytest.mark.parametrize("entry", ['[{"parameter": [[0.1', "{}"],
-                         ids=["truncated", "empty"])
-def test_corrupt_cache_entry_is_recomputed(entry, tmp_path, monkeypatch,
-                                           capsys):
-    # a truncated entry used to end in a traceback, an empty object in an
-    # empty CSV with exit 0
-    argv = ["centers", "--family", "quad", "--periods", "4"]
-    code, _, _ = run(argv + ["--no-cache", "--out", "want.csv"], capsys)
-    assert code == 0
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
-    path = cache / f"centers-{_cache_key('quad', (4,))}.json"
-    path.write_text(entry)
-    for name, use in (("a.csv", "miss"), ("b.csv", "hit")):
-        code, out, err = run(argv + ["--out", name], capsys)
-        assert code == 0 and err == ""
-        assert json.loads(out)["diagnostics"]["cache"] == use
-        with open("want.csv", "rb") as fw, open(name, "rb") as fh:
-            assert fh.read() == fw.read()
-    assert path.read_text() != entry  # overwritten by the recomputed set
-
-
-def test_cache_path_that_is_a_file_is_refused_before_the_solve(
-        tmp_path, monkeypatch, capsys):
-    # it used to run the whole solve, then exit 1 with "File exists"
-    from dynbif import families
-
-    solve = families.centers
-    calls = []
-    monkeypatch.setattr(families, "centers",
-                        lambda *a: calls.append(a) or solve(*a))
+@pytest.mark.parametrize("argv", [
+    ["lyap", "--family", "quad", "--c", "0", "--n", "2"],
+    ["centers", "--family", "quad", "--periods", "4"],
+    ["count", "--family", "quad", "--periods", "3"],
+    ["mass-m2", "--terms", "5"],
+    ["equidist", "--family", "quad", "--n", "2", "--ref", "3", "--k", "1"],
+    ["percurve", "--family", "quad", "--n", "1", "--thetas", "8"],
+    ["degenerate", "--family", "degen:inv_t"],
+], ids=lambda argv: argv[0])
+def test_cache_variable_and_flag_change_nothing(argv, tmp_path, monkeypatch,
+                                                capsys):
+    # the variable once named an on-disk center cache, and a regular file
+    # there was refused; every subcommand accepts --no-cache and ignores it
+    # because the benchmark passes it
     cache = tmp_path / "cache"
     cache.write_text("")
     monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
-    argv = ["centers", "--family", "quad", "--periods", "3", "--out", "c.csv"]
-    code, out, err = run(argv, capsys)
-    assert_precondition_line(code, out, err, "DYNBIF_CACHE_DIR")
-    assert not calls and not (tmp_path / "c.csv").exists()
-    # --no-cache ignores the variable
-    code, out, err = run(argv + ["--no-cache"], capsys)
-    assert code == 0, err
-    assert json.loads(out)["diagnostics"]["cache"] == "off"
-    assert len(calls) == 1
+    reports = []
+    for extra in ([], ["--no-cache"]):
+        code, out, err = run(argv + extra, capsys)
+        assert code == 0 and err == ""
+        reports.append(json.loads(out))
+    assert reports[0]["files"] == reports[1]["files"]
+    if argv[0] == "centers":
+        assert reports[0]["diagnostics"] == reports[1]["diagnostics"]
+        assert set(reports[0]["diagnostics"]) == {
+            "count", "multiplicity_total", "warnings"}
 
 
 def test_pgm_path_that_is_a_directory_is_refused(tmp_path, capsys):
@@ -327,8 +283,7 @@ def test_pgm_path_that_is_a_directory_is_refused(tmp_path, capsys):
     assert not (tmp_path / "eq.csv").exists()
 
 
-def test_incomplete_enumeration_is_not_cached(tmp_path, monkeypatch, capsys):
-    # a cached short count would come back with "warnings": []
+def test_incomplete_enumeration_warns_on_every_run(monkeypatch, capsys):
     import warnings
 
     from dynbif import families
@@ -339,8 +294,6 @@ def test_incomplete_enumeration_is_not_cached(tmp_path, monkeypatch, capsys):
                       IncompleteEnumerationWarning)
         return families.centers_2d(spec, *periods)[:2]
 
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("DYNBIF_CACHE_DIR", str(cache))
     monkeypatch.setattr(families, "centers", short)
     for _ in range(2):
         code, out, _ = run(["centers", "--family", "pca3", "--periods", "1,1",
@@ -348,65 +301,6 @@ def test_incomplete_enumeration_is_not_cached(tmp_path, monkeypatch, capsys):
         assert code == 0
         assert json.loads(out)["diagnostics"]["warnings"] == [
             "found multiplicity total 6 of 9"]
-    assert not list(cache.glob("centers-*.json"))
-
-
-def test_cache_key_names_the_solver():
-    # the key of the earlier (c, a) solver hashed no solver tag: its entries
-    # hold other rows in another order and must miss
-    blob = json.dumps({"family": "pca3", "periods": [1, 3],
-                       "tolerance": 1e-12}, sort_keys=True)
-    old = hashlib.sha256(blob.encode()).hexdigest()
-    key = _cache_key("pca3", (1, 3))
-    assert key != old and len(key) == len(old)
-    # nor the rows of the perturbation-count multiplicities
-    blob = json.dumps({"family": "pca3", "periods": [1, 3],
-                       "solver": "pca3-cb-chart", "tolerance": 1e-12},
-                      sort_keys=True)
-    assert key != hashlib.sha256(blob.encode()).hexdigest()
-    # nor the rows of the solver that solved both markings, sorted on raw
-    # floats
-    blob = json.dumps({"family": "pca3", "periods": [1, 3],
-                       "solver": "pca3-cb-jacobian"}, sort_keys=True)
-    assert key != hashlib.sha256(blob.encode()).hexdigest()
-    # nor the one-record-per-center entries of the same solver
-    blob = json.dumps({"family": "pca3", "periods": [1, 3],
-                       "solver": "pca3-cb-involution"}, sort_keys=True)
-    assert key != hashlib.sha256(blob.encode()).hexdigest()
-    # nor the rows of the solve that ran a second seed round where the
-    # symmetry images of round 0 complete the set
-    blob = json.dumps({"family": "pca3", "periods": [1, 3],
-                       "solver": "pca3-cb-involution-set"}, sort_keys=True)
-    assert key != hashlib.sha256(blob.encode()).hexdigest()
-    # the key is family, periods and the solver tag
-    blob = json.dumps({"family": "pca3", "periods": [1, 3],
-                       "solver": "pca3-cb-symmetry-set"}, sort_keys=True)
-    assert key == hashlib.sha256(blob.encode()).hexdigest()
-    assert key == _cache_key("pca3", [1, 3])
-    # quad centers solved at a looser tolerance and then polished by Newton
-    # steps differ in their last bits and must miss
-    blob = json.dumps({"family": "quad", "periods": [6],
-                       "solver": "quad-newton-set"}, sort_keys=True)
-    assert _cache_key("quad", (6,)) != hashlib.sha256(
-        blob.encode()).hexdigest()
-
-
-def test_quad_cache_key_names_the_residual():
-    # quad rows cached under the pca3 solver tag carry the |f_c^n(0)|
-    # residual column, not the Newton step: they must miss
-    blob = json.dumps({"family": "quad", "periods": [6],
-                       "solver": "pca3-cb-involution"}, sort_keys=True)
-    assert _cache_key("quad", (6,)) != hashlib.sha256(
-        blob.encode()).hexdigest()
-    # nor the one-record-per-center entries of the Newton-step residual;
-    # the key is family, periods and the solver tag
-    def tagged(tag):
-        blob = json.dumps({"family": "quad", "periods": [6], "solver": tag},
-                          sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    assert _cache_key("quad", (6,)) != tagged("quad-newton-step")
-    assert _cache_key("quad", (6,)) == tagged("quad-floor-set")
 
 
 def _readme_commands():

@@ -291,8 +291,7 @@ def test_quad_centers_are_deterministic_without_rng(tmp_path):
     out_path = str(tmp_path / "out.csv")
     for argv, loads in CLI_RNG_USE:
         out = subprocess.run(
-            [sys.executable, "-c", cli, *argv.split(), "--no-cache",
-             "--out", out_path],
+            [sys.executable, "-c", cli, *argv.split(), "--out", out_path],
             env=env, check=True, capture_output=True, text=True).stdout
         assert out.splitlines()[-1] == str(loads), argv
     first = _quad_exact_centers(9)
